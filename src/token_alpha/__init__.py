@@ -2,95 +2,11 @@
 independence numbers of join-graph families, with explicit witness
 constructions and a verification harness."""
 
-from .constructions import (
-    AssociatedSetInput,
-    PathUnionLayout,
-    associated_independent_set,
-    associated_set_size,
-    extract_s1_s2,
-    path_union_independent_set,
-    path_union_layout,
-)
-from .errors import (
-    BudgetExceededError,
-    CapacityError,
-    ContractError,
-    ParameterError,
-    ParseError,
-)
-from .fileio import parse_graph, read_graph, render_graph, write_graph
-from .formulas import (
-    AlphaFormulaResult,
-    alpha_closed_form,
-    alpha_complete,
-    alpha_complete_bipartite,
-    alpha_cycle,
-    alpha_empty,
-    alpha_fan,
-    alpha_path,
-    alpha_path_union,
-    alpha_split,
-    alpha_star,
-    alpha_wheel,
-)
-from .graphs import (
-    FamilySpec,
-    Graph,
-    VertexSet,
-    complete,
-    complete_bipartite,
-    components,
-    cycle,
-    delete_vertices,
-    disjoint_union,
-    empty,
-    fan,
-    generate,
-    join,
-    join_spec,
-    odd_component_count,
-    path,
-    path_union,
-    split,
-    wheel,
-)
-from .harness import (
-    LemmaReport,
-    RowResult,
-    SweepConfig,
-    SweepReport,
-    construction_pairs,
-    evaluate_graph_row,
-    evaluate_row,
-    run_lemma_trials,
-    run_sweep,
-)
-from .mis import (
-    MisResult,
-    is_independent,
-    max_independent_set,
-    max_independent_set_exhaustive,
-)
-from .tokens import JoinPartition, TokenGraph, build_f2, join_partition, render_token_graph
+from . import graphs
+from .formulas import alpha_closed_form
+from .mis import max_independent_set
+from .tokens import build_f2
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaFormulaResult", "AssociatedSetInput", "BudgetExceededError",
-    "CapacityError", "ContractError", "FamilySpec", "Graph", "JoinPartition",
-    "LemmaReport", "MisResult", "ParameterError", "ParseError",
-    "PathUnionLayout", "RowResult", "SweepConfig", "SweepReport", "TokenGraph",
-    "VertexSet",
-    "alpha_closed_form", "alpha_complete", "alpha_complete_bipartite",
-    "alpha_cycle", "alpha_empty", "alpha_fan", "alpha_path", "alpha_path_union",
-    "alpha_split", "alpha_star", "alpha_wheel",
-    "associated_independent_set", "associated_set_size", "build_f2",
-    "complete", "complete_bipartite", "components", "construction_pairs",
-    "cycle", "delete_vertices", "disjoint_union", "empty", "evaluate_graph_row",
-    "evaluate_row", "extract_s1_s2", "fan", "generate", "is_independent",
-    "join", "join_partition", "join_spec", "max_independent_set",
-    "max_independent_set_exhaustive", "odd_component_count", "parse_graph",
-    "path", "path_union", "path_union_independent_set", "path_union_layout",
-    "read_graph", "render_graph", "render_token_graph", "run_lemma_trials",
-    "run_sweep", "split", "wheel", "write_graph",
-]
+__all__ = ["alpha_closed_form", "build_f2", "graphs", "max_independent_set"]

@@ -21,24 +21,24 @@ from .harness import (
     SweepConfig,
     evaluate_graph_row,
     evaluate_row,
+    exit_code,
     run_lemma_trials,
     run_sweep,
 )
-from .report import render_json, render_tsv, summary_counts
+from .report import render_json, render_tsv
 from .tokens import build_f2, render_token_graph
 
-_FAMILY_BUILDERS = {
-    "path": lambda a: graphs.path(_require(a, "m")),
-    "cycle": lambda a: graphs.cycle(_require(a, "m")),
-    "empty": lambda a: graphs.empty(_require(a, "m")),
-    "complete": lambda a: graphs.complete(_require(a, "m")),
-    "path-union": lambda a: graphs.path_union(_parts(a)),
-    "fan": lambda a: graphs.fan(_require(a, "n"), _require(a, "m")),
-    "wheel": lambda a: graphs.wheel(_require(a, "n"), _require(a, "m")),
-    "split": lambda a: graphs.split(_require(a, "n"), _require(a, "m")),
-    "complete-bipartite": lambda a: graphs.complete_bipartite(
-        _require(a, "n"), _require(a, "m")),
-}
+_LEMMA_H_FAMILIES = ("complete", "cycle", "empty", "path")
+
+
+def _family_kind(name: str) -> str:
+    """The family kind a CLI family name stands for: hyphens in place of
+    the kind's underscores."""
+    kind = name.replace("-", "_")
+    if "_" in name or kind not in graphs.FAMILIES:
+        choices = sorted(k.replace("_", "-") for k in graphs.FAMILIES)
+        raise ParameterError(f"unknown family {name!r}; choose from {', '.join(choices)}")
+    return kind
 
 
 def _require(args, name: str) -> int:
@@ -79,10 +79,8 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 
 
 def _family_spec(args) -> FamilySpec:
-    if args.family not in _FAMILY_BUILDERS:
-        raise ParameterError(
-            f"unknown family {args.family!r}; choose from {', '.join(sorted(_FAMILY_BUILDERS))}")
-    return _FAMILY_BUILDERS[args.family](args)
+    build, params = graphs.FAMILIES[_family_kind(args.family)]
+    return build(*(_parts(args) if p == "parts" else _require(args, p) for p in params))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -99,15 +97,6 @@ def _render_rows(rows, args, extra: dict | None = None) -> str:
     return render_tsv(rows)
 
 
-def _rows_exit_code(rows) -> int:
-    counts = summary_counts(rows)
-    if counts["DISAGREE"]:
-        return 1
-    if counts["ABORTED"]:
-        return 3
-    return 0
-
-
 def _cmd_alpha(args) -> int:
     if (args.input is None) == (args.family is None):
         raise ParameterError("alpha requires exactly one of --family or --input")
@@ -120,36 +109,30 @@ def _cmd_alpha(args) -> int:
         spec = _family_spec(args)
         row = evaluate_row(spec, _parse_methods(args.methods), node_budget=args.budget)
     _emit(_render_rows([row], args), args.out)
-    return _rows_exit_code([row])
+    return exit_code([row])
 
 
 def _cmd_sweep(args) -> int:
-    if args.family not in _FAMILY_BUILDERS:
-        raise ParameterError(
-            f"unknown family {args.family!r}; choose from {', '.join(sorted(_FAMILY_BUILDERS))}")
     config = SweepConfig(
-        family=args.family.replace("-", "_"),
+        family=_family_kind(args.family),
         n_range=_parse_range(args.n_range) if args.n_range else None,
         m_range=_parse_range(args.m_range) if args.m_range else None,
         methods=_parse_methods(args.methods),
         node_budget=args.budget,
-        seed=args.seed,
     )
-    report = run_sweep(config)
+    rows = run_sweep(config)
     extra = {"config": {"family": args.family, "n_range": args.n_range,
                         "m_range": args.m_range, "methods": list(config.methods),
-                        "budget": args.budget, "seed": args.seed}}
-    _emit(_render_rows(report.rows, args, extra), args.out)
-    return report.exit_code
+                        "budget": args.budget}}
+    _emit(_render_rows(rows, args, extra), args.out)
+    return exit_code(rows)
 
 
 def _cmd_lemma_check(args) -> int:
-    h_builders = {"path": graphs.path, "cycle": graphs.cycle,
-                  "complete": graphs.complete, "empty": graphs.empty}
-    if args.family not in h_builders:
+    if args.family not in _LEMMA_H_FAMILIES:
         raise ParameterError(
-            f"lemma-check H family must be one of {', '.join(sorted(h_builders))}")
-    h_spec = h_builders[args.family](args.m)
+            f"lemma-check H family must be one of {', '.join(_LEMMA_H_FAMILIES)}")
+    h_spec = graphs.FAMILIES[args.family][0](args.m)
     report = run_lemma_trials(args.n, h_spec, args.trials, args.seed,
                               node_budget=args.budget)
     lines = []
@@ -216,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n-range", dest="n_range", default=None, metavar="A..B")
     sweep.add_argument("--m-range", dest="m_range", default=None, metavar="A..B",
                        help="for path-union: totals, all compositions of each")
-    sweep.add_argument("--seed", type=int, default=0)
     _add_row_flags(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
 

@@ -98,12 +98,6 @@ class VertexSet:
 # Family specifications
 # ---------------------------------------------------------------------------
 
-_FAMILY_KINDS = frozenset({
-    "path", "cycle", "empty", "complete", "path_union",
-    "fan", "wheel", "split", "complete_bipartite", "join",
-})
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Symbolic description of one graph-family instance.
@@ -122,7 +116,7 @@ class FamilySpec:
     operands: tuple["FamilySpec", "FamilySpec"] | None = None
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_KINDS:
+        if self.kind not in FAMILIES and self.kind != "join":
             raise ParameterError(f"unknown family kind {self.kind!r}")
 
     def label(self) -> str:
@@ -198,6 +192,22 @@ def complete_bipartite(n: int, m: int) -> FamilySpec:
 
 def join_spec(a: FamilySpec, b: FamilySpec) -> FamilySpec:
     return FamilySpec("join", operands=(a, b))
+
+
+# Every named family kind: its validating constructor and the parameters
+# that constructor takes, in order.  Family instances built from outside
+# input (the CLI, sweeps) go through this table.
+FAMILIES = {
+    "path": (path, ("m",)),
+    "cycle": (cycle, ("m",)),
+    "empty": (empty, ("m",)),
+    "complete": (complete, ("m",)),
+    "path_union": (path_union, ("parts",)),
+    "fan": (fan, ("n", "m")),
+    "wheel": (wheel, ("n", "m")),
+    "split": (split, ("n", "m")),
+    "complete_bipartite": (complete_bipartite, ("n", "m")),
+}
 
 
 # ---------------------------------------------------------------------------

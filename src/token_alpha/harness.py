@@ -9,10 +9,9 @@ independence before their size is trusted.
 
 from __future__ import annotations
 
-import os
+import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .constructions import (
@@ -25,29 +24,18 @@ from .constructions import (
 )
 from .errors import BudgetExceededError, ParameterError
 from .formulas import AlphaFormulaResult, alpha_closed_form
-from .graphs import FamilySpec, Graph, VertexSet, delete_vertices, generate, components
+from .graphs import FAMILIES, FamilySpec, Graph, VertexSet, delete_vertices, generate, components
 from .mis import MisResult, is_independent, max_independent_set
 from .tokens import TokenGraph, TokenPair, build_f2
 
 METHODS = ("formula", "construction", "solver")
+VERDICTS = ("AGREE", "DISAGREE", "ABORTED")
 
 CONSTRUCTION_FAMILIES = frozenset(
     {"path", "path_union", "fan", "wheel", "split", "complete_bipartite"})
 
 _JOIN_H_KIND = {"fan": "path", "wheel": "cycle", "split": "complete",
                 "complete_bipartite": "empty"}
-
-
-def thread_count() -> int:
-    """Worker cap for sweep rows, from TOKEN_ALPHA_THREADS (default 1)."""
-    raw = os.environ.get("TOKEN_ALPHA_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(f"TOKEN_ALPHA_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +176,68 @@ def base_graph_for(spec: FamilySpec) -> Graph:
 @dataclass(frozen=True)
 class RowResult:
     label: str
-    spec: FamilySpec | None
-    formula: AlphaFormulaResult | None
-    construction_size: int | None
-    construction_pairs: frozenset[TokenPair] | None
-    construction_valid: bool | None
-    solver: MisResult | None
-    solver_witness_pairs: tuple[TokenPair, ...] | None
-    solver_millis: int | None
-    aborted: bool
-    verdict: str  # AGREE | DISAGREE | ABORTED
+    spec: FamilySpec | None = None
+    formula: AlphaFormulaResult | None = None
+    construction_pairs: frozenset[TokenPair] | None = None
+    construction_valid: bool | None = None
+    solver: MisResult | None = None
+    solver_witness_pairs: tuple[TokenPair, ...] | None = None
+    solver_millis: int | None = None
+    aborted: bool = False
+
+    @property
+    def construction_size(self) -> int | None:
+        return None if self.construction_pairs is None else len(self.construction_pairs)
 
     @property
     def values(self) -> list[int]:
         out = []
         if self.formula is not None:
             out.append(self.formula.value)
-        if self.construction_size is not None:
-            out.append(self.construction_size)
+        if self.construction_pairs is not None:
+            out.append(len(self.construction_pairs))
         if self.solver is not None:
             out.append(self.solver.size)
         return out
+
+    @property
+    def verdict(self) -> str:
+        """ABORTED when a node budget ran out; DISAGREE when the construction
+        is not independent or the methods' values differ; else AGREE."""
+        if self.aborted:
+            return "ABORTED"
+        if self.construction_valid is False or len(set(self.values)) > 1:
+            return "DISAGREE"
+        return "AGREE"
+
+
+def verdict_counts(rows) -> dict[str, int]:
+    counts = dict.fromkeys(VERDICTS, 0)
+    for row in rows:
+        counts[row.verdict] += 1
+    return counts
+
+
+def exit_code(rows) -> int:
+    """1 on any disagreement, else 3 on any budget abort, else 0."""
+    counts = verdict_counts(rows)
+    if counts["DISAGREE"]:
+        return 1
+    return 3 if counts["ABORTED"] else 0
+
+
+def _solve(tg: TokenGraph, node_budget: int | None) -> dict:
+    """Timed exact solve of the token graph, as the RowResult solver fields.
+    A budget overrun leaves the solver empty and marks the row aborted."""
+    start = time.perf_counter()
+    try:
+        result = max_independent_set(tg.graph, node_budget=node_budget)
+    except BudgetExceededError:
+        result = None
+    millis = int((time.perf_counter() - start) * 1000)
+    witness = None if result is None else tuple(tg.pair_of(i) for i in result.witness)
+    return {"solver": result, "solver_witness_pairs": witness,
+            "solver_millis": millis, "aborted": result is None}
 
 
 def evaluate_row(spec: FamilySpec, methods=METHODS,
@@ -230,58 +259,17 @@ def evaluate_row(spec: FamilySpec, methods=METHODS,
 
     formula = alpha_closed_form(spec) if "formula" in methods else None
 
-    construction_size = None
-    construction = None
-    construction_valid = None
-    aborted = False
+    pairs = valid = None
     if "construction" in methods:
         try:
-            construction = construction_pairs(spec, node_budget=node_budget)
+            pairs = construction_pairs(spec, node_budget=node_budget)
         except BudgetExceededError:
-            aborted = True
-        if construction is not None:
-            construction_size = len(construction)
-            construction_valid = is_independent(tg.graph, tg.indices_of(construction))
+            return RowResult(spec.label(), spec, formula, aborted=True)
+        if pairs is not None:
+            valid = is_independent(tg.graph, tg.indices_of(pairs))
 
-    solver_result = None
-    witness_pairs = None
-    millis = None
-    if "solver" in methods and not aborted:
-        start = time.perf_counter()
-        try:
-            solver_result = max_independent_set(tg.graph, node_budget=node_budget)
-        except BudgetExceededError:
-            aborted = True
-        millis = int((time.perf_counter() - start) * 1000)
-        if solver_result is not None:
-            witness_pairs = tuple(tg.pair_of(i) for i in solver_result.witness)
-
-    if aborted:
-        verdict = "ABORTED"
-    else:
-        values = []
-        if formula is not None:
-            values.append(formula.value)
-        if construction_size is not None:
-            values.append(construction_size)
-        if solver_result is not None:
-            values.append(solver_result.size)
-        disagree = (construction_valid is False) or (len(set(values)) > 1)
-        verdict = "DISAGREE" if disagree else "AGREE"
-
-    return RowResult(
-        label=spec.label(),
-        spec=spec,
-        formula=formula,
-        construction_size=construction_size,
-        construction_pairs=construction,
-        construction_valid=construction_valid,
-        solver=solver_result,
-        solver_witness_pairs=witness_pairs,
-        solver_millis=millis,
-        aborted=aborted,
-        verdict=verdict,
-    )
+    solved = _solve(tg, node_budget) if "solver" in methods else {}
+    return RowResult(spec.label(), spec, formula, pairs, valid, **solved)
 
 
 def evaluate_graph_row(label: str, base: Graph,
@@ -289,25 +277,7 @@ def evaluate_graph_row(label: str, base: Graph,
     """Solver-only row for an imported base graph: alpha of its token graph."""
     if base.order < 2:
         raise ParameterError(f"{label} has order {base.order}; no token graph exists")
-    tg = build_f2(base)
-    aborted = False
-    solver_result = None
-    witness_pairs = None
-    start = time.perf_counter()
-    try:
-        solver_result = max_independent_set(tg.graph, node_budget=node_budget)
-    except BudgetExceededError:
-        aborted = True
-    millis = int((time.perf_counter() - start) * 1000)
-    if solver_result is not None:
-        witness_pairs = tuple(tg.pair_of(i) for i in solver_result.witness)
-    return RowResult(
-        label=label, spec=None, formula=None,
-        construction_size=None, construction_pairs=None, construction_valid=None,
-        solver=solver_result, solver_witness_pairs=witness_pairs,
-        solver_millis=millis, aborted=aborted,
-        verdict="ABORTED" if aborted else "AGREE",
-    )
+    return RowResult(label, **_solve(build_f2(base), node_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +301,6 @@ class SweepConfig:
     m_range: tuple[int, int] | None = None
     methods: tuple[str, ...] = METHODS
     node_budget: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         for label, rng in (("n", self.n_range), ("m", self.m_range)):
@@ -340,59 +309,28 @@ class SweepConfig:
 
 
 def sweep_specs(config: SweepConfig) -> list[FamilySpec]:
-    """Family instances for a sweep, in deterministic lexicographic order."""
+    """Family instances for a sweep, in deterministic lexicographic order.
+    Every instance goes through its family's validating constructor; path
+    unions take the m range as totals and walk all their compositions."""
     family = config.family
-    if family in ("path", "cycle", "empty", "complete"):
+    if family not in FAMILIES:
+        raise ParameterError(f"family {family!r} cannot be swept")
+    build, params = FAMILIES[family]
+    if params == ("parts",):
         if config.m_range is None:
-            raise ParameterError(f"{family} sweep requires an m range")
+            raise ParameterError(f"{family} sweep requires an m range of totals")
         lo, hi = config.m_range
-        return [FamilySpec(family, m=m) for m in range(lo, hi + 1)]
-    if family in ("fan", "wheel", "split", "complete_bipartite"):
-        if config.n_range is None or config.m_range is None:
-            raise ParameterError(f"{family} sweep requires n and m ranges")
-        return [FamilySpec(family, n=n, m=m)
-                for n in range(config.n_range[0], config.n_range[1] + 1)
-                for m in range(config.m_range[0], config.m_range[1] + 1)]
-    if family == "path_union":
-        if config.m_range is None:
-            raise ParameterError("path_union sweep requires an m range of totals")
-        return [FamilySpec("path_union", parts=parts)
-                for total in range(config.m_range[0], config.m_range[1] + 1)
-                for parts in compositions(total)]
-    raise ParameterError(f"family {family!r} cannot be swept")
+        return [build(parts) for total in range(lo, hi + 1) for parts in compositions(total)]
+    ranges = {"n": config.n_range, "m": config.m_range}
+    if any(ranges[p] is None for p in params):
+        raise ParameterError(f"{family} sweep requires a range for {' and '.join(params)}")
+    grid = itertools.product(*(range(ranges[p][0], ranges[p][1] + 1) for p in params))
+    return [build(*values) for values in grid]
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[RowResult, ...]
-
-    @property
-    def counts(self) -> dict[str, int]:
-        out = {"AGREE": 0, "DISAGREE": 0, "ABORTED": 0}
-        for row in self.rows:
-            out[row.verdict] += 1
-        return out
-
-    @property
-    def exit_code(self) -> int:
-        counts = self.counts
-        if counts["DISAGREE"]:
-            return 1
-        if counts["ABORTED"]:
-            return 3
-        return 0
-
-
-def run_sweep(config: SweepConfig) -> SweepReport:
-    specs = sweep_specs(config)
-    workers = thread_count()
-    if workers == 1:
-        rows = [evaluate_row(s, config.methods, config.node_budget) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda s: evaluate_row(s, config.methods, config.node_budget), specs))
-    return SweepReport(tuple(rows))
+def run_sweep(config: SweepConfig) -> tuple[RowResult, ...]:
+    return tuple(evaluate_row(s, config.methods, config.node_budget)
+                 for s in sweep_specs(config))
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +391,8 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int,
     """Check the improvement property on random independent sets of
     F2(E_n + H): the associated set built from the extracted (S1, S2) must
     be independent and at least as large."""
+    if n < 1:
+        raise ParameterError(f"lemma-check requires n >= 1, got {n}")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     h = generate(h_spec)

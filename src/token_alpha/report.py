@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .harness import RowResult
+from .harness import RowResult, verdict_counts
 
 TSV_COLUMNS = ("family", "n", "m", "parts", "formula", "exceptional",
                "construction", "solver", "nodes", "millis", "verdict")
@@ -50,17 +50,10 @@ def _row_cells(row: RowResult) -> list[str]:
     ]
 
 
-def summary_counts(rows) -> dict[str, int]:
-    counts = {"AGREE": 0, "DISAGREE": 0, "ABORTED": 0}
-    for row in rows:
-        counts[row.verdict] += 1
-    return counts
-
-
 def render_tsv(rows) -> str:
     lines = ["\t".join(TSV_COLUMNS)]
     lines += ["\t".join(_row_cells(row)) for row in rows]
-    counts = summary_counts(rows)
+    counts = verdict_counts(rows)
     lines.append(f"# agree={counts['AGREE']} disagree={counts['DISAGREE']} "
                  f"aborted={counts['ABORTED']}")
     return "\n".join(lines) + "\n"
@@ -105,7 +98,7 @@ def row_record(row: RowResult, include_witness: bool = False) -> dict:
 
 
 def render_json(rows, include_witness: bool = False, extra: dict | None = None) -> str:
-    counts = summary_counts(rows)
+    counts = verdict_counts(rows)
     doc = {
         "rows": [row_record(r, include_witness) for r in rows],
         "summary": {"agree": counts["AGREE"], "disagree": counts["DISAGREE"],

@@ -9,7 +9,7 @@ pairs, so witnesses and exported files are reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParameterError
 from .fileio import render_graph
@@ -25,10 +25,7 @@ class TokenGraph:
     base: Graph
     graph: Graph
     pairs: tuple[TokenPair, ...]
-
-    @property
-    def index_of(self) -> dict[TokenPair, int]:
-        return {p: i for i, p in enumerate(self.pairs)}
+    index_of: dict[TokenPair, int] = field(compare=False)
 
     def pair_of(self, index: int) -> TokenPair:
         return self.pairs[index]
@@ -66,7 +63,7 @@ def build_f2(g: Graph) -> TokenGraph:
             pb = (b, w) if b < w else (w, b)
             edges.append((index[pa], index[pb]))
     token = Graph.build(len(pairs), edges)
-    return TokenGraph(base=g, graph=token, pairs=pairs)
+    return TokenGraph(base=g, graph=token, pairs=pairs, index_of=index)
 
 
 @dataclass(frozen=True)

@@ -146,12 +146,19 @@ def test_sweep_budget_abort_exit_code(capsys):
 
 
 def test_sweep_deterministic_output(capsys):
-    args = ("sweep", "--family", "wheel", "--n-range", "1..2", "--m-range", "3..5",
-            "--seed", "9")
+    args = ("sweep", "--family", "wheel", "--n-range", "1..2", "--m-range", "3..5")
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert mask_millis(out1) == mask_millis(out2)
+
+
+def test_sweep_rejects_parameters_alpha_rejects(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--family", "wheel", "--n-range", "0..1",
+                             "--m-range", "2..3", "--methods", "solver")
+    assert code == 2
+    assert out == ""
+    assert "wheel requires n >= 1" in err
 
 
 def test_sweep_path_union_compositions(capsys):
@@ -174,6 +181,13 @@ def test_lemma_check_small_complete(capsys):
                            "--m", "3", "--trials", "50", "--seed", "12")
     assert code == 0
     assert "trials=50 ok=50" in out
+
+
+def test_lemma_check_rejects_empty_side(capsys):
+    code, _, err = run_cli(capsys, "lemma-check", "--n", "0", "--family", "path",
+                           "--m", "4", "--trials", "3")
+    assert code == 2
+    assert err.startswith("error: ") and "n >= 1" in err
 
 
 def test_lemma_check_rejects_unknown_h(capsys):

@@ -10,10 +10,11 @@ from token_alpha.harness import (
     construction_pairs,
     evaluate_graph_row,
     evaluate_row,
+    exit_code,
     run_lemma_trials,
     run_sweep,
     sweep_specs,
-    thread_count,
+    verdict_counts,
 )
 from token_alpha.mis import is_independent
 from token_alpha.tokens import build_f2
@@ -88,6 +89,16 @@ def test_disagree_verdict_when_methods_differ(monkeypatch):
     assert row.verdict == "DISAGREE"
 
 
+def test_disagree_verdict_when_construction_is_not_independent(monkeypatch):
+    # Right size for F2(P4), but {0,1} and {0,2} are adjacent.
+    monkeypatch.setattr(harness, "construction_pairs",
+                        lambda spec, node_budget=None: frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
+    row = evaluate_row(graphs.path(4))
+    assert row.values == [4, 4, 4]
+    assert row.construction_valid is False
+    assert row.verdict == "DISAGREE"
+
+
 def test_aborted_verdict_on_tiny_budget():
     row = evaluate_row(graphs.fan(4, 6), ("formula", "solver"), node_budget=1)
     assert row.aborted
@@ -122,37 +133,18 @@ def test_sweep_rejects_empty_range():
 
 
 def test_sweep_runs_and_counts():
-    report = run_sweep(SweepConfig(family="wheel", n_range=(1, 2), m_range=(3, 5),
-                                   methods=("formula", "solver")))
-    assert len(report.rows) == 6
-    assert report.counts == {"AGREE": 6, "DISAGREE": 0, "ABORTED": 0}
-    assert report.exit_code == 0
+    rows = run_sweep(SweepConfig(family="wheel", n_range=(1, 2), m_range=(3, 5),
+                                 methods=("formula", "solver")))
+    assert len(rows) == 6
+    assert verdict_counts(rows) == {"AGREE": 6, "DISAGREE": 0, "ABORTED": 0}
+    assert exit_code(rows) == 0
 
 
 def test_sweep_exit_code_for_aborts():
-    report = run_sweep(SweepConfig(family="fan", n_range=(4, 4), m_range=(6, 6),
-                                   methods=("solver",), node_budget=1))
-    assert report.counts["ABORTED"] == 1
-    assert report.exit_code == 3
-
-
-def test_parallel_sweep_matches_sequential(monkeypatch):
-    config = SweepConfig(family="split", n_range=(1, 3), m_range=(1, 4))
-    sequential = run_sweep(config)
-    monkeypatch.setenv("TOKEN_ALPHA_THREADS", "4")
-    parallel = run_sweep(config)
-    assert [r.values for r in parallel.rows] == [r.values for r in sequential.rows]
-    assert [r.verdict for r in parallel.rows] == [r.verdict for r in sequential.rows]
-
-
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv("TOKEN_ALPHA_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("TOKEN_ALPHA_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("TOKEN_ALPHA_THREADS", "zero")
-    with pytest.raises(ParameterError):
-        thread_count()
+    rows = run_sweep(SweepConfig(family="fan", n_range=(4, 4), m_range=(6, 6),
+                                 methods=("solver",), node_budget=1))
+    assert verdict_counts(rows)["ABORTED"] == 1
+    assert exit_code(rows) == 3
 
 
 def test_lemma_trials_report():

@@ -122,6 +122,16 @@ def test_budget_abort_is_distinct():
     assert max_independent_set(tg.graph).size == 15
 
 
+def test_budget_edge_is_the_node_count():
+    tg = build_f2(generate(graphs.fan(4, 6)))
+    full = max_independent_set(tg.graph)
+    assert full.nodes_explored == 37
+    exact = max_independent_set(tg.graph, node_budget=full.nodes_explored)
+    assert exact.size == full.size
+    with pytest.raises(BudgetExceededError):
+        max_independent_set(tg.graph, node_budget=full.nodes_explored - 1)
+
+
 def test_zero_order_graph():
     res = max_independent_set(Graph.build(0, []))
     assert res.size == 0
