@@ -16,7 +16,9 @@ print("oracle witness (lexicographically least):",
       [tg.pair_of(i) for i in oracle.witness])
 
 # The branch-and-bound solver handles the 91-vertex token graph of a fan
-# in a handful of nodes thanks to the clique-cover bound.
+# in a few dozen nodes.  Each node covers its candidates with greedy
+# cliques, branches on the highest-numbered cliques first, and stops once
+# the number of cliques left cannot beat the best set found so far.
 tg = build_f2(generate(graphs.fan(6, 8)))
 result = max_independent_set(tg.graph)
 print(f"F2(fan(6,8)): alpha = {result.size} "

@@ -167,13 +167,6 @@ def associated_independent_set(inp: AssociatedSetInput) -> frozenset[TokenPair]:
     return frozenset(out)
 
 
-def associated_set_size(inp: AssociatedSetInput) -> int:
-    """|s1||s2| + C(n-|s1|, 2) + |mis|, the cardinality the set always attains."""
-    r, s = len(inp.s1), len(inp.s2)
-    rest = inp.n - r
-    return r * s + rest * (rest - 1) // 2 + len(inp.mis_h_minus_s2)
-
-
 def extract_s1_s2(i, n: int, h: Graph) -> tuple[VertexSet, VertexSet]:
     """Recover (S1, S2) from an independent set of F2(E_n + H) meeting R.
 

@@ -314,7 +314,3 @@ def components(g: Graph) -> list[VertexSet]:
                     stack.append(u)
         out.append(VertexSet.of(g.order, comp))
     return out
-
-
-def odd_component_count(g: Graph) -> int:
-    return sum(1 for c in components(g) if len(c) % 2 == 1)

@@ -260,15 +260,19 @@ def evaluate_row(spec: FamilySpec, methods=METHODS,
     formula = alpha_closed_form(spec) if "formula" in methods else None
 
     pairs = valid = None
+    construction_aborted = False
     if "construction" in methods:
         try:
             pairs = construction_pairs(spec, node_budget=node_budget)
         except BudgetExceededError:
-            return RowResult(spec.label(), spec, formula, aborted=True)
+            construction_aborted = True
         if pairs is not None:
             valid = is_independent(tg.graph, tg.indices_of(pairs))
 
+    # A construction abort still leaves the solver's own (budgeted) answer.
     solved = _solve(tg, node_budget) if "solver" in methods else {}
+    if construction_aborted:
+        solved["aborted"] = True
     return RowResult(spec.label(), spec, formula, pairs, valid, **solved)
 
 

@@ -9,17 +9,23 @@ from token_alpha.constructions import (
     AssociatedSetInput,
     PathUnionLayout,
     associated_independent_set,
-    associated_set_size,
     extract_s1_s2,
     path_union_independent_set,
     path_union_layout,
 )
 from token_alpha.errors import ContractError, ParameterError
 from token_alpha.formulas import alpha_path_union
-from token_alpha.graphs import VertexSet, delete_vertices, generate, odd_component_count
+from token_alpha.graphs import VertexSet, components, delete_vertices, generate
 from token_alpha.harness import random_independent_set_with_cross
 from token_alpha.mis import is_independent, max_independent_set, max_independent_set_exhaustive
 from token_alpha.tokens import build_f2
+
+
+def associated_set_size(inp):
+    """|s1||s2| + C(n-|s1|, 2) + |mis|, the cardinality the set always attains."""
+    r, s = len(inp.s1), len(inp.s2)
+    rest = inp.n - r
+    return r * s + rest * (rest - 1) // 2 + len(inp.mis_h_minus_s2)
 
 
 def compositions(total):
@@ -232,7 +238,7 @@ def test_deleted_path_alpha_matches_odd_component_formula(m):
             sub, _ = delete_vertices(h, s2)
             if sub.order < 2:
                 continue
-            t = odd_component_count(sub)
+            t = sum(len(c) % 2 for c in components(sub))
             s = len(s2)
             expected = ((m - s) ** 2 + t * t - 2 * t) // 4
             assert max_independent_set(build_f2(sub).graph).size == expected

@@ -16,7 +16,7 @@ from token_alpha.harness import (
     sweep_specs,
     verdict_counts,
 )
-from token_alpha.mis import is_independent
+from token_alpha.mis import is_independent, max_independent_set
 from token_alpha.tokens import build_f2
 
 
@@ -158,3 +158,15 @@ def test_lemma_trials_report():
 def test_lemma_trials_require_positive_count():
     with pytest.raises(ParameterError):
         run_lemma_trials(2, graphs.path(3), trials=0, seed=1)
+
+
+def test_construction_abort_still_runs_the_solver():
+    # construction_pairs solves the wheel's cycle side F2(C11) itself; a
+    # budget one node short of that solve aborts the construction, and the
+    # row's own solver still runs on the same budget
+    side = max_independent_set(build_f2(generate(graphs.cycle(11))).graph)
+    row = evaluate_row(graphs.wheel(1, 11), node_budget=side.nodes_explored - 1)
+    assert row.construction_pairs is None
+    assert row.solver_millis is not None
+    assert row.verdict == "ABORTED"
+    assert exit_code([row]) == 3

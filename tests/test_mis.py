@@ -125,11 +125,32 @@ def test_budget_abort_is_distinct():
 def test_budget_edge_is_the_node_count():
     tg = build_f2(generate(graphs.fan(4, 6)))
     full = max_independent_set(tg.graph)
-    assert full.nodes_explored == 37
+    assert full.nodes_explored == 12
     exact = max_independent_set(tg.graph, node_budget=full.nodes_explored)
     assert exact.size == full.size
     with pytest.raises(BudgetExceededError):
         max_independent_set(tg.graph, node_budget=full.nodes_explored - 1)
+
+
+def test_split_5_14_solves_without_a_budget():
+    # C(5,2) + floor(14/2); this dense join must finish without a node budget
+    tg = build_f2(generate(graphs.split(5, 14)))
+    res = max_independent_set(tg.graph)
+    assert res.size == 17
+    assert len(res.witness) == 17
+    assert is_independent(tg.graph, res.witness)
+
+
+def test_folds_can_lift_size_above_the_incumbent():
+    # the degree-0/1 folds below the root reach a chosen set larger than
+    # the incumbent while candidates remain, so that node keeps every clique
+    edges = [(0, 9), (3, 6), (3, 13), (4, 5), (4, 6), (4, 18), (4, 22), (5, 6), (5, 13),
+             (6, 14), (6, 22), (7, 11), (7, 14), (8, 15), (9, 11), (9, 19), (9, 22),
+             (13, 14), (15, 20), (15, 21), (16, 21), (16, 22), (17, 20), (17, 23), (20, 23)]
+    g = Graph.build(24, edges)
+    res = max_independent_set(g)
+    assert res.size == max_independent_set_exhaustive(g).size
+    assert is_independent(g, res.witness)
 
 
 def test_zero_order_graph():
