@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import CapacityError, ContractError, ParameterError, ParseError
+from .errors import BudgetExceededError, CapacityError, ContractError, ParameterError, ParseError
 from .fileio import parse_graph, render_graph
 from .graphs import FamilySpec
 from . import graphs
@@ -68,6 +68,12 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ParameterError(f"cannot parse range {text!r}; expected A..B") from None
 
 
+def _budget(args) -> int | None:
+    if args.budget is not None and args.budget < 0:
+        raise ParameterError(f"--budget must be >= 0, got {args.budget}")
+    return args.budget
+
+
 def _parse_methods(text: str) -> tuple[str, ...]:
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     for m in methods:
@@ -104,10 +110,10 @@ def _cmd_alpha(args) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             base = parse_graph(fh.read())
         row = evaluate_graph_row(f"file:{os.path.basename(args.input)}", base,
-                                 node_budget=args.budget)
+                                 node_budget=_budget(args))
     else:
         spec = _family_spec(args)
-        row = evaluate_row(spec, _parse_methods(args.methods), node_budget=args.budget)
+        row = evaluate_row(spec, _parse_methods(args.methods), node_budget=_budget(args))
     _emit(_render_rows([row], args), args.out)
     return exit_code([row])
 
@@ -118,7 +124,7 @@ def _cmd_sweep(args) -> int:
         n_range=_parse_range(args.n_range) if args.n_range else None,
         m_range=_parse_range(args.m_range) if args.m_range else None,
         methods=_parse_methods(args.methods),
-        node_budget=args.budget,
+        node_budget=_budget(args),
     )
     rows = run_sweep(config)
     extra = {"config": {"family": args.family, "n_range": args.n_range,
@@ -134,7 +140,7 @@ def _cmd_lemma_check(args) -> int:
             f"lemma-check H family must be one of {', '.join(_LEMMA_H_FAMILIES)}")
     h_spec = graphs.FAMILIES[args.family][0](args.m)
     report = run_lemma_trials(args.n, h_spec, args.trials, args.seed,
-                              node_budget=args.budget)
+                              node_budget=_budget(args))
     lines = []
     for index in report.failures:
         trial = report.trials[index]
@@ -242,6 +248,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BudgetExceededError as exc:
+        # Rows record their own aborts; only lemma-check's per-trial
+        # solves let an overrun reach this far.
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

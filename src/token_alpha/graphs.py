@@ -2,13 +2,15 @@
 vertex-deletion / component operators the graph families are built from.
 
 Vertices are always 0..order-1.  Edges are stored once, as (low, high)
-tuples.  All values are immutable after construction and safe to share.
+tuples.  All values are immutable after construction and safe to share;
+a graph's adjacency bitsets are computed on first use and kept with it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterError
 
@@ -51,13 +53,21 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
-    def neighbor_masks(self) -> list[int]:
-        """Adjacency as one bitset per vertex (bit v of masks[u] set iff uv is an edge)."""
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Adjacency as one bitset per vertex (bit v of masks[u] set iff uv
+        is an edge).  Computed once per graph on first use; every call
+        returns that same immutable tuple, so all callers share one copy."""
+        return self._neighbor_masks
+
+    # cached_property writes the instance __dict__ directly, so it works on
+    # a frozen dataclass; equality and hashing see only order and edges.
+    @cached_property
+    def _neighbor_masks(self) -> tuple[int, ...]:
         masks = [0] * self.order
         for u, v in self.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return masks
+        return tuple(masks)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.order

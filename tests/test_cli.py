@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from token_alpha import harness
 from token_alpha.cli import main
 from token_alpha.formulas import AlphaFormulaResult
@@ -188,6 +190,46 @@ def test_lemma_check_rejects_empty_side(capsys):
                            "--m", "4", "--trials", "3")
     assert code == 2
     assert err.startswith("error: ") and "n >= 1" in err
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (("--n", "6", "--family", "path", "--m", "14", "--trials", "300", "--seed", "5"),
+     "lemma-check n=6 H=path(m=14) trials=300 ok=300 min_margin=0 mean_margin=8.540\n"),
+    (("--n", "5", "--family", "cycle", "--m", "15", "--trials", "200", "--seed", "9"),
+     "lemma-check n=5 H=cycle(m=15) trials=200 ok=200 min_margin=1 mean_margin=11.070\n"),
+])
+def test_lemma_check_stdout_is_pinned(capsys, argv, stdout):
+    code, out, _ = run_cli(capsys, "lemma-check", *argv)
+    assert code == 0
+    assert out == stdout
+
+
+def test_lemma_check_budget_overrun_is_a_budget_exit(capsys):
+    code, out, err = run_cli(capsys, "lemma-check", "--n", "2", "--family", "path",
+                             "--m", "3", "--trials", "2", "--budget", "0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "node budget exceeded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("alpha", "--family", "fan", "--n", "2", "--m", "4"),
+    ("sweep", "--family", "fan", "--n-range", "1..2", "--m-range", "2..3"),
+    ("lemma-check", "--n", "2", "--family", "path", "--m", "3", "--trials", "2"),
+])
+def test_negative_budget_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--budget", "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --budget must be >= 0, got -3\n"
+
+
+def test_zero_budget_is_legal(capsys):
+    code, out, err = run_cli(capsys, "alpha", "--family", "fan", "--n", "2", "--m", "4",
+                             "--budget", "0")
+    assert code == 3
+    assert "ABORTED" in out and err == ""
 
 
 def test_lemma_check_rejects_unknown_h(capsys):

@@ -8,6 +8,7 @@ from token_alpha import graphs
 from token_alpha.constructions import (
     AssociatedSetInput,
     PathUnionLayout,
+    _token_pairs_independent,
     associated_independent_set,
     extract_s1_s2,
     path_union_independent_set,
@@ -242,3 +243,22 @@ def test_deleted_path_alpha_matches_odd_component_formula(m):
             s = len(s2)
             expected = ((m - s) ** 2 + t * t - 2 * t) // 4
             assert max_independent_set(build_f2(sub).graph).size == expected
+
+
+@st.composite
+def graphs_with_pair_sets(draw):
+    m = draw(st.integers(2, 8))
+    all_pairs = list(itertools.combinations(range(m), 2))
+    h = graphs.Graph.build(m, [p for p in all_pairs if draw(st.booleans())])
+    pairs = draw(st.frozensets(st.sampled_from(all_pairs), max_size=2 * m))
+    return h, pairs
+
+
+@given(graphs_with_pair_sets())
+@settings(max_examples=150)
+def test_token_pairs_independent_matches_the_pairwise_definition(case):
+    h, pairs = case
+    pairwise = not any(
+        len(set(x) ^ set(y)) == 2 and h.has_edge(*(set(x) ^ set(y)))
+        for x, y in itertools.combinations(pairs, 2))
+    assert _token_pairs_independent(h, pairs) == pairwise

@@ -185,3 +185,22 @@ def test_deleting_from_paths_and_cycles_leaves_paths(m, data):
         for v in inside:
             degree = sum(1 for e in comp_edges if v in e)
             assert degree <= 2
+
+
+def test_neighbor_masks_are_computed_once_and_immutable():
+    g = generate(graphs.wheel(2, 5))
+    masks = g.neighbor_masks()
+    assert isinstance(masks, tuple)
+    assert g.neighbor_masks() is masks
+    assert all(masks[u] >> v & 1 and masks[v] >> u & 1 for u, v in g.edges)
+    assert sum(m.bit_count() for m in masks) == 2 * g.edge_count
+
+
+def test_the_mask_cache_does_not_change_equality_or_hashing():
+    a = generate(graphs.fan(2, 4))
+    b = Graph.build(a.order, reversed(a.sorted_edges()))
+    a.neighbor_masks()
+    assert a == b and hash(a) == hash(b)
+    b.neighbor_masks()
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1

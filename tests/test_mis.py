@@ -159,8 +159,8 @@ def test_zero_order_graph():
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 10))
+def small_graphs(draw, max_order=10):
+    n = draw(st.integers(1, max_order))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [p for p in pairs if draw(st.booleans())]
     return Graph.build(n, edges)
@@ -174,3 +174,19 @@ def test_two_solvers_agree_and_witnesses_hold(g):
     assert a.size == b.size
     assert is_independent(g, a.witness)
     assert is_independent(g, b.witness)
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    g = draw(small_graphs(max_order=12))
+    members = draw(st.lists(st.integers(0, g.order - 1), unique=True))
+    return g, VertexSet.of(g.order, members)
+
+
+@given(graphs_with_subsets())
+@settings(max_examples=100)
+def test_is_independent_matches_the_edge_scan(case):
+    g, s = case
+    members = set(s)
+    by_edges = not any(u in members and v in members for u, v in g.edges)
+    assert is_independent(g, s) == by_edges
