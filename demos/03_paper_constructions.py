@@ -5,21 +5,18 @@ from token_alpha.constructions import (
     AssociatedSetInput,
     associated_independent_set,
     path_union_independent_set,
-    path_union_layout,
 )
 from token_alpha.graphs import VertexSet, generate
 from token_alpha.mis import is_independent, max_independent_set
 from token_alpha.tokens import build_f2
 
 # Parity construction for P3 ⊔ P2: cross-component pairs with matching
-# position parity plus within-component pairs with mixed parity.
-layout = path_union_layout([3, 2])
-chosen = path_union_independent_set(layout)
-print("parts (odd first):", layout.parts)
+# position parity plus within-component pairs with mixed parity.  The
+# paths are given as walks in the labels generate() uses: 0-1-2 and 3-4.
+chosen = path_union_independent_set([[0, 1, 2], [3, 4]])
 print("construction:", sorted(chosen))
 
-base = layout.base_graph()
-tg = build_f2(base)
+tg = build_f2(generate(graphs.path_union([3, 2])))
 print("independent:", is_independent(tg.graph, tg.indices_of(chosen)))
 print("size:", len(chosen), " solver:", max_independent_set(tg.graph).size,
       " formula (m^2+t^2-2t)/4:", (25 + 1 - 2) // 4)

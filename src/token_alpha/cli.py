@@ -28,7 +28,7 @@ from .harness import (
 from .report import render_json, render_tsv
 from .tokens import build_f2, render_token_graph
 
-_LEMMA_H_FAMILIES = ("complete", "cycle", "empty", "path")
+_LEMMA_H_FAMILIES = tuple(sorted(graphs.JOIN_H_KIND.values()))
 
 
 def _family_kind(name: str) -> str:

@@ -7,8 +7,9 @@ into associated-set inputs at least as large.
 
 All functions work on token *pairs* (2-subsets of base vertices), not
 token-graph indices, so they stay independent of any particular token
-graph object.  Under the join labeling the E_n side occupies 0..n-1 and
-H occupies n..n+|H|-1; H-side inputs are given in H's own labels.
+graph object.  The parity set takes the paths' walks in the labels of the
+graph they belong to.  Under the join labeling the E_n side occupies
+0..n-1 and H occupies n..n+|H|-1; H-side inputs are given in H's own labels.
 """
 
 from __future__ import annotations
@@ -22,83 +23,33 @@ from .mis import is_independent
 from .tokens import TokenPair
 
 
-@dataclass(frozen=True)
-class PathUnionLayout:
-    """Parts of a disjoint union of paths, odd sizes first, with the table
-    mapping (component, 1-indexed position along the path) to a base vertex."""
-
-    parts: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ParameterError("layout requires at least one part")
-        if any(p < 1 for p in self.parts):
-            raise ParameterError(f"layout parts must all be >= 1, got {self.parts}")
-        first_even = next((i for i, p in enumerate(self.parts) if p % 2 == 0),
-                          len(self.parts))
-        if any(p % 2 == 1 for p in self.parts[first_even:]):
-            raise ParameterError("layout parts must list all odd sizes before even sizes")
-        if len(self.table) != len(self.parts) or any(
-                len(row) != p for row, p in zip(self.table, self.parts)):
-            raise ParameterError("vertex table shape does not match parts")
-        flat = [v for row in self.table for v in row]
-        if len(set(flat)) != len(flat):
-            raise ParameterError("vertex table entries must be distinct")
-
-    @property
-    def order(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def odd_part_count(self) -> int:
-        return sum(1 for p in self.parts if p % 2 == 1)
-
-    def base_graph(self) -> Graph:
-        """The disjoint union of paths this layout describes, in its own labels."""
-        edges = [(row[j], row[j + 1]) for row in self.table for j in range(len(row) - 1)]
-        return Graph.build(max(v for row in self.table for v in row) + 1, edges)
-
-
-def path_union_layout(parts) -> PathUnionLayout:
-    """Canonical layout: odd parts first (stable), vertices numbered consecutively."""
-    parts = tuple(parts)
-    if not parts:
-        raise ParameterError("path_union_layout requires at least one part")
-    if any(p < 1 for p in parts):
-        raise ParameterError(f"parts must all be >= 1, got {parts}")
-    ordered = tuple(sorted(parts, key=lambda p: p % 2 == 0))
-    table = []
-    next_vertex = 0
-    for p in ordered:
-        table.append(tuple(range(next_vertex, next_vertex + p)))
-        next_vertex += p
-    return PathUnionLayout(ordered, tuple(table))
-
-
 def _pair(a: int, b: int) -> TokenPair:
     return (a, b) if a < b else (b, a)
 
 
-def path_union_independent_set(layout: PathUnionLayout) -> frozenset[TokenPair]:
-    """Parity construction for a disjoint union of paths.
+def path_union_independent_set(walks) -> frozenset[TokenPair]:
+    """Parity construction for a disjoint union of paths, each given as its
+    walk: the sequence of its vertices' labels along the path.
 
-    Takes within-component pairs whose positions have different parity and
-    cross-component pairs whose positions share a parity.  The result has
+    Takes pairs within one path whose positions have different parity and
+    pairs across two paths whose positions share a parity.  The result has
     exactly (m^2 + t^2 - 2t)/4 elements for total order m and t odd parts,
-    and is independent in the token graph of the union.
+    and is independent in the token graph of the union whatever the order
+    of the walks.  Two pairs {x,y} and {x,z} are adjacent when yz is a path
+    edge, so y and z sit on one path at positions of different parity; but
+    both pairs are chosen only if y and z have the same parity (opposite to
+    x's on x's own path, equal to x's on any other).
     """
-    table = layout.table
     out: set[TokenPair] = set()
-    for row in table:
-        for l, k in itertools.combinations(range(1, len(row) + 1), 2):
-            if l % 2 != k % 2:
-                out.add(_pair(row[l - 1], row[k - 1]))
-    for i, j in itertools.combinations(range(len(table)), 2):
-        for l in range(1, len(table[i]) + 1):
-            for k in range(1, len(table[j]) + 1):
-                if l % 2 == k % 2:
-                    out.add(_pair(table[i][l - 1], table[j][k - 1]))
+    evens: list[int] = []   # even positions of the walks seen so far
+    odds: list[int] = []
+    for walk in walks:
+        even, odd = walk[0::2], walk[1::2]
+        out.update(_pair(x, y) for x in even for y in odd)
+        out.update(_pair(x, y) for x in even for y in evens)
+        out.update(_pair(x, y) for x in odd for y in odds)
+        evens.extend(even)
+        odds.extend(odd)
     return frozenset(out)
 
 

@@ -131,7 +131,7 @@ def alpha_complete_bipartite(n: int, m: int) -> int:
 
 def alpha_closed_form(spec: FamilySpec) -> AlphaFormulaResult | None:
     """Dispatch a family spec to its formula; None when no closed form covers it
-    (arbitrary joins, or degenerate instances whose token graph has no vertices)."""
+    (degenerate instances whose token graph has no vertices)."""
     kind = spec.kind
     if kind == "path":
         if spec.m < 2:

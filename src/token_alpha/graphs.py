@@ -1,5 +1,6 @@
 """Simple undirected graphs, the family generators, and the join /
 vertex-deletion / component operators the graph families are built from.
+``generate`` is the one place a family spec becomes a labelled graph.
 
 Vertices are always 0..order-1.  Edges are stored once, as (low, high)
 tuples.  All values are immutable after construction and safe to share;
@@ -69,13 +70,6 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.order
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
 
 @dataclass(frozen=True)
 class VertexSet:
@@ -116,25 +110,20 @@ class FamilySpec:
       path/cycle/empty/complete  -> m
       fan/wheel/split/complete_bipartite -> n, m
       path_union -> parts
-      join -> operands
     """
 
     kind: str
     n: int | None = None
     m: int | None = None
     parts: tuple[int, ...] | None = None
-    operands: tuple["FamilySpec", "FamilySpec"] | None = None
 
     def __post_init__(self):
-        if self.kind not in FAMILIES and self.kind != "join":
+        if self.kind not in FAMILIES:
             raise ParameterError(f"unknown family kind {self.kind!r}")
 
     def label(self) -> str:
         if self.kind == "path_union":
             return f"path_union({','.join(map(str, self.parts))})"
-        if self.kind == "join":
-            a, b = self.operands
-            return f"join({a.label()},{b.label()})"
         if self.n is not None:
             return f"{self.kind}(n={self.n},m={self.m})"
         return f"{self.kind}(m={self.m})"
@@ -200,10 +189,6 @@ def complete_bipartite(n: int, m: int) -> FamilySpec:
     return FamilySpec("complete_bipartite", n=n, m=m)
 
 
-def join_spec(a: FamilySpec, b: FamilySpec) -> FamilySpec:
-    return FamilySpec("join", operands=(a, b))
-
-
 # Every named family kind: its validating constructor and the parameters
 # that constructor takes, in order.  Family instances built from outside
 # input (the CLI, sweeps) go through this table.
@@ -219,50 +204,39 @@ FAMILIES = {
     "complete_bipartite": (complete_bipartite, ("n", "m")),
 }
 
+# The join families E_n + H, each with the kind of its H side.
+JOIN_H_KIND = {"fan": "path", "wheel": "cycle", "split": "complete",
+               "complete_bipartite": "empty"}
+
 
 # ---------------------------------------------------------------------------
 # Generators and operators
 # ---------------------------------------------------------------------------
 
-def _path_graph(m: int) -> Graph:
-    return Graph.build(m, [(i, i + 1) for i in range(m - 1)])
-
-
-def _cycle_graph(m: int) -> Graph:
-    return Graph.build(m, [(i, (i + 1) % m) for i in range(m)])
+# Generators of the one-parameter kinds, which are also the H sides of the joins.
+_GRAPH_OF_M = {
+    "path": lambda m: Graph.build(m, [(i, i + 1) for i in range(m - 1)]),
+    "cycle": lambda m: Graph.build(m, [(i, (i + 1) % m) for i in range(m)]),
+    "empty": lambda m: Graph.build(m, []),
+    "complete": lambda m: Graph.build(m, itertools.combinations(range(m), 2)),
+}
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Materialize a family spec as a concrete graph.
+    """Materialize a family spec as a concrete graph.  This labelling is the
+    one every witness, sweep row and exported file refers to.
 
-    Join labeling convention: the first operand's vertices come first
-    (so E_n + H places the E_n side at 0..n-1).  Paths and cycles are
-    numbered consecutively along the path/cycle.
+    Paths and cycles are numbered consecutively along the path/cycle; a path
+    union numbers its parts consecutively in the order given.  E_n + H
+    places the E_n side at 0..n-1 and H, in its own labelling, after it.
     """
     kind = spec.kind
-    if kind == "path":
-        return _path_graph(spec.m)
-    if kind == "cycle":
-        return _cycle_graph(spec.m)
-    if kind == "empty":
-        return Graph.build(spec.m, [])
-    if kind == "complete":
-        return Graph.build(spec.m, itertools.combinations(range(spec.m), 2))
     if kind == "path_union":
-        return disjoint_union([_path_graph(p) for p in spec.parts])
-    if kind == "fan":
-        return join(Graph.build(spec.n, []), _path_graph(spec.m))
-    if kind == "wheel":
-        return join(Graph.build(spec.n, []), _cycle_graph(spec.m))
-    if kind == "split":
-        return join(Graph.build(spec.n, []),
-                    Graph.build(spec.m, itertools.combinations(range(spec.m), 2)))
-    if kind == "complete_bipartite":
-        return join(Graph.build(spec.n, []), Graph.build(spec.m, []))
-    if kind == "join":
-        a, b = spec.operands
-        return join(generate(a), generate(b))
-    raise ParameterError(f"unknown family kind {kind!r}")
+        edges = [(v, v + 1) for walk in path_walks(spec) for v in walk[:-1]]
+        return Graph.build(sum(spec.parts), edges)
+    if kind in JOIN_H_KIND:
+        return join(Graph.build(spec.n, []), _GRAPH_OF_M[JOIN_H_KIND[kind]](spec.m))
+    return _GRAPH_OF_M[kind](spec.m)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -274,13 +248,12 @@ def join(g1: Graph, g2: Graph) -> Graph:
     return Graph.build(g1.order + g2.order, edges)
 
 
-def disjoint_union(graphs: list[Graph]) -> Graph:
-    edges = []
-    shift = 0
-    for g in graphs:
-        edges += [(u + shift, v + shift) for u, v in g.edges]
-        shift += g.order
-    return Graph.build(shift, edges)
+def path_walks(spec: FamilySpec) -> list[range]:
+    """The paths of a path or path-union spec, each as the sequence of its
+    vertices in ``generate``'s labels: consecutive ranges, in part order."""
+    parts = (spec.m,) if spec.kind == "path" else spec.parts
+    starts = itertools.accumulate(parts, initial=0)
+    return [range(s, s + p) for s, p in zip(starts, parts)]
 
 
 def delete_vertices(g: Graph, a: VertexSet) -> tuple[Graph, list[int]]:

@@ -3,7 +3,9 @@ family instances, sweep parameter grids, and exercise the improvement lemma
 on random independent sets.
 
 The solver is the ground truth; a row whose methods disagree is a DISAGREE
-row and fails the run.  Construction witnesses are always re-checked for
+row and fails the run.  Every method works on the graph that
+``graphs.generate`` builds for the spec, so witnesses are in the labels
+that ``export`` writes.  Construction witnesses are always re-checked for
 independence before their size is trusted.
 """
 
@@ -16,35 +18,36 @@ from dataclasses import dataclass
 
 from .constructions import (
     AssociatedSetInput,
-    PathUnionLayout,
     associated_independent_set,
     extract_s1_s2,
     path_union_independent_set,
-    path_union_layout,
 )
 from .errors import BudgetExceededError, ParameterError
 from .formulas import AlphaFormulaResult, alpha_closed_form
-from .graphs import FAMILIES, FamilySpec, Graph, VertexSet, delete_vertices, generate, components
+from .graphs import (
+    FAMILIES,
+    JOIN_H_KIND,
+    FamilySpec,
+    Graph,
+    VertexSet,
+    components,
+    delete_vertices,
+    generate,
+    join,
+    path_walks,
+)
 from .mis import MisResult, is_independent, max_independent_set
-from .tokens import TokenGraph, TokenPair, build_f2
+from .tokens import TokenGraph, TokenPair, build_f2, join_partition
 
 METHODS = ("formula", "construction", "solver")
 VERDICTS = ("AGREE", "DISAGREE", "ABORTED")
 
-CONSTRUCTION_FAMILIES = frozenset(
-    {"path", "path_union", "fan", "wheel", "split", "complete_bipartite"})
-
-_JOIN_H_KIND = {"fan": "path", "wheel": "cycle", "split": "complete",
-                "complete_bipartite": "empty"}
+CONSTRUCTION_FAMILIES = frozenset({"path", "path_union", *JOIN_H_KIND})
 
 
 # ---------------------------------------------------------------------------
 # Construction recipes
 # ---------------------------------------------------------------------------
-
-def _h_graph(spec: FamilySpec) -> Graph:
-    return generate(FamilySpec(_JOIN_H_KIND[spec.kind], m=spec.m))
-
 
 def _canonical_max_independent_set_of_h(kind: str, m: int) -> VertexSet:
     """A fixed maximum independent set of the H side (path, cycle, clique, or
@@ -80,20 +83,6 @@ def _walk_path_component(sub: Graph, comp: VertexSet) -> list[int]:
     return walk
 
 
-def _layout_of_path_components(h: Graph, removed: VertexSet) -> PathUnionLayout | None:
-    """Layout of h - removed in h's labels, when every component is a path.
-    Returns None when fewer than two vertices survive."""
-    sub, kept = delete_vertices(h, removed)
-    if sub.order < 2:
-        return None
-    rows = []
-    for comp in components(sub):
-        walk = _walk_path_component(sub, comp)
-        rows.append(tuple(kept[v] for v in walk))
-    rows.sort(key=lambda row: (len(row) % 2 == 0, row))
-    return PathUnionLayout(tuple(len(r) for r in rows), tuple(rows))
-
-
 def _max_ind_pairs_of_f2(kind: str, h: Graph, removed: VertexSet) -> frozenset[TokenPair]:
     """A maximum independent set of F2(h - removed) as pairs in h's labels.
 
@@ -105,8 +94,9 @@ def _max_ind_pairs_of_f2(kind: str, h: Graph, removed: VertexSet) -> frozenset[T
         return frozenset()
     if kind == "complete":
         return frozenset(zip(survivors[0::2], survivors[1::2]))
-    layout = _layout_of_path_components(h, removed)
-    return path_union_independent_set(layout)
+    sub, kept = delete_vertices(h, removed)
+    return path_union_independent_set(
+        [[kept[v] for v in _walk_path_component(sub, comp)] for comp in components(sub)])
 
 
 def _solver_max_ind_pairs(h: Graph, removed: VertexSet,
@@ -126,24 +116,23 @@ def construction_pairs(spec: FamilySpec,
     """Explicit independent set for the family instance, or None when no
     construction is defined for the family.
 
-    Path unions get the parity set.  Join families E_n + H get the larger
-    of two candidates: the side set (all E_n pairs plus a maximum set of
-    F2(H)) and the cross-heavy associated set built from S1 = V(E_n) and a
-    maximum independent set S2 of H.  The cycle side set is the only piece
-    without a paper construction; the exact solver supplies its witness.
+    Paths and path unions get the parity set, on the walks of their parts
+    in ``generate``'s labels.  Join families E_n + H get the larger of two
+    candidates: the side set (all E_n pairs plus a maximum set of F2(H))
+    and the cross-heavy associated set built from S1 = V(E_n) and a
+    maximum independent set S2 of H.  The cycle side set is the only
+    piece without a paper construction; the exact solver supplies its
+    witness.
     """
     kind = spec.kind
     if kind not in CONSTRUCTION_FAMILIES:
         return None
-    if kind == "path":
-        return path_union_independent_set(path_union_layout([spec.m])) if spec.m >= 2 \
-            else frozenset()
-    if kind == "path_union":
-        return path_union_independent_set(path_union_layout(spec.parts))
+    if kind in ("path", "path_union"):
+        return path_union_independent_set(path_walks(spec))
 
     n, m = spec.n, spec.m
-    h_kind = _JOIN_H_KIND[kind]
-    h = _h_graph(spec)
+    h_kind = JOIN_H_KIND[kind]
+    h = generate(FamilySpec(h_kind, m=m))
     nothing = VertexSet.of(m, [])
 
     if h_kind == "cycle":
@@ -162,10 +151,7 @@ def construction_pairs(spec: FamilySpec,
 
 
 def base_graph_for(spec: FamilySpec) -> Graph:
-    """Graph whose token graph the harness verifies.  Path unions use the
-    odd-parts-first layout ordering so the parity construction's labels match."""
-    if spec.kind == "path_union":
-        return path_union_layout(spec.parts).base_graph()
+    """Graph whose token graph the harness verifies: the one ``generate`` builds."""
     return generate(spec)
 
 
@@ -372,12 +358,12 @@ class LemmaReport:
         return sum(t.improved_size - t.start_size for t in self.trials) / len(self.trials)
 
 
-def random_independent_set_with_cross(tg: TokenGraph, split: int,
+def random_independent_set_with_cross(tg: TokenGraph, cross: VertexSet,
                                       rng: random.Random) -> list[int]:
-    """Greedy closure of a shuffled vertex order around a forced cross pair,
-    yielding a maximal independent set that meets the mixed region."""
-    cross = [i for i, (a, b) in enumerate(tg.pairs) if a < split <= b]
-    seed = rng.choice(cross)
+    """Greedy closure of a shuffled vertex order around a forced cross pair
+    drawn from ``cross`` (the mixed region R of ``join_partition``),
+    yielding a maximal independent set that meets that region."""
+    seed = rng.choice(cross.members)
     masks = tg.graph.neighbor_masks()
     order = list(range(tg.graph.order))
     rng.shuffle(order)
@@ -400,12 +386,12 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int,
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     h = generate(h_spec)
-    base = generate(FamilySpec("join", operands=(FamilySpec("empty", m=n), h_spec)))
-    tg = build_f2(base)
+    tg = build_f2(join(Graph.build(n, []), h))
+    cross = join_partition(tg, n).r
     rng = random.Random(seed)
     results = []
     for _ in range(trials):
-        indices = random_independent_set_with_cross(tg, n, rng)
+        indices = random_independent_set_with_cross(tg, cross, rng)
         pairs = frozenset(tg.pair_of(i) for i in indices)
         s1, s2 = extract_s1_s2(pairs, n, h)
         mis2 = _solver_max_ind_pairs(h, s2, node_budget)

@@ -10,7 +10,6 @@ import random
 import time
 
 from token_alpha import graphs
-from token_alpha.constructions import path_union_independent_set, path_union_layout
 from token_alpha.formulas import (
     alpha_closed_form,
     alpha_complete_bipartite,
@@ -19,7 +18,7 @@ from token_alpha.formulas import (
     alpha_path_union,
 )
 from token_alpha.graphs import Graph, generate, join
-from token_alpha.harness import compositions, run_lemma_trials
+from token_alpha.harness import compositions, construction_pairs, run_lemma_trials
 from token_alpha.mis import (
     is_independent,
     max_independent_set,
@@ -81,9 +80,9 @@ def test_criterion_03_path_unions():
     for m in range(2, 13):
         for parts in compositions(m):
             rows += 1
-            layout = path_union_layout(parts)
-            chosen = path_union_independent_set(layout)
-            base = layout.base_graph()
+            spec = graphs.path_union(parts)
+            chosen = construction_pairs(spec)
+            base = generate(spec)
             tg = build_f2(base)
             formula = alpha_path_union(parts)
             solver = _solve_checked(base)

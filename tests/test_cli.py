@@ -5,7 +5,10 @@ import pytest
 
 from token_alpha import harness
 from token_alpha.cli import main
+from token_alpha.fileio import parse_graph
 from token_alpha.formulas import AlphaFormulaResult
+from token_alpha.mis import is_independent
+from token_alpha.tokens import build_f2
 
 
 def run_cli(capsys, *argv):
@@ -261,6 +264,20 @@ def test_export_token_graph(capsys):
     assert code == 0
     assert "c pair 0 = {0,1}" in out
     assert "p 3 2" in out
+
+
+def test_alpha_witnesses_are_independent_in_the_exported_graph(capsys):
+    code, out, _ = run_cli(capsys, "alpha", "--family", "path-union", "--parts", "2,1,1",
+                           "--format", "json", "--deterministic")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    code, exported, _ = run_cli(capsys, "export", "--family", "path-union",
+                                "--parts", "2,1,1")
+    assert code == 0
+    tg = build_f2(parse_graph(exported))
+    for method in ("construction", "solver"):
+        pairs = [tuple(map(int, w.strip("{}").split(","))) for w in row[method]["witness"]]
+        assert is_independent(tg.graph, tg.indices_of(pairs)), method
 
 
 def test_missing_file_is_io_error(capsys):

@@ -7,19 +7,17 @@ from hypothesis import given, settings, strategies as st
 from token_alpha import graphs
 from token_alpha.constructions import (
     AssociatedSetInput,
-    PathUnionLayout,
     _token_pairs_independent,
     associated_independent_set,
     extract_s1_s2,
     path_union_independent_set,
-    path_union_layout,
 )
-from token_alpha.errors import ContractError, ParameterError
+from token_alpha.errors import ContractError
 from token_alpha.formulas import alpha_path_union
-from token_alpha.graphs import VertexSet, components, delete_vertices, generate
-from token_alpha.harness import random_independent_set_with_cross
+from token_alpha.graphs import Graph, VertexSet, components, delete_vertices, generate, join
+from token_alpha.harness import construction_pairs, random_independent_set_with_cross
 from token_alpha.mis import is_independent, max_independent_set, max_independent_set_exhaustive
-from token_alpha.tokens import build_f2
+from token_alpha.tokens import build_f2, join_partition
 
 
 def associated_set_size(inp):
@@ -38,60 +36,51 @@ def compositions(total):
             yield (first,) + rest
 
 
-def test_layout_orders_odd_parts_first():
-    layout = path_union_layout([2, 3, 1])
-    assert layout.parts == (3, 1, 2)
-    assert layout.odd_part_count == 2
-    assert layout.table == ((0, 1, 2), (3,), (4, 5))
-
-
-def test_layout_with_no_odd_parts():
-    layout = path_union_layout([4])
-    assert layout.parts == (4,)
-    assert layout.odd_part_count == 0
-
-
-def test_layout_of_isolated_vertices():
-    assert path_union_layout([1, 1, 1]).odd_part_count == 3
-
-
-def test_layout_rejects_bad_parts():
-    with pytest.raises(ParameterError):
-        path_union_layout([])
-    with pytest.raises(ParameterError):
-        path_union_layout([2, 0])
-    with pytest.raises(ParameterError):
-        PathUnionLayout((2, 3), ((0, 1), (2, 3, 4)))  # even before odd
-
-
 def test_parity_set_of_single_p3():
-    layout = path_union_layout([3])
-    assert path_union_independent_set(layout) == {(0, 1), (1, 2)}
+    assert path_union_independent_set([range(3)]) == {(0, 1), (1, 2)}
 
 
 def test_parity_set_of_two_isolated_vertices():
-    layout = path_union_layout([1, 1])
-    assert path_union_independent_set(layout) == {(0, 1)}
+    assert path_union_independent_set([[0], [1]]) == {(0, 1)}
 
 
 def test_parity_set_of_p3_and_p2_is_maximum():
     # frozen from the exhaustive oracle on the 10-vertex token graph
-    layout = path_union_layout([3, 2])
-    chosen = path_union_independent_set(layout)
+    chosen = path_union_independent_set([range(3), range(3, 5)])
     assert len(chosen) == 6
-    tg = build_f2(layout.base_graph())
+    tg = build_f2(generate(graphs.path_union([3, 2])))
     assert is_independent(tg.graph, tg.indices_of(chosen))
     assert max_independent_set_exhaustive(tg.graph).size == 6
 
 
 @pytest.mark.parametrize("total", range(2, 15))
 def test_parity_set_size_and_independence_for_all_compositions(total):
+    # The harness's witness must be independent in the graph generate
+    # builds, which is the graph export writes.
     for parts in compositions(total):
-        layout = path_union_layout(parts)
-        chosen = path_union_independent_set(layout)
+        spec = graphs.path_union(parts)
+        chosen = construction_pairs(spec)
         assert len(chosen) == alpha_path_union(parts)
-        tg = build_f2(layout.base_graph())
-        assert is_independent(tg.graph, tg.indices_of(chosen))
+        tg = build_f2(generate(spec))
+        assert is_independent(tg.graph, tg.indices_of(chosen)), parts
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ps: sum(ps) >= 2),
+       st.randoms())
+@settings(max_examples=60)
+def test_parity_set_is_independent_in_any_order_and_labelling(parts, rng):
+    labels = list(range(sum(parts)))
+    rng.shuffle(labels)
+    walks, start = [], 0
+    for p in parts:
+        walks.append(labels[start:start + p])
+        start += p
+    rng.shuffle(walks)
+    base = Graph.build(len(labels), [(x, y) for w in walks for x, y in zip(w, w[1:])])
+    chosen = path_union_independent_set(walks)
+    assert len(chosen) == alpha_path_union(parts)
+    tg = build_f2(base)
+    assert is_independent(tg.graph, tg.indices_of(chosen))
 
 
 def test_associated_set_example_with_full_s1():
@@ -198,11 +187,11 @@ def _solver_mis_pairs(h, s2):
 ])
 def test_improvement_lemma_on_random_independent_sets(h_spec, n):
     h = generate(h_spec)
-    base = generate(graphs.join_spec(graphs.empty(n), h_spec))
-    tg = build_f2(base)
+    tg = build_f2(join(generate(graphs.empty(n)), h))
+    cross = join_partition(tg, n).r
     rng = random.Random(97)
     for _ in range(60):
-        indices = random_independent_set_with_cross(tg, n, rng)
+        indices = random_independent_set_with_cross(tg, cross, rng)
         pairs = frozenset(tg.pair_of(i) for i in indices)
         s1, s2 = extract_s1_s2(pairs, n, h)
         mis2 = _solver_mis_pairs(h, s2)

@@ -129,6 +129,6 @@ def test_dispatcher_known_families():
 
 
 def test_dispatcher_absent_cases():
-    assert alpha_closed_form(graphs.join_spec(graphs.path(3), graphs.path(3))) is None
     assert alpha_closed_form(graphs.path(1)) is None
+    assert alpha_closed_form(graphs.path_union([1])) is None
     assert alpha_closed_form(graphs.empty(1)) is None

@@ -67,7 +67,7 @@ def test_solver_on_f2_of_fan_2_3():
 def test_solver_on_f2_of_e3_plus_k4():
     # frozen from the exhaustive oracle over the 21-vertex token graph;
     # equals floor(4/2) + C(3,2)
-    tg = build_f2(generate(graphs.join_spec(graphs.empty(3), graphs.complete(4))))
+    tg = build_f2(generate(graphs.split(3, 4)))
     assert max_independent_set(tg.graph).size == 5
 
 
