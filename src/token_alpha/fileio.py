@@ -24,7 +24,7 @@ def parse_graph(text: str) -> Graph:
     """Parse a native edge-list or DIMACS graph; raises ParseError with line numbers."""
     order = None
     declared_edges = None
-    one_indexed = False
+    base = 0  # the number of the first vertex: 1 in DIMACS files
     edges = []
     p_seen_at = None
 
@@ -37,7 +37,7 @@ def parse_graph(text: str) -> Graph:
             if p_seen_at is not None:
                 raise ParseError("duplicate p line", lineno)
             if len(fields) == 4 and fields[1] in ("edge", "edges", "col"):
-                one_indexed = True
+                base = 1
                 fields = ["p", fields[2], fields[3]]
             if len(fields) != 3:
                 raise ParseError(f"malformed p line: {line!r}", lineno)
@@ -57,13 +57,11 @@ def parse_graph(text: str) -> Graph:
                 u, v = int(fields[1]), int(fields[2])
             except ValueError:
                 raise ParseError(f"non-integer endpoints: {line!r}", lineno) from None
-            if one_indexed:
-                u, v = u - 1, v - 1
             if u == v:
                 raise ParseError(f"self-loop {u}", lineno)
-            if not (0 <= u < order and 0 <= v < order):
-                raise ParseError(f"endpoint out of range 0..{order - 1}", lineno)
-            edges.append((u, v))
+            if not (base <= u < order + base and base <= v < order + base):
+                raise ParseError(f"endpoint out of range {base}..{order - 1 + base}", lineno)
+            edges.append((u - base, v - base))
         else:
             raise ParseError(f"unrecognized line: {line!r}", lineno)
 

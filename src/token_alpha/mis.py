@@ -13,6 +13,13 @@ independent set meets each clique at most once, so the candidates in
 cliques 1..k hold at most k of its vertices.  The node branches on the
 vertices of the highest-numbered cliques first, and stops as soon as the
 clique number k of the next vertex can no longer beat the incumbent.
+
+Before the cover, a node folds forced vertices (degree 0 or 1 among the
+candidates) into the chosen set, always the lowest forced vertex first.
+It finds them from a worklist, as reduction-based solvers do (Akiba and
+Iwata, TCS 2016): only a vertex whose degree may have dropped since it was
+last seen at degree >= 2 is checked again, so a node does not rescan every
+candidate after each fold.
 """
 
 from __future__ import annotations
@@ -108,6 +115,20 @@ def _greedy_lower_bound(n: int, adj: tuple[int, ...]) -> int:
     return chosen
 
 
+def _within_two(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """For every vertex, the bitmask of the vertices within distance two."""
+    out = []
+    for mask in adj:
+        reach = mask
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reach |= adj[low.bit_length() - 1]
+        out.append(reach)
+    return tuple(out)
+
+
 def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
     """Exact colour-ordered branch and bound over adjacency bitsets.
 
@@ -121,6 +142,16 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
     chosen set and the depth is at most alpha + 1.  A greedy maximal
     independent set is the incumbent at the root.
 
+    The folds read their candidates from a dirty mask; every candidate
+    outside it is known to have degree >= 2.  At the root the mask is
+    every vertex.  A degree-1 fold adds the neighbours of the neighbour
+    it removes.  A child starts from its vertices next to one its parent
+    removed: those within distance two of the branch vertex, and those
+    next to a vertex the parent's branch loop already dropped.  So the
+    lowest dirty vertex of degree <= 1 is the lowest forced vertex of the
+    candidates, and the folds, the search tree, the node count and the
+    witness are the ones a full rescan after every fold gives.
+
     nodes_explored counts search nodes (calls into the recursion).
     Raises BudgetExceededError once it would exceed node_budget.
     """
@@ -129,11 +160,12 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
     if n == 0:
         return MisResult(0, VertexSet.of(0, []), "branch-and-bound", 0)
 
+    adj2 = _within_two(adj)
     best_bits = _greedy_lower_bound(n, adj)
     best_size = best_bits.bit_count()
     nodes = 0
 
-    def dfs(cand: int, size: int, chosen: int):
+    def dfs(cand: int, size: int, chosen: int, dirty: int):
         nonlocal best_size, best_bits, nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -141,27 +173,18 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
 
         # Fold forced vertices: degree 0 always joins; a degree-1 vertex can
         # always replace its neighbor, so including it never loses optimality.
-        while cand:
-            rest = cand
-            forced = 0
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                nbrs = adj[v] & cand
-                k = nbrs.bit_count()
-                if k == 0:
-                    forced = low
-                    break
-                if k == 1:
-                    forced = low
-                    cand ^= nbrs
-                    break
-            if not forced:
-                break
-            chosen |= forced
+        # A degree-1 fold lowers only the degrees of its neighbour's neighbours.
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            nbrs = adj[low.bit_length() - 1] & cand
+            if nbrs & (nbrs - 1):
+                continue
+            chosen |= low
             size += 1
-            cand ^= forced
+            cand ^= low | nbrs
+            if nbrs:
+                dirty = (dirty | adj[nbrs.bit_length() - 1]) & cand
 
         if cand == 0:
             if size > best_size:
@@ -193,7 +216,10 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
                 cliques.append(clique)
 
         # Branch in the reverse of the cover's order.  The candidates left
-        # when a vertex of clique k comes up lie in cliques 1..k.
+        # when a vertex of clique k comes up lie in cliques 1..k.  A child's
+        # vertex has a lower degree than here only if it neighbours N[v] or a
+        # vertex this loop has dropped (gone).
+        gone = 0
         for k, clique in zip(range(count, floor, -1), reversed(cliques)):
             while clique:
                 if size + k <= best_size:
@@ -201,9 +227,12 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
                 v = clique.bit_length() - 1
                 bit = 1 << v
                 clique ^= bit
-                dfs(cand & ~(adj[v] | bit), size + 1, chosen | bit)
+                child = cand & ~(adj[v] | bit)
+                dfs(child, size + 1, chosen | bit, child & (gone | adj2[v]))
                 cand ^= bit
+                gone |= adj[v]
 
-    dfs((1 << n) - 1, 0, 0)
+    everything = (1 << n) - 1
+    dfs(everything, 0, 0, everything)
     witness = VertexSet.of(n, _bits_to_sorted(best_bits))
     return MisResult(best_size, witness, "branch-and-bound", nodes)

@@ -48,6 +48,20 @@ def test_parse_errors_carry_line_numbers(text, bad_line):
     assert err.value.line == bad_line
 
 
+@pytest.mark.parametrize("text,message", [
+    ("p 3 1\ne 0 5\n", "line 2: endpoint out of range 0..2"),
+    ("p 3 1\ne 1 1\n", "line 2: self-loop 1"),
+    ("p edge 3 1\ne 1 4\n", "line 2: endpoint out of range 1..3"),
+    ("p edge 3 1\ne 0 1\n", "line 2: endpoint out of range 1..3"),
+    ("c dimacs\np edge 3 1\ne 2 2\n", "line 3: self-loop 2"),
+])
+def test_endpoint_errors_use_the_files_own_numbering(text, message):
+    # DIMACS files number vertices from 1, so their errors do too
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
 def test_file_round_trip(tmp_path):
     g = generate(graphs.wheel(2, 4))
     target = tmp_path / "wheel.txt"

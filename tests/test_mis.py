@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from token_alpha import graphs
 from token_alpha.errors import BudgetExceededError, CapacityError, ParameterError
 from token_alpha.graphs import Graph, VertexSet, generate, join
+from token_alpha.harness import SweepConfig, sweep_specs
 from token_alpha.mis import (
     is_independent,
     max_independent_set,
@@ -137,6 +138,7 @@ def test_split_5_14_solves_without_a_budget():
     tg = build_f2(generate(graphs.split(5, 14)))
     res = max_independent_set(tg.graph)
     assert res.size == 17
+    assert res.nodes_explored == 16_612
     assert len(res.witness) == 17
     assert is_independent(tg.graph, res.witness)
 
@@ -151,6 +153,43 @@ def test_folds_can_lift_size_above_the_incumbent():
     res = max_independent_set(g)
     assert res.size == max_independent_set_exhaustive(g).size
     assert is_independent(g, res.witness)
+
+
+def test_a_fold_can_force_a_lower_vertex():
+    # folding 3 (its one neighbour is 0) leaves 1 with the single neighbour 4;
+    # the search folds the lowest forced vertex first, so 1 joins before 4 can
+    g = Graph.build(7, [(0, 1), (0, 3), (0, 5), (0, 6), (1, 4), (2, 5), (2, 6)])
+    res = max_independent_set(g)
+    assert res.size == 4
+    assert list(res.witness) == [1, 3, 5, 6]
+    assert res.nodes_explored == 1
+
+
+def test_a_dropped_branch_vertex_can_force_a_distant_vertex():
+    # no vertex is forced at the root; once the root's branch loop has
+    # dropped a vertex, a later child holds a forced vertex more than two
+    # steps from that child's own branch vertex
+    g = Graph.build(10, [(0, 2), (0, 5), (0, 8), (1, 4), (1, 6), (2, 9), (3, 7),
+                         (3, 9), (4, 7), (5, 7), (5, 8), (5, 9), (6, 7)])
+    res = max_independent_set(g)
+    assert res.size == 5
+    assert list(res.witness) == [2, 3, 4, 5, 6]
+    assert res.nodes_explored == 3
+
+
+@pytest.mark.parametrize("family,n_range,m_range,nodes", [
+    ("fan", (1, 6), (2, 10), 892),
+    ("wheel", (1, 6), (3, 10), 1_928),
+    ("path_union", None, (2, 10), 1_612),
+    ("complete_bipartite", (1, 6), (1, 8), 92),
+])
+def test_search_tree_sizes_are_pinned(family, n_range, m_range, nodes):
+    # total nodes_explored over a sweep's token graphs: any change to the
+    # fold order, the clique cover or the branching order moves it
+    specs = sweep_specs(SweepConfig(family, n_range, m_range))
+    total = sum(max_independent_set(build_f2(generate(spec)).graph).nodes_explored
+                for spec in specs)
+    assert total == nodes
 
 
 def test_zero_order_graph():
@@ -173,6 +212,32 @@ def test_two_solvers_agree_and_witnesses_hold(g):
     b = max_independent_set(g)
     assert a.size == b.size
     assert is_independent(g, a.witness)
+    assert is_independent(g, b.witness)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Sparse graphs and forests, in which folds cascade through chains of
+    degree-0/1 vertices."""
+    n = draw(st.integers(1, 18))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = [(order[rng.randrange(i)], order[i]) for i in range(1, n) if rng.random() < 0.9]
+    else:
+        p = draw(st.floats(0.05, 0.25))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph.build(n, edges)
+
+
+@given(sparse_graphs())
+@settings(max_examples=100)
+def test_solvers_agree_on_sparse_graphs(g):
+    a = max_independent_set_exhaustive(g)
+    b = max_independent_set(g)
+    assert a.size == b.size
+    assert len(b.witness) == b.size
     assert is_independent(g, b.witness)
 
 
