@@ -20,6 +20,14 @@ It finds them from a worklist, as reduction-based solvers do (Akiba and
 Iwata, TCS 2016): only a vertex whose degree may have dropped since it was
 last seen at degree >= 2 is checked again, so a node does not rescan every
 candidate after each fold.
+
+The search runs in ascending-degree order, as colour-ordered clique solvers
+set their initial order once before the search.  The root folds in the
+input's own labels; the vertices left are renumbered by degree among
+themselves and the rest of the search runs on that copy, so the witness is
+mapped back to the input's labels.  Folding first means only what the
+folds leave is renumbered: about a third of the vertices of the token
+graphs of path unions.
 """
 
 from __future__ import annotations
@@ -100,18 +108,16 @@ def max_independent_set_exhaustive(g: Graph) -> MisResult:
     return MisResult(best_size, witness, "exhaustive", nodes)
 
 
-def _greedy_lower_bound(n: int, adj: tuple[int, ...]) -> int:
-    """Greedy maximal independent set, lowest degree first (ties to the lower
-    vertex, as the sort is stable); returns its bitmask."""
-    degree = [mask.bit_count() for mask in adj]
-    order = sorted(range(n), key=degree.__getitem__)
+def _greedy_lower_bound(adj: tuple[int, ...]) -> int:
+    """Greedy maximal independent set, taking the vertices in order (lowest
+    degree first once the solver has renumbered them); returns its bitmask."""
     chosen = 0
     blocked = 0
-    for v in order:
+    for v, mask in enumerate(adj):
         bit = 1 << v
         if not blocked & bit:
             chosen |= bit
-            blocked |= adj[v] | bit
+            blocked |= mask | bit
     return chosen
 
 
@@ -129,6 +135,49 @@ def _within_two(adj: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _fold(adj: tuple[int, ...], cand: int, dirty: int, chosen: int) -> tuple[int, int]:
+    """Fold forced vertices of cand into chosen; returns (cand, chosen).
+
+    A vertex of degree 0 in cand always joins; one of degree 1 can always
+    replace its neighbour, so including it never loses optimality.  Every
+    vertex of cand outside dirty must have degree >= 2 in cand.  The lowest
+    dirty vertex is checked first, and a degree-1 fold re-queues the
+    neighbours of the neighbour it removes (no other degree drops), so the
+    lowest forced vertex is always the one folded next.
+    """
+    while dirty:
+        low = dirty & -dirty
+        dirty ^= low
+        nbrs = adj[low.bit_length() - 1] & cand
+        if nbrs & (nbrs - 1):
+            continue
+        chosen |= low
+        cand ^= low | nbrs
+        if nbrs:
+            dirty = (dirty | adj[nbrs.bit_length() - 1]) & cand
+    return cand, chosen
+
+
+def _renumber(adj: tuple[int, ...], cand: int) -> tuple[list[int], tuple[int, ...]]:
+    """Order the vertices of cand by ascending degree among themselves, ties
+    to the lower label; returns that order and the induced subgraph's
+    adjacency bitsets, in which vertex i is order[i]."""
+    order = sorted(_bits_to_sorted(cand), key=lambda v: (adj[v] & cand).bit_count())
+    bit = [0] * len(adj)
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    sub = []
+    for v in order:
+        mask = 0
+        nbrs = adj[v] & cand
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            mask |= bit[low.bit_length() - 1]
+        sub.append(mask)
+    return order, tuple(sub)
+
+
 def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
     """Exact colour-ordered branch and bound over adjacency bitsets.
 
@@ -139,53 +188,53 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
     otherwise it recurses on including the vertex and drops the vertex
     from the candidates.  Excluding a vertex is that drop, not a
     recursive call, so every level of recursion adds a vertex to the
-    chosen set and the depth is at most alpha + 1.  A greedy maximal
-    independent set is the incumbent at the root.
+    chosen set and the depth is at most alpha + 1.
+
+    The root folds every forced vertex of g in g's own labels.  The
+    vertices left are renumbered by ascending degree among themselves
+    (ties to the lower label), and the search runs on their induced
+    subgraph in that numbering, where the incumbent is a greedy maximal
+    independent set taken in vertex order.  The cover then grows its
+    cliques from low-degree vertices and branches on high-degree ones
+    first.  The witness is the root's forced vertices plus the search's
+    best set mapped back through the renumbering, so it is in g's labels.
 
     The folds read their candidates from a dirty mask; every candidate
     outside it is known to have degree >= 2.  At the root the mask is
-    every vertex.  A degree-1 fold adds the neighbours of the neighbour
-    it removes.  A child starts from its vertices next to one its parent
-    removed: those within distance two of the branch vertex, and those
-    next to a vertex the parent's branch loop already dropped.  So the
-    lowest dirty vertex of degree <= 1 is the lowest forced vertex of the
-    candidates, and the folds, the search tree, the node count and the
-    witness are the ones a full rescan after every fold gives.
+    every vertex, and after the root's folds no vertex has degree <= 1,
+    so the renumbered search starts from an empty mask.  A degree-1 fold
+    adds the neighbours of the neighbour it removes.  A child starts from
+    its vertices next to one its parent removed: those within distance
+    two of the branch vertex, and those next to a vertex the parent's
+    branch loop already dropped.  So the lowest dirty vertex of degree
+    <= 1 is the lowest forced vertex of the candidates, the one a full
+    rescan after every fold would find.
 
-    nodes_explored counts search nodes (calls into the recursion).
-    Raises BudgetExceededError once it would exceed node_budget.
+    nodes_explored counts search nodes (calls into the recursion); the
+    root, with its folds, is node 1.  Raises BudgetExceededError once it
+    would exceed node_budget.
     """
     n = g.order
-    adj = g.neighbor_masks()
     if n == 0:
         return MisResult(0, VertexSet.of(0, []), "branch-and-bound", 0)
 
+    masks = g.neighbor_masks()
+    everything = (1 << n) - 1
+    rest, forced = _fold(masks, everything, everything, 0)
+    order, adj = _renumber(masks, rest)
     adj2 = _within_two(adj)
-    best_bits = _greedy_lower_bound(n, adj)
+    best_bits = _greedy_lower_bound(adj)
     best_size = best_bits.bit_count()
     nodes = 0
 
-    def dfs(cand: int, size: int, chosen: int, dirty: int):
+    def dfs(cand: int, chosen: int, dirty: int):
         nonlocal best_size, best_bits, nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise BudgetExceededError(nodes)
 
-        # Fold forced vertices: degree 0 always joins; a degree-1 vertex can
-        # always replace its neighbor, so including it never loses optimality.
-        # A degree-1 fold lowers only the degrees of its neighbour's neighbours.
-        while dirty:
-            low = dirty & -dirty
-            dirty ^= low
-            nbrs = adj[low.bit_length() - 1] & cand
-            if nbrs & (nbrs - 1):
-                continue
-            chosen |= low
-            size += 1
-            cand ^= low | nbrs
-            if nbrs:
-                dirty = (dirty | adj[nbrs.bit_length() - 1]) & cand
-
+        cand, chosen = _fold(adj, cand, dirty, chosen)
+        size = chosen.bit_count()
         if cand == 0:
             if size > best_size:
                 best_size, best_bits = size, chosen
@@ -228,11 +277,11 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
                 bit = 1 << v
                 clique ^= bit
                 child = cand & ~(adj[v] | bit)
-                dfs(child, size + 1, chosen | bit, child & (gone | adj2[v]))
+                dfs(child, chosen | bit, child & (gone | adj2[v]))
                 cand ^= bit
                 gone |= adj[v]
 
-    everything = (1 << n) - 1
-    dfs(everything, 0, 0, everything)
-    witness = VertexSet.of(n, _bits_to_sorted(best_bits))
-    return MisResult(best_size, witness, "branch-and-bound", nodes)
+    dfs((1 << len(order)) - 1, 0, 0)
+    witness = _bits_to_sorted(forced) + [order[i] for i in _bits_to_sorted(best_bits)]
+    return MisResult(forced.bit_count() + best_size, VertexSet.of(n, witness),
+                     "branch-and-bound", nodes)

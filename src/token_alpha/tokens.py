@@ -62,7 +62,9 @@ def build_f2(g: Graph) -> TokenGraph:
             pa = (a, w) if a < w else (w, a)
             pb = (b, w) if b < w else (w, b)
             edges.append((index[pa], index[pb]))
-    token = Graph.build(len(pairs), edges)
+    # Already canonical: index[pa] < index[pb] whether w < a, a < w < b or
+    # w > b, and each (base edge, w) gives a different token edge.
+    token = Graph(len(pairs), frozenset(edges))
     return TokenGraph(base=g, graph=token, pairs=pairs, index_of=index)
 
 

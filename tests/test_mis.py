@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from token_alpha import graphs
 from token_alpha.errors import BudgetExceededError, CapacityError, ParameterError
+from token_alpha.formulas import alpha_closed_form
 from token_alpha.graphs import Graph, VertexSet, generate, join
 from token_alpha.harness import SweepConfig, sweep_specs
 from token_alpha.mis import (
@@ -126,7 +127,7 @@ def test_budget_abort_is_distinct():
 def test_budget_edge_is_the_node_count():
     tg = build_f2(generate(graphs.fan(4, 6)))
     full = max_independent_set(tg.graph)
-    assert full.nodes_explored == 12
+    assert full.nodes_explored == 11
     exact = max_independent_set(tg.graph, node_budget=full.nodes_explored)
     assert exact.size == full.size
     with pytest.raises(BudgetExceededError):
@@ -166,30 +167,46 @@ def test_a_fold_can_force_a_lower_vertex():
 
 
 def test_a_dropped_branch_vertex_can_force_a_distant_vertex():
-    # no vertex is forced at the root; once the root's branch loop has
-    # dropped a vertex, a later child holds a forced vertex more than two
-    # steps from that child's own branch vertex
-    g = Graph.build(10, [(0, 2), (0, 5), (0, 8), (1, 4), (1, 6), (2, 9), (3, 7),
-                         (3, 9), (4, 7), (5, 7), (5, 8), (5, 9), (6, 7)])
+    # no vertex is forced at the root; in the renumbered search, once the
+    # root's branch loop has dropped a vertex, a later child holds a forced
+    # vertex more than two steps from that child's own branch vertex
+    edges = [(0, 1), (0, 8), (0, 9), (0, 10), (1, 5), (1, 7), (2, 3), (2, 6), (2, 8),
+             (3, 4), (3, 7), (3, 8), (4, 5), (5, 8), (6, 9), (7, 8), (8, 9), (8, 10)]
+    g = Graph.build(11, edges)
     res = max_independent_set(g)
-    assert res.size == 5
-    assert list(res.witness) == [2, 3, 4, 5, 6]
+    assert res.size == max_independent_set_exhaustive(g).size == 5
+    assert list(res.witness) == [1, 2, 4, 9, 10]
     assert res.nodes_explored == 3
 
 
 @pytest.mark.parametrize("family,n_range,m_range,nodes", [
-    ("fan", (1, 6), (2, 10), 892),
-    ("wheel", (1, 6), (3, 10), 1_928),
-    ("path_union", None, (2, 10), 1_612),
-    ("complete_bipartite", (1, 6), (1, 8), 92),
+    pytest.param("fan", (1, 6), (2, 10), 304, id="fan"),
+    pytest.param("wheel", (1, 6), (3, 10), 790, id="wheel"),
+    pytest.param("path_union", None, (2, 10), 1_458, id="path_union"),
+    pytest.param("complete_bipartite", (1, 6), (1, 8), 73, id="complete_bipartite"),
 ])
 def test_search_tree_sizes_are_pinned(family, n_range, m_range, nodes):
     # total nodes_explored over a sweep's token graphs: any change to the
-    # fold order, the clique cover or the branching order moves it
+    # fold order, the renumbering, the clique cover or the branching order
+    # moves it
     specs = sweep_specs(SweepConfig(family, n_range, m_range))
     total = sum(max_independent_set(build_f2(generate(spec)).graph).nodes_explored
                 for spec in specs)
     assert total == nodes
+
+
+@pytest.mark.parametrize("spec,budget,alpha", [
+    (graphs.fan(6, 18), 100, 96),
+    (graphs.wheel(6, 18), 100, 96),
+    (graphs.fan(12, 23), 1_000, 199),
+], ids=["fan(6,18)", "wheel(6,18)", "fan(12,23)"])
+def test_fans_and_wheels_past_the_old_reach(spec, budget, alpha):
+    # searched in the token graph's lexicographic numbering, the m = 18
+    # rows take 270 968 and 187 953 nodes and fan(12,23) exceeds 1 000
+    tg = build_f2(generate(spec))
+    res = max_independent_set(tg.graph, node_budget=budget)
+    assert res.size == alpha == alpha_closed_form(spec).value
+    assert is_independent(tg.graph, res.witness)
 
 
 def test_zero_order_graph():
