@@ -310,6 +310,8 @@ def sweep_specs(config: SweepConfig) -> list[FamilySpec]:
         if config.m_range is None:
             raise ParameterError(f"{family} sweep requires an m range of totals")
         lo, hi = config.m_range
+        if lo < 1:
+            raise ParameterError(f"{family} sweep requires totals >= 1, got m range {lo}..{hi}")
         return [build(parts) for total in range(lo, hi + 1) for parts in compositions(total)]
     ranges = {"n": config.n_range, "m": config.m_range}
     if any(ranges[p] is None for p in params):

@@ -19,7 +19,11 @@ candidates) into the chosen set, always the lowest forced vertex first.
 It finds them from a worklist, as reduction-based solvers do (Akiba and
 Iwata, TCS 2016): only a vertex whose degree may have dropped since it was
 last seen at degree >= 2 is checked again, so a node does not rescan every
-candidate after each fold.
+candidate after each fold.  The clique cover narrows that worklist further:
+a vertex that shares a cover clique with two other candidates of a child
+has degree >= 2 there, so the child does not check it.  On dense token
+graphs, where every candidate is within distance two of every branch
+vertex, that leaves most children with nothing to check.
 
 The search runs in ascending-degree order, as colour-ordered clique solvers
 set their initial order once before the search.  The root folds in the
@@ -121,20 +125,6 @@ def _greedy_lower_bound(adj: tuple[int, ...]) -> int:
     return chosen
 
 
-def _within_two(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """For every vertex, the bitmask of the vertices within distance two."""
-    out = []
-    for mask in adj:
-        reach = mask
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            reach |= adj[low.bit_length() - 1]
-        out.append(reach)
-    return tuple(out)
-
-
 def _fold(adj: tuple[int, ...], cand: int, dirty: int, chosen: int) -> tuple[int, int]:
     """Fold forced vertices of cand into chosen; returns (cand, chosen).
 
@@ -206,9 +196,15 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
     adds the neighbours of the neighbour it removes.  A child starts from
     its vertices next to one its parent removed: those within distance
     two of the branch vertex, and those next to a vertex the parent's
-    branch loop already dropped.  So the lowest dirty vertex of degree
-    <= 1 is the lowest forced vertex of the candidates, the one a full
-    rescan after every fold would find.
+    branch loop already dropped.  Of these it drops every vertex that
+    lies in a cover clique keeping at least 3 members in the child: the
+    other two are its neighbours there.  If that degree later drops, the
+    degree-1 fold that drops it re-queues the vertex.  So the lowest
+    dirty vertex of degree <= 1 is the lowest forced vertex of the
+    candidates, the one a full rescan after every fold would find, and a
+    node with an empty dirty mask skips the folds.  Each vertex's mask of
+    the vertices within distance two is built the first time the search
+    branches on it, so a solve that ends at its root builds none.
 
     nodes_explored counts search nodes (calls into the recursion); the
     root, with its folds, is node 1.  Raises BudgetExceededError once it
@@ -222,7 +218,7 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
     everything = (1 << n) - 1
     rest, forced = _fold(masks, everything, everything, 0)
     order, adj = _renumber(masks, rest)
-    adj2 = _within_two(adj)
+    adj2: list[int | None] = [None] * len(order)  # within distance two, built lazily
     best_bits = _greedy_lower_bound(adj)
     best_size = best_bits.bit_count()
     nodes = 0
@@ -233,7 +229,8 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
         if node_budget is not None and nodes > node_budget:
             raise BudgetExceededError(nodes)
 
-        cand, chosen = _fold(adj, cand, dirty, chosen)
+        if dirty:
+            cand, chosen = _fold(adj, cand, dirty, chosen)
         size = chosen.bit_count()
         if cand == 0:
             if size > best_size:
@@ -245,9 +242,12 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
         # Greedy clique cover: each clique grows from the lowest remaining
         # candidate.  Cliques numbered floor or below can never be branched
         # on, so only the masks of the higher ones are kept (all of them when
-        # the folds lifted size above the incumbent).
+        # the folds lifted size above the incumbent).  Every clique of at
+        # least 3 members, whatever its number, also goes into big, to
+        # certify degrees >= 2 in the children.
         floor = best_size - size
         cliques = []
+        big = []
         count = 0
         rest = cand
         while rest:
@@ -263,11 +263,14 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
             count += 1
             if count > floor:
                 cliques.append(clique)
+            if clique.bit_count() > 2:
+                big.append(clique)
 
         # Branch in the reverse of the cover's order.  The candidates left
         # when a vertex of clique k comes up lie in cliques 1..k.  A child's
         # vertex has a lower degree than here only if it neighbours N[v] or a
-        # vertex this loop has dropped (gone).
+        # vertex this loop has dropped (gone); it still has degree >= 2 if
+        # it lies in a clique that keeps 3 or more members in the child.
         gone = 0
         for k, clique in zip(range(count, floor, -1), reversed(cliques)):
             while clique:
@@ -277,7 +280,20 @@ def max_independent_set(g: Graph, node_budget: int | None = None) -> MisResult:
                 bit = 1 << v
                 clique ^= bit
                 child = cand & ~(adj[v] | bit)
-                dfs(child, chosen | bit, child & (gone | adj2[v]))
+                reach = adj2[v]
+                if reach is None:
+                    reach = nbrs = adj[v]
+                    while nbrs:
+                        low = nbrs & -nbrs
+                        nbrs ^= low
+                        reach |= adj[low.bit_length() - 1]
+                    adj2[v] = reach
+                certified = 0
+                for common in big:
+                    common &= child
+                    if common.bit_count() > 2:
+                        certified |= common
+                dfs(child, chosen | bit, child & (gone | reach) & ~certified)
                 cand ^= bit
                 gone |= adj[v]
 

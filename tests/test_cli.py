@@ -174,6 +174,17 @@ def test_sweep_path_union_compositions(capsys):
     assert len(lines) == 1 + (2 + 4 + 8 + 16) + 1
 
 
+@pytest.mark.parametrize("m_range", ["-3..-1", "0..1"])
+def test_sweep_path_union_rejects_totals_below_one(capsys, m_range):
+    # path-union sweeps read the m range as totals; a total below 1 has no
+    # composition, so the sweep is a usage error like any bad range
+    code, out, err = run_cli(capsys, "sweep", "--family", "path-union",
+                             f"--m-range={m_range}")
+    assert code == 2
+    assert out == ""
+    assert f"m range {m_range}" in err
+
+
 def test_lemma_check_cli(capsys):
     code, out, _ = run_cli(capsys, "lemma-check", "--n", "3", "--family", "path",
                            "--m", "4", "--trials", "200", "--seed", "12")

@@ -179,11 +179,35 @@ def test_a_dropped_branch_vertex_can_force_a_distant_vertex():
     assert res.nodes_explored == 3
 
 
+@pytest.mark.parametrize("order,edges,witness", [
+    # triangles 045 and 123, with 6 next to 0, 1 and 3; the root's cover
+    # holds both and branches on 6, whose child {2, 4, 5} keeps only 2 of
+    # the triangle 123, at degree 1 (next to 4): the child folds 2, then 5
+    pytest.param(7, [(0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 6), (2, 3), (2, 4),
+                     (3, 5), (3, 6), (4, 5)], [2, 5, 6], id="one-member-left"),
+    # the root's cover holds the triangle 347 and branches on 6, whose child
+    # {2, 3, 4} keeps 3 and 4 of it, each at degree 1 (next to the other):
+    # two members left prove degree >= 1, not >= 2, so the child folds 4, then 2
+    pytest.param(8, [(0, 1), (0, 2), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5), (1, 6),
+                     (2, 5), (2, 7), (3, 4), (3, 7), (4, 7), (5, 6), (6, 7)],
+                 [2, 4, 6], id="two-members-left"),
+])
+def test_a_cover_triangle_certifies_a_child_only_with_three_members_left(order, edges, witness):
+    # the child solves by its folds, without a further node
+    g = Graph.build(order, edges)
+    res = max_independent_set(g)
+    assert res.size == max_independent_set_exhaustive(g).size == 3
+    assert list(res.witness) == witness
+    assert res.nodes_explored == 2
+
+
 @pytest.mark.parametrize("family,n_range,m_range,nodes", [
     pytest.param("fan", (1, 6), (2, 10), 304, id="fan"),
     pytest.param("wheel", (1, 6), (3, 10), 790, id="wheel"),
     pytest.param("path_union", None, (2, 10), 1_458, id="path_union"),
     pytest.param("complete_bipartite", (1, 6), (1, 8), 73, id="complete_bipartite"),
+    pytest.param("split", (1, 5), (1, 10), 4_860, id="split"),
+    pytest.param("complete", None, (2, 14), 36_573, id="complete"),
 ])
 def test_search_tree_sizes_are_pinned(family, n_range, m_range, nodes):
     # total nodes_explored over a sweep's token graphs: any change to the
@@ -193,6 +217,15 @@ def test_search_tree_sizes_are_pinned(family, n_range, m_range, nodes):
     total = sum(max_independent_set(build_f2(generate(spec)).graph).nodes_explored
                 for spec in specs)
     assert total == nodes
+
+
+def test_complete_20_spends_its_whole_budget():
+    # F2(K_20) has alpha = 10 against a cover bound of 19, so the search is
+    # still open after 100 000 nodes and aborts on the next one
+    tg = build_f2(generate(graphs.complete(20)))
+    with pytest.raises(BudgetExceededError) as err:
+        max_independent_set(tg.graph, node_budget=100_000)
+    assert err.value.nodes_explored == 100_001
 
 
 @pytest.mark.parametrize("spec,budget,alpha", [
@@ -251,6 +284,27 @@ def sparse_graphs(draw):
 @given(sparse_graphs())
 @settings(max_examples=100)
 def test_solvers_agree_on_sparse_graphs(g):
+    a = max_independent_set_exhaustive(g)
+    b = max_independent_set(g)
+    assert a.size == b.size
+    assert len(b.witness) == b.size
+    assert is_independent(g, b.witness)
+
+
+@st.composite
+def dense_graphs(draw):
+    """Dense graphs, whose clique covers hold many cliques of 3 or more:
+    most candidates of a child are certified to have degree >= 2."""
+    n = draw(st.integers(1, 18))
+    rng = draw(st.randoms(use_true_random=False))
+    p = draw(st.floats(0.6, 0.95))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph.build(n, edges)
+
+
+@given(dense_graphs())
+@settings(max_examples=100)
+def test_solvers_agree_on_dense_graphs(g):
     a = max_independent_set_exhaustive(g)
     b = max_independent_set(g)
     assert a.size == b.size
