@@ -4,6 +4,7 @@ from token_alpha import graphs
 from token_alpha.constructions import (
     AssociatedSetInput,
     associated_independent_set,
+    cycle_independent_set,
     path_union_independent_set,
 )
 from token_alpha.graphs import VertexSet, generate
@@ -38,3 +39,13 @@ print()
 print("fan(3,5) associated set:", sorted(assoc))
 print("independent:", is_independent(tg.graph, tg.indices_of(assoc)))
 print("size:", len(assoc), " solver:", max_independent_set(tg.graph).size)
+
+# Cycle construction for C7: every pair at odd cyclic distance d < h,
+# where h = (7-1)/2 = 3.  Since h is odd, the distance-3 pairs form a
+# 7-cycle in F2(C7) ({0,3}, {3,6}, {6,2}, ...) and every second one is taken.
+chosen = cycle_independent_set(7)
+tg = build_f2(generate(graphs.cycle(7)))
+print()
+print("C7 construction:", sorted(chosen))
+print("independent:", is_independent(tg.graph, tg.indices_of(chosen)))
+print("size:", len(chosen), " solver:", max_independent_set(tg.graph).size)

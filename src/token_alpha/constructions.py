@@ -53,6 +53,27 @@ def path_union_independent_set(walks) -> frozenset[TokenPair]:
     return frozenset(out)
 
 
+def cycle_independent_set(m: int) -> frozenset[TokenPair]:
+    """A maximum independent set of F2(C_m), with C_m numbered 0..m-1
+    around the cycle as ``graphs.generate`` numbers it.
+
+    Takes every pair at odd cyclic distance d: each odd d <= m/2 for even
+    m, each odd d < h = (m-1)/2 for odd m.  When m and h are both odd it
+    also takes {kh, (k+1)h} (mod m) for every even k < m-1.  Two pairs
+    {x,y} and {x,z} are adjacent only when yz is a cycle edge, so y and z
+    sit at distances from x of different parity; the one exception is two
+    distance-h pairs for odd m, which form an m-cycle in F2(C_m) taken
+    here alternately.
+    """
+    if m < 3:
+        raise ParameterError(f"a cycle requires m >= 3, got {m}")
+    h = (m - 1) // 2
+    out = {_pair(x, (x + d) % m) for d in range(1, m // 2 + 1 - m % 2, 2) for x in range(m)}
+    if m % 2 and h % 2:
+        out.update(_pair(k * h % m, (k + 1) * h % m) for k in range(0, m - 1, 2))
+    return frozenset(out)
+
+
 def _token_pairs_independent(h: Graph, pairs: frozenset[TokenPair]) -> bool:
     """Token-level independence: no two pairs whose symmetric difference is an edge of h.
 

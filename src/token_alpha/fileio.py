@@ -75,11 +75,6 @@ def parse_graph(text: str) -> Graph:
     return g
 
 
-def write_graph(path: str, g: Graph, comments: list[str] | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_graph(g, comments))
-
-
 def read_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph(fh.read())

@@ -249,11 +249,10 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 
 def path_walks(spec: FamilySpec) -> list[range]:
-    """The paths of a path or path-union spec, each as the sequence of its
-    vertices in ``generate``'s labels: consecutive ranges, in part order."""
-    parts = (spec.m,) if spec.kind == "path" else spec.parts
-    starts = itertools.accumulate(parts, initial=0)
-    return [range(s, s + p) for s, p in zip(starts, parts)]
+    """The paths of a path-union spec, each as the sequence of its vertices
+    in ``generate``'s labels: consecutive ranges, in part order."""
+    starts = itertools.accumulate(spec.parts, initial=0)
+    return [range(s, s + p) for s, p in zip(starts, spec.parts)]
 
 
 def delete_vertices(g: Graph, a: VertexSet) -> tuple[Graph, list[int]]:

@@ -5,8 +5,11 @@ on random independent sets.
 The solver is the ground truth; a row whose methods disagree is a DISAGREE
 row and fails the run.  Every method works on the graph that
 ``graphs.generate`` builds for the spec, so witnesses are in the labels
-that ``export`` writes.  Construction witnesses are always re-checked for
-independence before their size is trusted.
+that ``export`` writes.  Constructions never call the solver, so they
+check it independently and the node budget caps the solver alone.  Their
+witnesses are always re-checked for independence before their size is
+trusted.  The solver runs only for a row's solver cell (``_solve``) and
+for the lemma trials' F2(H - S2) sets.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from .constructions import (
     AssociatedSetInput,
     associated_independent_set,
+    cycle_independent_set,
     extract_s1_s2,
     path_union_independent_set,
 )
@@ -41,8 +45,6 @@ from .tokens import TokenGraph, TokenPair, build_f2, join_partition
 
 METHODS = ("formula", "construction", "solver")
 VERDICTS = ("AGREE", "DISAGREE", "ABORTED")
-
-CONSTRUCTION_FAMILIES = frozenset({"path", "path_union", *JOIN_H_KIND})
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +88,17 @@ def _walk_path_component(sub: Graph, comp: VertexSet) -> list[int]:
 def _max_ind_pairs_of_f2(kind: str, h: Graph, removed: VertexSet) -> frozenset[TokenPair]:
     """A maximum independent set of F2(h - removed) as pairs in h's labels.
 
-    Paths, cycles and edgeless graphs leave path unions behind, covered by
-    the parity construction; cliques leave a clique, covered by a matching.
+    A whole cycle gets the cycle construction.  Otherwise paths, cycles
+    and edgeless graphs leave path unions behind, covered by the parity
+    construction; cliques leave a clique, covered by a matching.
     """
     survivors = [v for v in range(h.order) if v not in removed]
     if len(survivors) < 2:
         return frozenset()
     if kind == "complete":
         return frozenset(zip(survivors[0::2], survivors[1::2]))
+    if kind == "cycle" and not removed:
+        return cycle_independent_set(h.order)
     sub, kept = delete_vertices(h, removed)
     return path_union_independent_set(
         [[kept[v] for v in _walk_path_component(sub, comp)] for comp in components(sub)])
@@ -101,7 +106,8 @@ def _max_ind_pairs_of_f2(kind: str, h: Graph, removed: VertexSet) -> frozenset[T
 
 def _solver_max_ind_pairs(h: Graph, removed: VertexSet,
                           node_budget: int | None) -> frozenset[TokenPair]:
-    """Exact-solver route to a maximum independent set of F2(h - removed)."""
+    """Exact-solver route to a maximum independent set of F2(h - removed);
+    only the lemma trials use it."""
     sub, kept = delete_vertices(h, removed)
     if sub.order < 2:
         return frozenset()
@@ -111,36 +117,30 @@ def _solver_max_ind_pairs(h: Graph, removed: VertexSet,
                      (tg.pair_of(i) for i in result.witness))
 
 
-def construction_pairs(spec: FamilySpec,
-                       node_budget: int | None = None) -> frozenset[TokenPair] | None:
-    """Explicit independent set for the family instance, or None when no
-    construction is defined for the family.
+def construction_pairs(spec: FamilySpec) -> frozenset[TokenPair]:
+    """Explicit independent set for the family instance, built without the
+    exact solver.
 
-    Paths and path unions get the parity set, on the walks of their parts
-    in ``generate``'s labels.  Join families E_n + H get the larger of two
-    candidates: the side set (all E_n pairs plus a maximum set of F2(H))
-    and the cross-heavy associated set built from S1 = V(E_n) and a
-    maximum independent set S2 of H.  The cycle side set is the only
-    piece without a paper construction; the exact solver supplies its
-    witness.
+    Path unions get the parity set, on the walks of their parts in
+    ``generate``'s labels; paths, cycles, cliques and edgeless graphs get
+    the maximum set of their own token graph.  Join families E_n + H get
+    the larger of two candidates: the side set (all E_n pairs plus a
+    maximum set of F2(H)) and the cross-heavy associated set built from
+    S1 = V(E_n) and a maximum independent set S2 of H.
     """
     kind = spec.kind
-    if kind not in CONSTRUCTION_FAMILIES:
-        return None
-    if kind in ("path", "path_union"):
+    if kind == "path_union":
         return path_union_independent_set(path_walks(spec))
+    if kind not in JOIN_H_KIND:
+        return _max_ind_pairs_of_f2(kind, generate(spec), VertexSet.of(spec.m, []))
 
     n, m = spec.n, spec.m
     h_kind = JOIN_H_KIND[kind]
     h = generate(FamilySpec(h_kind, m=m))
     nothing = VertexSet.of(m, [])
-
-    if h_kind == "cycle":
-        side_mis = _solver_max_ind_pairs(h, nothing, node_budget)
-    else:
-        side_mis = _max_ind_pairs_of_f2(h_kind, h, nothing)
     side = associated_independent_set(AssociatedSetInput(
-        n=n, h=h, s1=VertexSet.of(n, []), s2=nothing, mis_h_minus_s2=side_mis))
+        n=n, h=h, s1=VertexSet.of(n, []), s2=nothing,
+        mis_h_minus_s2=_max_ind_pairs_of_f2(h_kind, h, nothing)))
 
     s2 = _canonical_max_independent_set_of_h(h_kind, m)
     cross_mis = _max_ind_pairs_of_f2(h_kind, h, s2)
@@ -232,7 +232,7 @@ def evaluate_row(spec: FamilySpec, methods=METHODS,
     methods = tuple(methods)
     for name in methods:
         if name not in METHODS:
-            raise ParameterError(f"unknown method {name!r}; choose from {METHODS}")
+            raise ParameterError(f"unknown method {name!r}; choose from {','.join(METHODS)}")
     if not methods:
         raise ParameterError("at least one method is required")
 
@@ -246,19 +246,11 @@ def evaluate_row(spec: FamilySpec, methods=METHODS,
     formula = alpha_closed_form(spec) if "formula" in methods else None
 
     pairs = valid = None
-    construction_aborted = False
     if "construction" in methods:
-        try:
-            pairs = construction_pairs(spec, node_budget=node_budget)
-        except BudgetExceededError:
-            construction_aborted = True
-        if pairs is not None:
-            valid = is_independent(tg.graph, tg.indices_of(pairs))
+        pairs = construction_pairs(spec)
+        valid = is_independent(tg.graph, tg.indices_of(pairs))
 
-    # A construction abort still leaves the solver's own (budgeted) answer.
     solved = _solve(tg, node_budget) if "solver" in methods else {}
-    if construction_aborted:
-        solved["aborted"] = True
     return RowResult(spec.label(), spec, formula, pairs, valid, **solved)
 
 

@@ -65,11 +65,15 @@ def test_criterion_02_cycles():
     start = time.perf_counter()
     failures = []
     for m in range(3, 13):
-        got = _solve_checked(generate(graphs.cycle(m)))
-        if got != alpha_cycle(m):
-            failures.append((m, got, alpha_cycle(m)))
+        spec = graphs.cycle(m)
+        chosen = construction_pairs(spec)
+        tg = build_f2(generate(spec))
+        got = _solve_checked(generate(spec))
+        independent = is_independent(tg.graph, tg.indices_of(chosen))
+        if not (alpha_cycle(m) == len(chosen) == got and independent):
+            failures.append((m, alpha_cycle(m), len(chosen), got, independent))
     elapsed = time.perf_counter() - start
-    _report(2, "cycles", failures, "m in [3,12], formula = solver", elapsed)
+    _report(2, "cycles", failures, "m in [3,12], formula = construction = solver", elapsed)
     assert elapsed < 10.0
 
 

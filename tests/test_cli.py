@@ -246,6 +246,27 @@ def test_zero_budget_is_legal(capsys):
     assert "ABORTED" in out and err == ""
 
 
+def test_budget_caps_only_the_solver(capsys):
+    code, out, err = run_cli(capsys, "alpha", "--family", "wheel", "--n", "1", "--m", "11",
+                             "--methods", "formula,construction", "--budget", "1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].split("\t") == [
+        "wheel", "1", "11", "-", "27", "no", "27", "-", "-", "-", "AGREE"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("alpha", "--family", "fan", "--n", "2", "--m", "3", "--parts", "1,2"), "--parts"),
+    (("alpha", "--family", "path-union", "--parts", "2,1", "--m", "7"), "--m"),
+    (("sweep", "--family", "cycle", "--n-range", "1..2", "--m-range", "3..4"), "--n-range"),
+    (("export", "--family", "fan", "--n", "2", "--m", "3", "--parts", "5"), "--parts"),
+])
+def test_family_flags_the_family_does_not_take_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --family {argv[2]} does not take {flag}\n"
+
+
 def test_lemma_check_rejects_unknown_h(capsys):
     code, _, err = run_cli(capsys, "lemma-check", "--n", "2", "--family", "wheel",
                            "--m", "3")

@@ -9,11 +9,12 @@ from token_alpha.constructions import (
     AssociatedSetInput,
     _token_pairs_independent,
     associated_independent_set,
+    cycle_independent_set,
     extract_s1_s2,
     path_union_independent_set,
 )
 from token_alpha.errors import ContractError
-from token_alpha.formulas import alpha_path_union
+from token_alpha.formulas import alpha_cycle, alpha_path_union
 from token_alpha.graphs import Graph, VertexSet, components, delete_vertices, generate, join
 from token_alpha.harness import construction_pairs, random_independent_set_with_cross
 from token_alpha.mis import is_independent, max_independent_set, max_independent_set_exhaustive
@@ -51,6 +52,16 @@ def test_parity_set_of_p3_and_p2_is_maximum():
     tg = build_f2(generate(graphs.path_union([3, 2])))
     assert is_independent(tg.graph, tg.indices_of(chosen))
     assert max_independent_set_exhaustive(tg.graph).size == 6
+
+
+def test_cycle_independent_set_is_maximum():
+    # formula.alpha_cycle is checked against the solver by the acceptance
+    # suite; the construction must reach it in generate's labels
+    for m in range(3, 41):
+        chosen = cycle_independent_set(m)
+        tg = build_f2(generate(graphs.cycle(m)))
+        assert is_independent(tg.graph, tg.indices_of(chosen)), m
+        assert len(chosen) == alpha_cycle(m), m
 
 
 @pytest.mark.parametrize("total", range(2, 15))

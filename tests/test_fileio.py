@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from token_alpha import graphs
 from token_alpha.errors import ParseError
-from token_alpha.fileio import parse_graph, read_graph, render_graph, write_graph
+from token_alpha.fileio import parse_graph, read_graph, render_graph
 from token_alpha.graphs import Graph, generate
 from token_alpha.tokens import build_f2, render_token_graph
 
@@ -65,7 +65,7 @@ def test_endpoint_errors_use_the_files_own_numbering(text, message):
 def test_file_round_trip(tmp_path):
     g = generate(graphs.wheel(2, 4))
     target = tmp_path / "wheel.txt"
-    write_graph(str(target), g, comments=["wheel(2,4)"])
+    target.write_text(render_graph(g, comments=["wheel(2,4)"]), encoding="utf-8")
     assert read_graph(str(target)) == g
 
 

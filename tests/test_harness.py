@@ -16,7 +16,7 @@ from token_alpha.harness import (
     sweep_specs,
     verdict_counts,
 )
-from token_alpha.mis import is_independent, max_independent_set
+from token_alpha.mis import is_independent
 from token_alpha.tokens import build_f2
 
 
@@ -57,9 +57,14 @@ def test_construction_matches_formula_across_join_families():
         assert is_independent(tg.graph, tg.indices_of(pairs)), spec.label()
 
 
-def test_construction_unavailable_for_cycles():
-    row = evaluate_row(graphs.cycle(5))
-    assert row.construction_size is None
+@pytest.mark.parametrize("spec", [graphs.path(m) for m in range(2, 9)]
+                         + [graphs.cycle(m) for m in range(3, 13)]
+                         + [graphs.complete(m) for m in range(2, 9)]
+                         + [graphs.empty(m) for m in range(2, 9)], ids=lambda s: s.label())
+def test_one_parameter_rows_show_formula_construction_and_solver(spec):
+    row = evaluate_row(spec)
+    assert row.formula.value == row.construction_size == row.solver.size
+    assert row.construction_valid
     assert row.verdict == "AGREE"
 
 
@@ -154,13 +159,12 @@ def test_lemma_trials_require_positive_count():
         run_lemma_trials(2, graphs.path(3), trials=0, seed=1)
 
 
-def test_construction_abort_still_runs_the_solver():
-    # construction_pairs solves the wheel's cycle side F2(C11) itself; a
-    # budget one node short of that solve aborts the construction, and the
-    # row's own solver still runs on the same budget
-    side = max_independent_set(build_f2(generate(graphs.cycle(11))).graph)
-    row = evaluate_row(graphs.wheel(1, 11), node_budget=side.nodes_explored - 1)
-    assert row.construction_pairs is None
-    assert row.solver_millis is not None
+def test_solver_abort_keeps_the_construction():
+    # the budget caps the solver alone: the row aborts, and its
+    # construction, which never calls the solver, is still built and checked
+    row = evaluate_row(graphs.wheel(1, 11), node_budget=1)
+    assert row.construction_size == 27
+    assert row.construction_valid
+    assert row.solver is None and row.solver_millis is not None
     assert row.verdict == "ABORTED"
     assert exit_code([row]) == 3
