@@ -110,10 +110,13 @@ def _cmd_alpha(args) -> int:
     if (args.input is None) == (args.family is None):
         raise ParameterError("alpha requires exactly one of --family or --input")
     if args.input is not None:
+        for flag in ("n", "m", "parts"):
+            if getattr(args, flag) is not None:
+                raise ParameterError(f"--input does not take --{flag}")
         with open(args.input, "r", encoding="utf-8") as fh:
             base = parse_graph(fh.read())
         row = evaluate_graph_row(f"file:{os.path.basename(args.input)}", base,
-                                 node_budget=_budget(args))
+                                 _parse_methods(args.methods), node_budget=_budget(args))
     else:
         spec = _family_spec(args)
         row = evaluate_row(spec, _parse_methods(args.methods), node_budget=_budget(args))

@@ -70,6 +70,28 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @cached_property
+    def _twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        by_hood: dict[tuple[bool, int], list[int]] = {}
+        for v, mask in enumerate(self.neighbor_masks()):
+            by_hood.setdefault((False, mask), []).append(v)
+            by_hood.setdefault((True, mask | 1 << v), []).append(v)
+        return tuple(sorted(tuple(c) for c in by_hood.values() if len(c) > 1))
+
+
+def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The twin classes of g: each holds 2 or more vertices with equal open
+    neighbourhoods (false twins, pairwise non-adjacent) or equal closed
+    neighbourhoods (true twins, pairwise adjacent), and is maximal.
+
+    Any permutation inside one class is an automorphism of g.  The classes
+    are disjoint: were u a false twin of v and a true twin of w, then w in
+    N(u) = N(v) would put v in N[w] = N[u], so v in N(u) = N(v).  Each
+    class is sorted and the classes are ordered by their smallest member.
+    Computed once per graph and cached with it, like ``neighbor_masks``.
+    """
+    return g._twin_classes
+
 
 @dataclass(frozen=True)
 class VertexSet:

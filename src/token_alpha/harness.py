@@ -214,10 +214,11 @@ def exit_code(rows) -> int:
 
 def _solve(tg: TokenGraph, node_budget: int | None) -> dict:
     """Timed exact solve of the token graph, as the RowResult solver fields.
-    A budget overrun leaves the solver empty and marks the row aborted."""
+    The search prunes by the base graph's twin orbits.  A budget overrun
+    leaves the solver empty and marks the row aborted."""
     start = time.perf_counter()
     try:
-        result = max_independent_set(tg.graph, node_budget=node_budget)
+        result = max_independent_set(tg.graph, node_budget=node_budget, symmetry=tg)
     except BudgetExceededError:
         result = None
     millis = int((time.perf_counter() - start) * 1000)
@@ -226,15 +227,20 @@ def _solve(tg: TokenGraph, node_budget: int | None) -> dict:
             "solver_millis": millis, "aborted": result is None}
 
 
-def evaluate_row(spec: FamilySpec, methods=METHODS,
-                 node_budget: int | None = None) -> RowResult:
-    """Run the requested methods on one family instance and compare."""
+def _checked_methods(methods) -> tuple[str, ...]:
     methods = tuple(methods)
     for name in methods:
         if name not in METHODS:
             raise ParameterError(f"unknown method {name!r}; choose from {','.join(METHODS)}")
     if not methods:
         raise ParameterError("at least one method is required")
+    return methods
+
+
+def evaluate_row(spec: FamilySpec, methods=METHODS,
+                 node_budget: int | None = None) -> RowResult:
+    """Run the requested methods on one family instance and compare."""
+    methods = _checked_methods(methods)
 
     need_token_graph = "solver" in methods or "construction" in methods
     base = base_graph_for(spec)
@@ -254,9 +260,15 @@ def evaluate_row(spec: FamilySpec, methods=METHODS,
     return RowResult(spec.label(), spec, formula, pairs, valid, **solved)
 
 
-def evaluate_graph_row(label: str, base: Graph,
+def evaluate_graph_row(label: str, base: Graph, methods=("solver",),
                        node_budget: int | None = None) -> RowResult:
-    """Solver-only row for an imported base graph: alpha of its token graph."""
+    """Solver-only row for an imported base graph: alpha of its token graph.
+    The methods are checked as a family row's are, and must include the
+    solver, the only method such a row has."""
+    methods = _checked_methods(methods)
+    if "solver" not in methods:
+        raise ParameterError(f"{label} has only the solver method; "
+                             f"got {','.join(methods)}")
     if base.order < 2:
         raise ParameterError(f"{label} has order {base.order}; no token graph exists")
     return RowResult(label, **_solve(build_f2(base), node_budget))

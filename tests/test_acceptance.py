@@ -18,7 +18,12 @@ from token_alpha.formulas import (
     alpha_path_union,
 )
 from token_alpha.graphs import Graph, generate, join
-from token_alpha.harness import compositions, construction_pairs, run_lemma_trials
+from token_alpha.harness import (
+    compositions,
+    construction_pairs,
+    evaluate_row,
+    run_lemma_trials,
+)
 from token_alpha.mis import (
     is_independent,
     max_independent_set,
@@ -234,3 +239,25 @@ def test_criterion_11_token_edge_count():
     elapsed = time.perf_counter() - start
     _report(11, "token-edge-count", failures, "200 random graphs <= 12 vertices",
             elapsed)
+
+
+def test_criterion_12_dense_joins_at_the_orbit_reach():
+    # rows as the harness evaluates them, no node budget: the solver prunes
+    # by the base graph's twin orbits, which takes these dense token graphs
+    # (F2(K_30) has 435 vertices) in a few nodes each
+    start = time.perf_counter()
+    specs = ([graphs.complete(m) for m in range(2, 31)]
+             + [graphs.split(n, m) for n in range(1, 7) for m in range(1, 19)]
+             + [graphs.complete_bipartite(n, m) for n in range(1, 7) for m in range(1, 13)])
+    failures = []
+    for spec in specs:
+        row = evaluate_row(spec)
+        if not (row.verdict == "AGREE" and row.construction_valid
+                and row.formula.value == row.construction_size == row.solver.size):
+            failures.append((spec.label(), row.values, row.construction_valid))
+    elapsed = time.perf_counter() - start
+    _report(12, "dense-joins", failures,
+            f"{len(specs)} rows: complete m in [2,30], split n in [1,6] m in [1,18], "
+            "complete-bipartite n in [1,6] m in [1,12], formula = construction = solver",
+            elapsed)
+    assert elapsed < 10.0

@@ -315,3 +315,54 @@ def test_alpha_witnesses_are_independent_in_the_exported_graph(capsys):
 def test_missing_file_is_io_error(capsys):
     code, _, err = run_cli(capsys, "import", "/nonexistent/file.txt")
     assert code == 2
+
+
+@pytest.fixture
+def c5_file(capsys, tmp_path):
+    target = tmp_path / "c5.txt"
+    code, _, _ = run_cli(capsys, "export", "--family", "cycle", "--m", "5",
+                         "--out", str(target))
+    assert code == 0
+    return str(target)
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (("--n", "3", "--parts", "1", "--methods", "bogus"), "--n"),
+    (("--n", "3"), "--n"),
+    (("--m", "5"), "--m"),
+    (("--parts", "1"), "--parts"),
+])
+def test_input_rows_reject_family_flags(capsys, c5_file, flags, flag):
+    code, out, err = run_cli(capsys, "alpha", "--input", c5_file, *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --input does not take {flag}\n"
+
+
+@pytest.mark.parametrize("methods, message", [
+    ("bogus", "unknown method 'bogus'"),
+    ("solver,bogus", "unknown method 'bogus'"),
+    ("formula", "has only the solver method"),
+    ("formula,construction", "has only the solver method"),
+    (",", "at least one method is required"),
+])
+def test_input_rows_check_their_methods(capsys, c5_file, methods, message):
+    code, out, err = run_cli(capsys, "alpha", "--input", c5_file, "--methods", methods)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_input_rows_take_any_method_list_with_the_solver(capsys, c5_file):
+    code, out, _ = run_cli(capsys, "alpha", "--input", c5_file, "--methods", "formula,solver")
+    assert code == 0
+    assert out.splitlines()[1].split("\t")[7] == "5"
+
+
+def test_complete_20_finishes_within_the_frontier_budget(capsys):
+    # twin orbits take F2(K_20) to 9 nodes; the plain search aborts at 100 000
+    code, out, _ = run_cli(capsys, "alpha", "--family", "complete", "--m", "20",
+                           "--budget", "100000")
+    assert code == 0
+    assert mask_millis(out).splitlines()[1].split("\t") == [
+        "complete", "-", "20", "-", "10", "no", "10", "10", "9", "X", "AGREE"]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from token_alpha.graphs import (
     delete_vertices,
     generate,
     join,
+    twin_classes,
 )
 
 
@@ -199,3 +202,47 @@ def test_the_mask_cache_does_not_change_equality_or_hashing():
     b.neighbor_masks()
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_twin_classes_of_true_and_false_twins():
+    # E_2 + P_3: the E_2 side (0, 1) are false twins, as are the path's
+    # ends (2, 4); the middle 3 has no twin
+    assert twin_classes(generate(graphs.fan(2, 3))) == ((0, 1), (2, 4))
+    # K_4 is one class of true twins; E_3 + K_2 has a false and a true class
+    assert twin_classes(generate(graphs.complete(4))) == ((0, 1, 2, 3),)
+    assert twin_classes(generate(graphs.split(3, 2))) == ((0, 1, 2), (3, 4))
+
+
+def test_twin_classes_of_isolated_vertices_and_graphs_without_twins():
+    # isolated vertices are false twins of each other, whatever else the graph holds
+    g = Graph.build(5, [(0, 1), (1, 2)])
+    assert twin_classes(g) == ((0, 2), (3, 4))
+    assert twin_classes(Graph.build(1, [])) == ()
+    assert twin_classes(generate(graphs.path(4))) == ()
+    assert twin_classes(generate(graphs.cycle(5))) == ()
+
+
+def test_twin_classes_are_computed_once():
+    g = generate(graphs.wheel(3, 5))
+    assert twin_classes(g) is twin_classes(g)
+
+
+@given(random_graphs(max_order=9))
+def test_twin_classes_are_disjoint_and_every_transposition_is_an_automorphism(g):
+    classes = twin_classes(g)
+    members = [v for c in classes for v in c]
+    assert len(members) == len(set(members))
+    assert list(classes) == sorted(classes)
+    masks = g.neighbor_masks()
+    for c in classes:
+        assert len(c) >= 2 and list(c) == sorted(c)
+        for u, v in itertools.combinations(c, 2):
+            assert (masks[u] | 1 << u == masks[v] | 1 << v) or masks[u] == masks[v]
+            swap = {u: v, v: u}
+            image = {tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in g.edges}
+            assert image == set(g.edges)
+    # maximal: no vertex outside the classes twins any other vertex
+    for u in range(g.order):
+        for v in range(u + 1, g.order):
+            twins = masks[u] == masks[v] or masks[u] | 1 << u == masks[v] | 1 << v
+            assert twins == any(u in c and v in c for c in classes)

@@ -110,6 +110,24 @@ def test_evaluate_graph_row():
     assert row.label == "file:c5"
 
 
+@pytest.mark.parametrize("methods", [("formula",), ("bogus", "solver"), ()])
+def test_evaluate_graph_row_checks_its_methods(methods):
+    # a file row has only the solver; other names are checked as a family row's are
+    with pytest.raises(ParameterError):
+        evaluate_graph_row("file:c5", generate(graphs.cycle(5)), methods)
+    assert evaluate_graph_row("file:c5", generate(graphs.cycle(5)),
+                              ("formula", "solver")).solver.size == 5
+
+
+def test_rows_prune_by_twin_orbits():
+    # the harness hands the solver its token graph: split(5,14) takes 6
+    # nodes where the plain search takes 16 612
+    row = evaluate_row(graphs.split(5, 14), ("formula", "solver"))
+    assert row.verdict == "AGREE"
+    assert row.solver.nodes_explored == 6
+    assert evaluate_graph_row("file:split", generate(graphs.split(5, 14))).solver.nodes_explored == 6
+
+
 def test_compositions_are_lexicographic():
     assert list(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
     assert len(list(compositions(6))) == 32

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -326,3 +328,128 @@ def test_is_independent_matches_the_edge_scan(case):
     members = set(s)
     by_edges = not any(u in members and v in members for u, v in g.edges)
     assert is_independent(g, s) == by_edges
+
+
+# ---------------------------------------------------------------------------
+# Pruning by twin orbits: the solver is given the token graph it solves
+# ---------------------------------------------------------------------------
+
+def solve_with_orbits(spec, node_budget=None):
+    tg = build_f2(generate(spec))
+    res = max_independent_set(tg.graph, node_budget=node_budget, symmetry=tg)
+    assert len(res.witness) == res.size
+    assert is_independent(tg.graph, res.witness)
+    return res
+
+
+@pytest.mark.parametrize("spec,budget,alpha,nodes", [
+    (graphs.split(5, 14), None, 17, 6),
+    (graphs.complete(16), None, 8, 7),
+    (graphs.complete(20), 100_000, 10, 9),
+    (graphs.split(6, 18), None, 24, 8),
+    (graphs.wheel(8, 23), None, 154, 333),
+], ids=["split(5,14)", "complete(16)", "complete(20)", "split(6,18)", "wheel(8,23)"])
+def test_symmetric_search_trees_are_pinned(spec, budget, alpha, nodes):
+    # the plain search takes 16 612 nodes on split(5,14), 218 387 on
+    # complete(16), 3 023 on wheel(8,23), and exceeds 100 000 on complete(20)
+    # and 300 000 on split(6,18)
+    res = solve_with_orbits(spec, budget)
+    assert res.size == alpha == alpha_closed_form(spec).value
+    assert res.nodes_explored == nodes
+
+
+@pytest.mark.parametrize("family,n_range,m_range,nodes", [
+    pytest.param("fan", (1, 6), (2, 10), 301, id="fan"),
+    pytest.param("wheel", (1, 6), (3, 10), 721, id="wheel"),
+    pytest.param("path_union", None, (2, 10), 1_458, id="path_union"),
+    pytest.param("complete_bipartite", (1, 6), (1, 8), 73, id="complete_bipartite"),
+    pytest.param("split", (1, 5), (1, 10), 118, id="split"),
+    pytest.param("complete", None, (2, 14), 43, id="complete"),
+])
+def test_symmetric_search_tree_sizes_are_pinned(family, n_range, m_range, nodes):
+    # the same sweeps as test_search_tree_sizes_are_pinned; orbits never
+    # shrink the path-union trees, whose twin classes the root's folds touch
+    specs = sweep_specs(SweepConfig(family, n_range, m_range))
+    assert sum(solve_with_orbits(spec).nodes_explored for spec in specs) == nodes
+
+
+def test_orbits_without_twins_leave_the_search_tree_alone():
+    for spec in (graphs.cycle(9), graphs.path(8), graphs.path_union((4, 5))):
+        tg = build_f2(generate(spec))
+        assert graphs.twin_classes(tg.base) == ()
+        plain = max_independent_set(tg.graph)
+        pruned = max_independent_set(tg.graph, symmetry=tg)
+        assert (pruned.size, pruned.nodes_explored, pruned.witness) == (
+            plain.size, plain.nodes_explored, plain.witness)
+
+
+def test_symmetry_must_be_the_token_graph_solved():
+    tg = build_f2(generate(graphs.split(2, 3)))
+    other = build_f2(generate(graphs.fan(2, 3)))
+    with pytest.raises(ParameterError):
+        max_independent_set(tg.graph, symmetry=other)
+    # an equal copy of the graph is accepted
+    copy = Graph(tg.graph.order, tg.graph.edges)
+    assert max_independent_set(copy, symmetry=tg).size == max_independent_set(tg.graph).size
+
+
+def networkx_alpha(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order))
+    h.add_edges_from(g.edges)
+    clique, _ = nx.max_weight_clique(nx.complement(h), weight=None)
+    return len(clique)
+
+
+@st.composite
+def planted_twin_graphs(draw):
+    """A random graph on a few types, each blown up into a class of false
+    or true twins, with its vertices shuffled so no class is contiguous."""
+    types = draw(st.integers(1, 5))
+    sizes = [draw(st.integers(1, 4)) for _ in range(types)]
+    adjacent_inside = [draw(st.booleans()) for _ in range(types)]
+    type_edges = {(i, j) for i in range(types) for j in range(i + 1, types)
+                  if draw(st.booleans())}
+    kinds = [i for i, size in enumerate(sizes) for _ in range(size)][:10]
+    if len(kinds) < 2:
+        kinds = [0, 0]
+    labels = draw(st.permutations(range(len(kinds))))
+    edges = [(labels[u], labels[v])
+             for u in range(len(kinds)) for v in range(u + 1, len(kinds))
+             if (kinds[u] == kinds[v] and adjacent_inside[kinds[u]])
+             or (kinds[u], kinds[v]) in type_edges]
+    return Graph.build(len(kinds), edges)
+
+
+@given(planted_twin_graphs())
+@settings(max_examples=80, deadline=None)
+def test_orbit_pruning_keeps_alpha_and_witnesses(base):
+    tg = build_f2(base)
+    pruned = max_independent_set(tg.graph, symmetry=tg)
+    assert pruned.size == max_independent_set(tg.graph).size
+    if tg.graph.order <= 30:
+        assert pruned.size == max_independent_set_exhaustive(tg.graph).size
+    else:
+        assert pruned.size == networkx_alpha(tg.graph)
+    assert len(pruned.witness) == pruned.size
+    assert is_independent(tg.graph, pruned.witness)
+
+
+@pytest.mark.parametrize("budget", [None, 2])
+def test_a_solve_frees_the_token_graph_without_the_garbage_collector(budget):
+    # the search must leave no reference cycle holding the token graph: on
+    # thousands of small rows, freeing it only at the next collection
+    # tripled the collections and slowed a path-union sweep by 5-8%
+    gc.disable()
+    try:
+        tg = build_f2(generate(graphs.split(3, 7)))
+        ref = weakref.ref(tg)
+        try:
+            max_independent_set(tg.graph, node_budget=budget, symmetry=tg)
+        except BudgetExceededError:
+            pass
+        del tg
+        assert ref() is None
+    finally:
+        gc.enable()
