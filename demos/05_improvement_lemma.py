@@ -27,6 +27,8 @@ for trial in range(5):
     pairs = frozenset(tg.pair_of(i) for i in indices)
     s1, s2 = extract_s1_s2(pairs, n, h)
 
+    # F2(H - S2) is solved here by the exact solver, an independent route;
+    # run_lemma_trials takes the same maximum set from the construction.
     sub, kept = delete_vertices(h, s2)
     sub_tg = build_f2(sub)
     mis2 = frozenset((kept[a], kept[b]) for a, b in

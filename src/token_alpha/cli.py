@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import BudgetExceededError, CapacityError, ContractError, ParameterError, ParseError
+from .errors import CapacityError, ContractError, ParameterError, ParseError
 from .fileio import parse_graph, render_graph
 from .graphs import FamilySpec
 from . import graphs
@@ -145,8 +145,7 @@ def _cmd_lemma_check(args) -> int:
         raise ParameterError(
             f"lemma-check H family must be one of {', '.join(_LEMMA_H_FAMILIES)}")
     h_spec = graphs.FAMILIES[args.family][0](args.m)
-    report = run_lemma_trials(args.n, h_spec, args.trials, args.seed,
-                              node_budget=_budget(args))
+    report = run_lemma_trials(args.n, h_spec, args.trials, args.seed)
     lines = []
     for index in report.failures:
         trial = report.trials[index]
@@ -221,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lemma.add_argument("--m", type=int, required=True)
     lemma.add_argument("--trials", type=int, default=200)
     lemma.add_argument("--seed", type=int, default=0)
-    lemma.add_argument("--budget", type=int, default=None)
     lemma.add_argument("--out", default=None)
     lemma.set_defaults(handler=_cmd_lemma_check)
 
@@ -248,17 +246,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParameterError, ContractError, ParseError, CapacityError) as exc:
+    except (ParameterError, ContractError, ParseError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        # Rows record their own aborts; only lemma-check's per-trial
-        # solves let an overrun reach this far.
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ row and fails the run.  Every method works on the graph that
 that ``export`` writes.  Constructions never call the solver, so they
 check it independently and the node budget caps the solver alone.  Their
 witnesses are always re-checked for independence before their size is
-trusted.  The solver runs only for a row's solver cell (``_solve``) and
-for the lemma trials' F2(H - S2) sets.
+trusted.  The solver runs only for a row's solver cell (``_solve``); the
+lemma trials take F2(H - S2)'s maximum sets from the constructions.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .graphs import (
     FamilySpec,
     Graph,
     VertexSet,
-    components,
-    delete_vertices,
     generate,
     join,
     path_walks,
@@ -65,56 +63,52 @@ def _canonical_max_independent_set_of_h(kind: str, m: int) -> VertexSet:
     raise ParameterError(f"no canonical independent set for kind {kind!r}")
 
 
-def _walk_path_component(sub: Graph, comp: VertexSet) -> list[int]:
-    """Order a component known to be a path from its lowest endpoint."""
-    members = list(comp)
-    if len(members) == 1:
-        return members
-    masks = sub.neighbor_masks()
-    inside = 0
-    for v in members:
-        inside |= 1 << v
-    endpoints = [v for v in members if (masks[v] & inside).bit_count() == 1]
-    walk = [min(endpoints)]
-    seen = 1 << walk[0]
-    while len(walk) < len(members):
-        nbrs = masks[walk[-1]] & inside & ~seen
-        v = (nbrs & -nbrs).bit_length() - 1
-        walk.append(v)
-        seen |= 1 << v
-    return walk
+def _label_runs(m: int, removed: VertexSet, cyclic: bool) -> list[list[int]]:
+    """The paths left when ``removed`` is deleted from the path, or the
+    cycle when ``cyclic``, that ``generate`` numbers 0..m-1 along itself.
+
+    Each path is a maximal run of consecutive surviving labels; a cycle,
+    which must lose a vertex, is read from the vertex after its lowest
+    removed one, so a run may wrap past m-1.  Each walk starts at its
+    lower-labelled end: the parity set of an even-length walk depends on
+    its direction.
+    """
+    gone = set(removed)
+    start = removed.members[0] + 1 if cyclic else 0
+    walks, run = [], []
+    for v in range(start, start + m):
+        v %= m
+        if v not in gone:
+            run.append(v)
+        elif run:
+            walks.append(run)
+            run = []
+    if run:
+        walks.append(run)
+    return [w if w[0] < w[-1] else w[::-1] for w in walks]
 
 
 def _max_ind_pairs_of_f2(kind: str, h: Graph, removed: VertexSet) -> frozenset[TokenPair]:
-    """A maximum independent set of F2(h - removed) as pairs in h's labels.
+    """A maximum independent set of F2(h - removed) as pairs in h's labels,
+    built without the solver; the lemma trials and the join constructions
+    both take it.
 
-    A whole cycle gets the cycle construction.  Otherwise paths, cycles
-    and edgeless graphs leave path unions behind, covered by the parity
-    construction; cliques leave a clique, covered by a matching.
+    h is the path, cycle, clique or edgeless graph that ``generate`` builds
+    for ``kind``.  A clique leaves a clique, covered by a matching; an
+    edgeless graph leaves one, whose token graph has no edges; a whole
+    cycle gets the cycle construction.  Otherwise h - removed is a union
+    of paths, covered by the parity construction on its label runs.
     """
     survivors = [v for v in range(h.order) if v not in removed]
     if len(survivors) < 2:
         return frozenset()
     if kind == "complete":
         return frozenset(zip(survivors[0::2], survivors[1::2]))
+    if kind == "empty":
+        return frozenset(itertools.combinations(survivors, 2))
     if kind == "cycle" and not removed:
         return cycle_independent_set(h.order)
-    sub, kept = delete_vertices(h, removed)
-    return path_union_independent_set(
-        [[kept[v] for v in _walk_path_component(sub, comp)] for comp in components(sub)])
-
-
-def _solver_max_ind_pairs(h: Graph, removed: VertexSet,
-                          node_budget: int | None) -> frozenset[TokenPair]:
-    """Exact-solver route to a maximum independent set of F2(h - removed);
-    only the lemma trials use it."""
-    sub, kept = delete_vertices(h, removed)
-    if sub.order < 2:
-        return frozenset()
-    tg = build_f2(sub)
-    result = max_independent_set(tg.graph, node_budget=node_budget)
-    return frozenset((kept[a], kept[b]) for a, b in
-                     (tg.pair_of(i) for i in result.witness))
+    return path_union_independent_set(_label_runs(h.order, removed, kind == "cycle"))
 
 
 def construction_pairs(spec: FamilySpec) -> frozenset[TokenPair]:
@@ -382,11 +376,12 @@ def random_independent_set_with_cross(tg: TokenGraph, cross: VertexSet,
     return sorted(chosen)
 
 
-def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int,
-                     node_budget: int | None = None) -> LemmaReport:
+def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> LemmaReport:
     """Check the improvement property on random independent sets of
     F2(E_n + H): the associated set built from the extracted (S1, S2) must
-    be independent and at least as large."""
+    be independent and at least as large.  F2(H - S2)'s maximum set comes
+    from the construction, not the solver; were it ever short of maximum,
+    the improved set would shrink and the trial would fail."""
     if n < 1:
         raise ParameterError(f"lemma-check requires n >= 1, got {n}")
     if trials < 1:
@@ -400,7 +395,7 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int,
         indices = random_independent_set_with_cross(tg, cross, rng)
         pairs = frozenset(tg.pair_of(i) for i in indices)
         s1, s2 = extract_s1_s2(pairs, n, h)
-        mis2 = _solver_max_ind_pairs(h, s2, node_budget)
+        mis2 = _max_ind_pairs_of_f2(h_spec.kind, h, s2)
         improved = associated_independent_set(AssociatedSetInput(
             n=n, h=h, s1=s1, s2=s2, mis_h_minus_s2=mis2))
         ok_ind = is_independent(tg.graph, tg.indices_of(improved))

@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
 from token_alpha import graphs, harness
 from token_alpha.errors import ParameterError
 from token_alpha.formulas import AlphaFormulaResult, alpha_closed_form
-from token_alpha.graphs import generate
+from token_alpha.graphs import VertexSet, delete_vertices, generate
 from token_alpha.harness import (
     SweepConfig,
     compositions,
@@ -16,7 +18,7 @@ from token_alpha.harness import (
     sweep_specs,
     verdict_counts,
 )
-from token_alpha.mis import is_independent
+from token_alpha.mis import is_independent, max_independent_set
 from token_alpha.tokens import build_f2
 
 
@@ -170,6 +172,69 @@ def test_lemma_trials_report():
     assert not report.failures
     assert report.min_margin >= 0
     assert report.mean_margin >= 0.0
+
+
+def test_lemma_trials_never_call_the_solver(monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the lemma trials called the solver")
+
+    built = []
+
+    def counting_build_f2(g):
+        built.append(g.order)
+        return build_f2(g)
+
+    monkeypatch.setattr(harness, "max_independent_set", no_solver)
+    monkeypatch.setattr(harness, "build_f2", counting_build_f2)
+    for h_spec in (graphs.path(6), graphs.cycle(7), graphs.complete(4), graphs.empty(5)):
+        built.clear()
+        report = run_lemma_trials(3, h_spec, trials=40, seed=2)
+        assert not report.failures
+        assert built == [3 + h_spec.m]   # F2(E_n + H), once
+
+
+def _independent_sets(h):
+    """Every independent set of h, the empty set included."""
+    masks = h.neighbor_masks()
+    for size in range(h.order + 1):
+        for members in itertools.combinations(range(h.order), size):
+            inside = sum(1 << v for v in members)
+            if not any(masks[v] & inside for v in members):
+                yield VertexSet(h.order, members)
+
+
+@pytest.mark.parametrize("kind, orders", [
+    ("path", range(1, 11)), ("cycle", range(3, 11)),
+    ("complete", range(1, 8)), ("empty", range(1, 8)),
+])
+def test_construction_of_f2_minus_s2_is_maximum(kind, orders):
+    # the lemma trials trust this set without a solve, so check it against
+    # the solver for every independent S2 of small H
+    for m in orders:
+        h = generate(graphs.FAMILIES[kind][0](m))
+        for s2 in _independent_sets(h):
+            pairs = harness._max_ind_pairs_of_f2(kind, h, s2)
+            assert not any(v in s2 for pair in pairs for v in pair), (m, s2)
+            sub, kept = delete_vertices(h, s2)
+            if sub.order < 2:
+                assert pairs == frozenset(), (m, s2)
+                continue
+            tg = build_f2(sub)
+            new_label = {old: new for new, old in enumerate(kept)}
+            indices = tg.indices_of(frozenset((new_label[a], new_label[b]) for a, b in pairs))
+            assert is_independent(tg.graph, indices), (m, s2)
+            assert len(pairs) == max_independent_set(tg.graph).size, (m, s2)
+
+
+@pytest.mark.parametrize("m, removed, cyclic, walks", [
+    (7, (2, 4), False, [[0, 1], [3], [5, 6]]),
+    (7, (2, 4), True, [[3], [1, 0, 6, 5]]),   # the run through 6, 0 wraps
+    (6, (0,), True, [[1, 2, 3, 4, 5]]),
+])
+def test_label_runs_start_at_their_lower_end(m, removed, cyclic, walks):
+    # the parity set of an even-length walk depends on its direction, so
+    # construction witnesses stay fixed only if every walk starts low
+    assert harness._label_runs(m, VertexSet.of(m, removed), cyclic) == walks
 
 
 def test_lemma_trials_require_positive_count():
