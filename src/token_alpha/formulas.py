@@ -13,13 +13,10 @@ from math import comb
 from .errors import ParameterError
 from .graphs import FamilySpec
 
-from . import graphs
-
 
 @dataclass(frozen=True)
 class AlphaFormulaResult:
     value: int
-    family: FamilySpec
     exceptional: bool
     formula_id: str
 
@@ -81,13 +78,12 @@ def alpha_fan(n: int, m: int) -> AlphaFormulaResult:
     """
     if n < 1 or m < 1:
         raise ParameterError(f"fan formula requires n, m >= 1, got n={n}, m={m}")
-    family = graphs.fan(n, m)
     if m == 1:
-        return AlphaFormulaResult(alpha_star(n), family, False, "fan.star")
+        return AlphaFormulaResult(alpha_star(n), False, "fan.star")
     if 2 * n == m + 1 or 2 * n == m + 3:
         value = n * ((m + 1) // 2) + comb(m // 2, 2)
-        return AlphaFormulaResult(value, family, True, "fan.exceptional")
-    return AlphaFormulaResult(m * m // 4 + comb(n, 2), family, False, "fan.general")
+        return AlphaFormulaResult(value, True, "fan.exceptional")
+    return AlphaFormulaResult(m * m // 4 + comb(n, 2), False, "fan.general")
 
 
 def alpha_wheel(n: int, m: int) -> AlphaFormulaResult:
@@ -97,12 +93,11 @@ def alpha_wheel(n: int, m: int) -> AlphaFormulaResult:
         raise ParameterError(f"wheel formula requires n >= 1, got {n}")
     if m < 3:
         raise ParameterError(f"wheel formula requires m >= 3, got {m}")
-    family = graphs.wheel(n, m)
     if (m, n) == (3, 1):
-        return AlphaFormulaResult(2, family, True, "wheel.exceptional")
+        return AlphaFormulaResult(2, True, "wheel.exceptional")
     if (m, n) == (3, 2):
-        return AlphaFormulaResult(3, family, True, "wheel.exceptional")
-    return AlphaFormulaResult(m * (m // 2) // 2 + comb(n, 2), family, False, "wheel.general")
+        return AlphaFormulaResult(3, True, "wheel.exceptional")
+    return AlphaFormulaResult(m * (m // 2) // 2 + comb(n, 2), False, "wheel.general")
 
 
 def alpha_split(n: int, m: int) -> AlphaFormulaResult:
@@ -113,12 +108,11 @@ def alpha_split(n: int, m: int) -> AlphaFormulaResult:
     """
     if n < 1 or m < 1:
         raise ParameterError(f"split formula requires n, m >= 1, got n={n}, m={m}")
-    family = graphs.split(n, m)
     if n == 1:
-        return AlphaFormulaResult((m + 1) // 2, family, False, "split.n1")
+        return AlphaFormulaResult((m + 1) // 2, False, "split.n1")
     if n == 2:
-        return AlphaFormulaResult((m + 3) // 2, family, False, "split.n2")
-    return AlphaFormulaResult(m // 2 + comb(n, 2), family, False, "split.general")
+        return AlphaFormulaResult((m + 3) // 2, False, "split.n2")
+    return AlphaFormulaResult(m // 2 + comb(n, 2), False, "split.general")
 
 
 def alpha_complete_bipartite(n: int, m: int) -> int:
@@ -136,21 +130,21 @@ def alpha_closed_form(spec: FamilySpec) -> AlphaFormulaResult | None:
     if kind == "path":
         if spec.m < 2:
             return None
-        return AlphaFormulaResult(alpha_path(spec.m), spec, False, "path")
+        return AlphaFormulaResult(alpha_path(spec.m), False, "path")
     if kind == "cycle":
-        return AlphaFormulaResult(alpha_cycle(spec.m), spec, False, "cycle")
+        return AlphaFormulaResult(alpha_cycle(spec.m), False, "cycle")
     if kind == "empty":
         if spec.m < 2:
             return None
-        return AlphaFormulaResult(alpha_empty(spec.m), spec, False, "empty")
+        return AlphaFormulaResult(alpha_empty(spec.m), False, "empty")
     if kind == "complete":
         if spec.m < 2:
             return None
-        return AlphaFormulaResult(alpha_complete(spec.m), spec, False, "complete")
+        return AlphaFormulaResult(alpha_complete(spec.m), False, "complete")
     if kind == "path_union":
         if sum(spec.parts) < 2:
             return None
-        return AlphaFormulaResult(alpha_path_union(spec.parts), spec, False, "path-union")
+        return AlphaFormulaResult(alpha_path_union(spec.parts), False, "path-union")
     if kind == "fan":
         return alpha_fan(spec.n, spec.m)
     if kind == "wheel":
@@ -159,5 +153,5 @@ def alpha_closed_form(spec: FamilySpec) -> AlphaFormulaResult | None:
         return alpha_split(spec.n, spec.m)
     if kind == "complete_bipartite":
         value = alpha_complete_bipartite(spec.n, spec.m)
-        return AlphaFormulaResult(value, spec, False, "complete-bipartite")
+        return AlphaFormulaResult(value, False, "complete-bipartite")
     return None

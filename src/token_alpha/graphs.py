@@ -142,6 +142,11 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise ParameterError(f"unknown family kind {self.kind!r}")
+        params = FAMILIES[self.kind][1]
+        for name in ("n", "m", "parts"):
+            if (getattr(self, name) is None) == (name in params):
+                need = "requires" if name in params else "takes no"
+                raise ParameterError(f"{self.kind} spec {need} {name}")
 
     def label(self) -> str:
         if self.kind == "path_union":

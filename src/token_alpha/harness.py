@@ -212,7 +212,7 @@ def _solve(tg: TokenGraph, node_budget: int | None) -> dict:
     leaves the solver empty and marks the row aborted."""
     start = time.perf_counter()
     try:
-        result = max_independent_set(tg.graph, node_budget=node_budget, symmetry=tg)
+        result = max_independent_set(tg, node_budget=node_budget)
     except BudgetExceededError:
         result = None
     millis = int((time.perf_counter() - start) * 1000)
@@ -362,7 +362,8 @@ def random_independent_set_with_cross(tg: TokenGraph, cross: VertexSet,
                                       rng: random.Random) -> list[int]:
     """Greedy closure of a shuffled vertex order around a forced cross pair
     drawn from ``cross`` (the mixed region R of ``join_partition``),
-    yielding a maximal independent set that meets that region."""
+    yielding a maximal independent set that meets that region.  The forced
+    vertex comes first, the others in the order they joined."""
     seed = rng.choice(cross.members)
     masks = tg.graph.neighbor_masks()
     order = list(range(tg.graph.order))
@@ -373,7 +374,7 @@ def random_independent_set_with_cross(tg: TokenGraph, cross: VertexSet,
         if not blocked >> v & 1:
             chosen.append(v)
             blocked |= masks[v] | (1 << v)
-    return sorted(chosen)
+    return chosen
 
 
 def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> LemmaReport:
@@ -399,8 +400,7 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
         improved = associated_independent_set(AssociatedSetInput(
             n=n, h=h, s1=s1, s2=s2, mis_h_minus_s2=mis2))
         ok_ind = is_independent(tg.graph, tg.indices_of(improved))
-        first_cross = next(p for p in sorted(pairs) if p[0] < n <= p[1])
         results.append(LemmaTrial(
             start_size=len(pairs), improved_size=len(improved),
-            independent=ok_ind, seed_pair=first_cross))
+            independent=ok_ind, seed_pair=tg.pair_of(indices[0])))
     return LemmaReport(n=n, h_spec=h_spec, trials=tuple(results))

@@ -68,7 +68,6 @@ EXHAUSTIVE_CAP = 30
 class MisResult:
     size: int
     witness: VertexSet
-    method: str  # "exhaustive" or "branch-and-bound"
     nodes_explored: int
 
 
@@ -129,7 +128,7 @@ def max_independent_set_exhaustive(g: Graph) -> MisResult:
 
     dfs((1 << n) - 1, 0, 0)
     witness = VertexSet.of(n, _bits_to_sorted(best_bits))
-    return MisResult(best_size, witness, "exhaustive", nodes)
+    return MisResult(best_size, witness, nodes)
 
 
 def _greedy_lower_bound(adj: tuple[int, ...]) -> int:
@@ -287,9 +286,12 @@ def _union(masks: list[int], bits: int) -> int:
     return out
 
 
-def max_independent_set(g: Graph, node_budget: int | None = None,
-                        symmetry: TokenGraph | None = None) -> MisResult:
+def max_independent_set(g: Graph | TokenGraph,
+                        node_budget: int | None = None) -> MisResult:
     """Exact colour-ordered branch and bound over adjacency bitsets.
+
+    g is a plain graph or a token graph, whose ``.graph`` is then the g
+    solved below, pruned by the twin orbits of its ``.base``.
 
     Each search node first folds in degree-0/1 vertices, then builds a
     greedy clique cover of the remaining candidates.  Walking the cover
@@ -326,35 +328,33 @@ def max_independent_set(g: Graph, node_budget: int | None = None,
     the vertices within distance two is built the first time the search
     branches on it, so a solve that ends at its root builds none.
 
-    symmetry, when given, is the token graph whose ``.graph`` is g; the
-    search then prunes by the twin orbits of its base graph.  A node's
-    group permutes, inside each twin class, the members that no chosen
-    pair touches: root-forced, folded or branched.  After the child that
-    includes v returns, the loop drops v's whole orbit under that group,
-    skips the loop vertices the drop removed, and adds the neighbours of
-    every dropped vertex to gone, which keeps the folds' dirty mask exact.
-    The orbit of {a,b} replaces each endpoint that lies in a class and is
-    untouched by any untouched member of that class.  The set-up waits for
-    the first drop after which the loop goes on branching, so a solve that
-    never gets there builds nothing.  Without symmetry a vertex's orbit is
-    the vertex itself, and the search tree, node count and witness are
-    those of the plain search.
+    For a token graph, a node's group permutes, inside each twin class of
+    the base graph, the members that no chosen pair touches: root-forced,
+    folded or branched.  After the child that includes v returns, the loop
+    drops v's whole orbit under that group, skips the loop vertices the
+    drop removed, and adds the neighbours of every dropped vertex to gone,
+    which keeps the folds' dirty mask exact.  The orbit of {a,b} replaces
+    each endpoint that lies in a class and is untouched by any untouched
+    member of that class.  The set-up waits for the first drop after which
+    the loop goes on branching, so a solve that never gets there builds
+    nothing.
 
     nodes_explored counts search nodes (calls into the recursion); the
     root, with its folds, is node 1.  Raises BudgetExceededError once it
     would exceed node_budget.
     """
+    token = None
+    if isinstance(g, TokenGraph):
+        token, g = g, g.graph
     n = g.order
-    if symmetry is not None and symmetry.graph is not g and symmetry.graph != g:
-        raise ParameterError("symmetry must be the token graph whose .graph is solved")
     if n == 0:
-        return MisResult(0, VertexSet.of(0, []), "branch-and-bound", 0)
+        return MisResult(0, VertexSet.of(0, []), 0)
 
     masks = g.neighbor_masks()
     everything = (1 << n) - 1
     rest, forced = _fold(masks, everything, everything, 0)
     order, adj = _renumber(masks, rest)
-    orbits = None if symmetry is None else _TwinOrbits(symmetry, forced, order)
+    orbits = None if token is None else _TwinOrbits(token, forced, order)
     adj2: list[int | None] = [None] * len(order)  # within distance two, built lazily
     best_bits = _greedy_lower_bound(adj)
     best_size = best_bits.bit_count()
@@ -460,5 +460,4 @@ def max_independent_set(g: Graph, node_budget: int | None = None,
         # soon as the solve ends rather than at a later garbage collection
         dfs = None
     witness = _bits_to_sorted(forced) + [order[i] for i in _bits_to_sorted(best_bits)]
-    return MisResult(forced.bit_count() + best_size, VertexSet.of(n, witness),
-                     "branch-and-bound", nodes)
+    return MisResult(forced.bit_count() + best_size, VertexSet.of(n, witness), nodes)

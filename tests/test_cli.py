@@ -133,7 +133,7 @@ def test_sweep_bad_range_syntax(capsys):
 
 def test_disagree_exit_code(capsys, monkeypatch):
     def wrong_formula(spec):
-        return AlphaFormulaResult(999, spec, False, "bogus")
+        return AlphaFormulaResult(999, False, "bogus")
 
     monkeypatch.setattr(harness, "alpha_closed_form", wrong_formula)
     code, out, _ = run_cli(capsys, "alpha", "--family", "path", "--m", "4",

@@ -1,6 +1,8 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script, and the README quick start, runs to completion against
+the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +19,15 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    expected = re.findall(r"^print\(.*#\s*(-?\d+)", code, re.M)
+    assert expected, "the quick start prints nothing it documents"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected

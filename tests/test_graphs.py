@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from token_alpha import graphs
 from token_alpha.errors import ParameterError
 from token_alpha.graphs import (
+    FamilySpec,
     Graph,
     VertexSet,
     components,
@@ -73,6 +74,21 @@ def test_wheel_on_one_hub_and_triangle_is_k4():
 def test_invalid_family_parameters(bad):
     with pytest.raises(ParameterError):
         bad()
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    (dict(kind="fan", m=3), "n"),
+    (dict(kind="fan", n=2), "m"),
+    (dict(kind="path_union"), "parts"),
+    (dict(kind="path", n=2, m=3), "n"),
+    (dict(kind="cycle", m=5, parts=(5,)), "parts"),
+    (dict(kind="path_union", m=3, parts=(1, 2)), "m"),
+    (dict(kind="split"), "n"),
+])
+def test_family_spec_needs_exactly_its_kinds_parameters(kwargs, field):
+    # a malformed spec is rejected when it is built, not deep in a formula
+    with pytest.raises(ParameterError, match=f"{kwargs['kind']} spec .* {field}$"):
+        FamilySpec(**kwargs)
 
 
 def test_graph_rejects_self_loops_and_out_of_range():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from token_alpha.harness import (
     verdict_counts,
 )
 from token_alpha.mis import is_independent, max_independent_set
-from token_alpha.tokens import build_f2
+from token_alpha.tokens import build_f2, join_partition
 
 
 def test_evaluate_row_fan_agrees():
@@ -83,7 +84,7 @@ def test_formula_only_row_for_uncovered_family_has_no_values():
 
 def test_disagree_verdict_when_methods_differ(monkeypatch):
     def wrong_formula(spec):
-        return AlphaFormulaResult(999, spec, False, "bogus")
+        return AlphaFormulaResult(999, False, "bogus")
 
     monkeypatch.setattr(harness, "alpha_closed_form", wrong_formula)
     row = evaluate_row(graphs.fan(2, 3), ("formula", "solver"))
@@ -172,6 +173,20 @@ def test_lemma_trials_report():
     assert not report.failures
     assert report.min_margin >= 0
     assert report.mean_margin >= 0.0
+
+
+def test_lemma_trials_report_the_pair_each_trial_was_seeded_with():
+    # replay the draws of random_independent_set_with_cross: one choice of a
+    # cross vertex, then one shuffle of every token vertex, per trial
+    n, h_spec, seed = 6, graphs.path(14), 5
+    report = run_lemma_trials(n, h_spec, trials=300, seed=seed)
+    tg = build_f2(generate(graphs.fan(n, h_spec.m)))
+    cross = join_partition(tg, n).r
+    rng = random.Random(seed)
+    for trial in report.trials:
+        drawn = rng.choice(cross.members)
+        rng.shuffle(list(range(tg.graph.order)))
+        assert trial.seed_pair == tg.pair_of(drawn)
 
 
 def test_lemma_trials_never_call_the_solver(monkeypatch):

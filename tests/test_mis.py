@@ -336,7 +336,7 @@ def test_is_independent_matches_the_edge_scan(case):
 
 def solve_with_orbits(spec, node_budget=None):
     tg = build_f2(generate(spec))
-    res = max_independent_set(tg.graph, node_budget=node_budget, symmetry=tg)
+    res = max_independent_set(tg, node_budget=node_budget)
     assert len(res.witness) == res.size
     assert is_independent(tg.graph, res.witness)
     return res
@@ -378,19 +378,9 @@ def test_orbits_without_twins_leave_the_search_tree_alone():
         tg = build_f2(generate(spec))
         assert graphs.twin_classes(tg.base) == ()
         plain = max_independent_set(tg.graph)
-        pruned = max_independent_set(tg.graph, symmetry=tg)
+        pruned = max_independent_set(tg)
         assert (pruned.size, pruned.nodes_explored, pruned.witness) == (
             plain.size, plain.nodes_explored, plain.witness)
-
-
-def test_symmetry_must_be_the_token_graph_solved():
-    tg = build_f2(generate(graphs.split(2, 3)))
-    other = build_f2(generate(graphs.fan(2, 3)))
-    with pytest.raises(ParameterError):
-        max_independent_set(tg.graph, symmetry=other)
-    # an equal copy of the graph is accepted
-    copy = Graph(tg.graph.order, tg.graph.edges)
-    assert max_independent_set(copy, symmetry=tg).size == max_independent_set(tg.graph).size
 
 
 def networkx_alpha(g):
@@ -426,7 +416,7 @@ def planted_twin_graphs(draw):
 @settings(max_examples=80, deadline=None)
 def test_orbit_pruning_keeps_alpha_and_witnesses(base):
     tg = build_f2(base)
-    pruned = max_independent_set(tg.graph, symmetry=tg)
+    pruned = max_independent_set(tg)
     assert pruned.size == max_independent_set(tg.graph).size
     if tg.graph.order <= 30:
         assert pruned.size == max_independent_set_exhaustive(tg.graph).size
@@ -446,7 +436,7 @@ def test_a_solve_frees_the_token_graph_without_the_garbage_collector(budget):
         tg = build_f2(generate(graphs.split(3, 7)))
         ref = weakref.ref(tg)
         try:
-            max_independent_set(tg.graph, node_budget=budget, symmetry=tg)
+            max_independent_set(tg, node_budget=budget)
         except BudgetExceededError:
             pass
         del tg
