@@ -18,9 +18,9 @@ from .graphs import FamilySpec
 from . import graphs
 from .harness import (
     SweepConfig,
+    VerdictTally,
     evaluate_graph_row,
     evaluate_row,
-    exit_code,
     run_lemma_trials,
     run_sweep,
 )
@@ -100,13 +100,24 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _render_rows(rows, args, extra: dict | None = None) -> str:
+def _check_report_flags(args) -> None:
+    if args.deterministic and args.format != "json":
+        raise ParameterError("--deterministic requires --format json; "
+                             "only JSON reports carry witness sets")
+
+
+def _report(rows, args, extra: dict | None = None) -> tuple[str, int]:
+    """The rendered report and its exit code, both from one pass over rows."""
+    tally = VerdictTally(rows)
     if args.format == "json":
-        return render_json(rows, include_witness=args.deterministic, extra=extra)
-    return render_tsv(rows)
+        text = render_json(tally, include_witness=args.deterministic, extra=extra)
+    else:
+        text = render_tsv(tally)
+    return text, tally.exit_code
 
 
 def _cmd_alpha(args) -> int:
+    _check_report_flags(args)
     if (args.input is None) == (args.family is None):
         raise ParameterError("alpha requires exactly one of --family or --input")
     if args.input is not None:
@@ -120,11 +131,13 @@ def _cmd_alpha(args) -> int:
     else:
         spec = _family_spec(args)
         row = evaluate_row(spec, _parse_methods(args.methods), node_budget=_budget(args))
-    _emit(_render_rows([row], args), args.out)
-    return exit_code([row])
+    text, code = _report([row], args)
+    _emit(text, args.out)
+    return code
 
 
 def _cmd_sweep(args) -> int:
+    _check_report_flags(args)
     config = SweepConfig(
         family=_family_kind(args),
         n_range=_parse_range(args.n_range) if args.n_range else None,
@@ -132,12 +145,14 @@ def _cmd_sweep(args) -> int:
         methods=_parse_methods(args.methods),
         node_budget=_budget(args),
     )
-    rows = run_sweep(config)
     extra = {"config": {"family": args.family, "n_range": args.n_range,
                         "m_range": args.m_range, "methods": list(config.methods),
                         "budget": args.budget}}
-    _emit(_render_rows(rows, args, extra), args.out)
-    return exit_code(rows)
+    # rows stream from evaluation into the renderer; the report is written
+    # only once the sweep has finished, so a sweep that fails writes nothing
+    text, code = _report(run_sweep(config), args, extra)
+    _emit(text, args.out)
+    return code
 
 
 def _cmd_lemma_check(args) -> int:
@@ -185,7 +200,7 @@ def _add_row_flags(sub):
                      help="solver node budget; exceeding it aborts the row")
     sub.add_argument("--format", choices=("tsv", "json"), default="tsv")
     sub.add_argument("--deterministic", action="store_true",
-                     help="include witness sets in JSON output")
+                     help="include witness sets in JSON output (needs --format json)")
     sub.add_argument("--out", default=None, help="write the report to this path")
 
 

@@ -1,6 +1,8 @@
-"""Simple undirected graphs, the family generators, and the join /
-vertex-deletion / component operators the graph families are built from.
-``generate`` is the one place a family spec becomes a labelled graph.
+"""Simple undirected graphs, the family generators, and graph operators.
+``generate`` is the one place a family spec becomes a labelled graph; the
+families are built from ``join`` alone.  ``delete_vertices`` and
+``components`` have no caller in the package: they remain only as the
+tests' independent references.
 
 Vertices are always 0..order-1.  Edges are stored once, as (low, high)
 tuples.  All values are immutable after construction and safe to share;

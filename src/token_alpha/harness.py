@@ -10,6 +10,10 @@ check it independently and the node budget caps the solver alone.  Their
 witnesses are always re-checked for independence before their size is
 trusted.  The solver runs only for a row's solver cell (``_solve``); the
 lemma trials take F2(H - S2)'s maximum sets from the constructions.
+
+A sweep is one pass: ``run_sweep`` yields each row as soon as it is
+evaluated, and ``VerdictTally`` counts verdicts as rows go by, so a
+report needs no row once it has rendered it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .constructions import (
@@ -191,19 +196,35 @@ class RowResult:
         return "AGREE"
 
 
-def verdict_counts(rows) -> dict[str, int]:
-    counts = dict.fromkeys(VERDICTS, 0)
-    for row in rows:
-        counts[row.verdict] += 1
-    return counts
+class VerdictTally:
+    """The rows of one report, read once, with each verdict counted as its
+    row goes by: the one place verdicts become counts and an exit code.
+    It keeps no row, so a renderer fed from a sweep holds one at a time;
+    ``tallied`` lets the renderer and its caller share the same tally."""
+
+    def __init__(self, rows):
+        self._rows = iter(rows)
+        self.counts = dict.fromkeys(VERDICTS, 0)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> RowResult:
+        row = next(self._rows)
+        self.counts[row.verdict] += 1
+        return row
+
+    @property
+    def exit_code(self) -> int:
+        """1 on any disagreement, else 3 on any budget abort, else 0."""
+        if self.counts["DISAGREE"]:
+            return 1
+        return 3 if self.counts["ABORTED"] else 0
 
 
-def exit_code(rows) -> int:
-    """1 on any disagreement, else 3 on any budget abort, else 0."""
-    counts = verdict_counts(rows)
-    if counts["DISAGREE"]:
-        return 1
-    return 3 if counts["ABORTED"] else 0
+def tallied(rows) -> VerdictTally:
+    """rows itself when it is already a tally, else a new tally over it."""
+    return rows if isinstance(rows, VerdictTally) else VerdictTally(rows)
 
 
 def _solve(tg: TokenGraph, node_budget: int | None) -> dict:
@@ -296,10 +317,11 @@ class SweepConfig:
                 raise ParameterError(f"empty {label} range {rng[0]}..{rng[1]}")
 
 
-def sweep_specs(config: SweepConfig) -> list[FamilySpec]:
+def sweep_specs(config: SweepConfig) -> Iterator[FamilySpec]:
     """Family instances for a sweep, in deterministic lexicographic order.
-    Every instance goes through its family's validating constructor; path
-    unions take the m range as totals and walk all their compositions."""
+    The family and its ranges are checked at once; each instance is built
+    by its family's validating constructor when the sweep reaches it.
+    Path unions take the m range as totals and walk all their compositions."""
     family = config.family
     if family not in FAMILIES:
         raise ParameterError(f"family {family!r} cannot be swept")
@@ -310,17 +332,19 @@ def sweep_specs(config: SweepConfig) -> list[FamilySpec]:
         lo, hi = config.m_range
         if lo < 1:
             raise ParameterError(f"{family} sweep requires totals >= 1, got m range {lo}..{hi}")
-        return [build(parts) for total in range(lo, hi + 1) for parts in compositions(total)]
+        return (build(parts) for total in range(lo, hi + 1) for parts in compositions(total))
     ranges = {"n": config.n_range, "m": config.m_range}
     if any(ranges[p] is None for p in params):
         raise ParameterError(f"{family} sweep requires a range for {' and '.join(params)}")
     grid = itertools.product(*(range(ranges[p][0], ranges[p][1] + 1) for p in params))
-    return [build(*values) for values in grid]
+    return (build(*values) for values in grid)
 
 
-def run_sweep(config: SweepConfig) -> tuple[RowResult, ...]:
-    return tuple(evaluate_row(s, config.methods, config.node_budget)
-                 for s in sweep_specs(config))
+def run_sweep(config: SweepConfig) -> Iterator[RowResult]:
+    """The sweep's rows, each yielded once it is evaluated; nothing here
+    keeps a row after yielding it."""
+    return (evaluate_row(s, config.methods, config.node_budget)
+            for s in sweep_specs(config))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Report rendering for harness rows: fixed-column TSV and a richer JSON
 form.  Witness sets appear only in JSON and only when the caller asks for
 deterministic output; sizes, node counts and verdicts are always present.
+
+Both renderers read their rows once, from any iterable, and keep only what
+they write: a TSV line or a JSON record per row, plus the verdict tally
+that the summary is written from.  A caller that passes a ``VerdictTally``
+reads the exit code from the same counts.
 """
 
 from __future__ import annotations
@@ -8,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .harness import RowResult, verdict_counts
+from .harness import RowResult, tallied
 
 TSV_COLUMNS = ("family", "n", "m", "parts", "formula", "exceptional",
                "construction", "solver", "nodes", "millis", "verdict")
@@ -51,9 +56,10 @@ def _row_cells(row: RowResult) -> list[str]:
 
 
 def render_tsv(rows) -> str:
+    tally = tallied(rows)
     lines = ["\t".join(TSV_COLUMNS)]
-    lines += ["\t".join(_row_cells(row)) for row in rows]
-    counts = verdict_counts(rows)
+    lines += ["\t".join(_row_cells(row)) for row in tally]
+    counts = tally.counts
     lines.append(f"# agree={counts['AGREE']} disagree={counts['DISAGREE']} "
                  f"aborted={counts['ABORTED']}")
     return "\n".join(lines) + "\n"
@@ -98,9 +104,11 @@ def row_record(row: RowResult, include_witness: bool = False) -> dict:
 
 
 def render_json(rows, include_witness: bool = False, extra: dict | None = None) -> str:
-    counts = verdict_counts(rows)
+    tally = tallied(rows)
+    records = [row_record(r, include_witness) for r in tally]
+    counts = tally.counts
     doc = {
-        "rows": [row_record(r, include_witness) for r in rows],
+        "rows": records,
         "summary": {"agree": counts["AGREE"], "disagree": counts["DISAGREE"],
                     "aborted": counts["ABORTED"]},
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import ParameterError
 from .fileio import render_graph
@@ -20,7 +21,9 @@ TokenPair = tuple[int, int]
 
 @dataclass(frozen=True)
 class TokenGraph:
-    """F2-style token graph plus the pair <-> index maps both ways."""
+    """F2-style token graph plus the pair <-> index maps both ways.  The
+    maps are shared by all token graphs of one base order; treat them as
+    read-only."""
 
     base: Graph
     graph: Graph
@@ -42,18 +45,28 @@ class TokenGraph:
         return VertexSet.of(self.graph.order, idx)
 
 
+@lru_cache(maxsize=32)
+def _pair_tables(order: int) -> tuple[tuple[TokenPair, ...], dict[TokenPair, int]]:
+    """The 2-subsets of 0..order-1 in lexicographic order and their index
+    dict.  Both depend only on the order, so every token graph of that
+    order shares the same two objects: nothing may mutate them."""
+    pairs = tuple(itertools.combinations(range(order), 2))
+    return pairs, {p: i for i, p in enumerate(pairs)}
+
+
 def build_f2(g: Graph) -> TokenGraph:
     """Construct the 2-token graph of g.
 
     Token vertices {a,x} and {b,x} are adjacent iff ab is an edge of g;
     pairs with symmetric difference of size 4 are never adjacent.  Each
     base edge contributes one token edge per choice of third vertex, so
-    the token graph has exactly (|V|-2)*|E| edges.
+    the token graph has exactly (|V|-2)*|E| edges.  The result's ``pairs``
+    and ``index_of`` are shared with every token graph of the same order
+    and must not be mutated.
     """
     if g.order < 2:
         raise ParameterError(f"token graph requires base order >= 2, got {g.order}")
-    pairs = tuple(itertools.combinations(range(g.order), 2))
-    index = {p: i for i, p in enumerate(pairs)}
+    pairs, index = _pair_tables(g.order)
     edges = []
     for a, b in g.sorted_edges():
         for w in range(g.order):

@@ -1,10 +1,12 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from token_alpha import harness
 from token_alpha.cli import main
+from token_alpha.errors import ParameterError
 from token_alpha.fileio import parse_graph
 from token_alpha.formulas import AlphaFormulaResult
 from token_alpha.mis import is_independent
@@ -25,6 +27,18 @@ def mask_millis(tsv: str) -> str:
             cells[9] = "X"
         lines.append("\t".join(cells))
     return "\n".join(lines)
+
+
+def mask_report(text: str) -> str:
+    """The report with its millis masked, in TSV rows and in JSON solver
+    records; every other byte is kept."""
+    text = re.sub(r'"millis": \d+', '"millis": "X"', text)
+    return re.sub(r"^((?:[^\t\n]*\t){9})\d+(?=\t)", r"\g<1>X", text, flags=re.M)
+
+
+PINNED = Path(__file__).with_name("pinned")
+WHEEL_SWEEP = ("sweep", "--family", "wheel", "--n-range", "1..2", "--m-range", "3..5")
+PATH_UNION_SWEEP = ("sweep", "--family", "path-union", "--m-range", "2..4")
 
 
 def test_alpha_fan_row(capsys):
@@ -156,6 +170,73 @@ def test_sweep_deterministic_output(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert mask_millis(out1) == mask_millis(out2)
+
+
+@pytest.mark.parametrize("name, argv", [("sweep_wheel", WHEEL_SWEEP),
+                                        ("sweep_path_union", PATH_UNION_SWEEP)])
+@pytest.mark.parametrize("flags, suffix", [((), "tsv"),
+                                           (("--format", "json", "--deterministic"), "json")])
+def test_sweep_report_bytes_are_pinned(capsys, name, argv, flags, suffix):
+    # the files hold the reports as they were before sweeps streamed their
+    # rows, with millis masked; a renderer rewrite must keep every byte
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert code == 0 and err == ""
+    assert mask_report(out) == (PINNED / f"{name}.{suffix}").read_text(encoding="utf-8")
+
+
+def test_sweep_summary_and_exit_code_for_aborts(capsys):
+    code, out, _ = run_cli(capsys, *WHEEL_SWEEP, "--budget", "2")
+    assert code == 3
+    assert out.splitlines()[-1] == "# agree=4 disagree=0 aborted=2"
+
+
+def test_sweep_summary_and_exit_code_for_a_disagreement(capsys, monkeypatch):
+    real = harness.alpha_closed_form
+
+    def wrong_at_m4(spec):
+        return AlphaFormulaResult(999, False, "bogus") if spec.m == 4 else real(spec)
+
+    monkeypatch.setattr(harness, "alpha_closed_form", wrong_at_m4)
+    code, out, _ = run_cli(capsys, *WHEEL_SWEEP, "--budget", "2")
+    assert code == 1
+    assert out.splitlines()[-1] == "# agree=3 disagree=1 aborted=2"
+    code, out, _ = run_cli(capsys, *WHEEL_SWEEP, "--budget", "2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["summary"] == {"agree": 3, "disagree": 1, "aborted": 2}
+
+
+@pytest.mark.parametrize("flags", [(), ("--out", "report.tsv"),
+                                   ("--format", "json", "--out", "report.json")])
+def test_sweep_that_fails_part_way_writes_nothing(capsys, monkeypatch, tmp_path, flags):
+    real = harness.evaluate_row
+    calls = []
+
+    def fails_on_the_third_row(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ParameterError("third row")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_row", fails_on_the_third_row)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *PATH_UNION_SWEEP, *flags)
+    assert code == 2
+    assert out == "" and err == "error: third row\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("alpha", "--family", "fan", "--n", "2", "--m", "3"),
+    ("alpha", "--family", "fan", "--n", "2", "--m", "3", "--format", "tsv"),
+    ("sweep", "--family", "fan", "--n-range", "2..2", "--m-range", "3..3"),
+])
+def test_deterministic_without_json_is_a_usage_error(capsys, argv):
+    # TSV never carries witnesses, so the flag would do nothing there
+    code, out, err = run_cli(capsys, *argv, "--deterministic")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --deterministic requires --format json; "
+                   "only JSON reports carry witness sets\n")
 
 
 def test_sweep_rejects_parameters_alpha_rejects(capsys):

@@ -9,15 +9,14 @@ from token_alpha.formulas import AlphaFormulaResult, alpha_closed_form
 from token_alpha.graphs import VertexSet, delete_vertices, generate
 from token_alpha.harness import (
     SweepConfig,
+    VerdictTally,
     compositions,
     construction_pairs,
     evaluate_graph_row,
     evaluate_row,
-    exit_code,
     run_lemma_trials,
     run_sweep,
     sweep_specs,
-    verdict_counts,
 )
 from token_alpha.mis import is_independent, max_independent_set
 from token_alpha.tokens import build_f2, join_partition
@@ -138,11 +137,11 @@ def test_compositions_are_lexicographic():
 
 def test_sweep_specs_order_and_counts():
     config = SweepConfig(family="fan", n_range=(1, 2), m_range=(2, 4))
-    specs = sweep_specs(config)
+    specs = list(sweep_specs(config))
     assert [(s.n, s.m) for s in specs] == [
         (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)]
     config = SweepConfig(family="path_union", m_range=(2, 4))
-    specs = sweep_specs(config)
+    specs = list(sweep_specs(config))
     assert [s.parts for s in specs][:4] == [(1, 1), (2,), (1, 1, 1), (1, 2)]
     assert len(specs) == 2 + 4 + 8
 
@@ -152,19 +151,39 @@ def test_sweep_rejects_empty_range():
         SweepConfig(family="fan", n_range=(3, 1), m_range=(2, 4))
 
 
+def test_sweep_specs_check_the_config_at_once_and_each_spec_when_reached():
+    with pytest.raises(ParameterError, match="requires a range for n"):
+        sweep_specs(SweepConfig(family="fan", m_range=(2, 4)))
+    specs = sweep_specs(SweepConfig(family="wheel", n_range=(1, 1), m_range=(3, 3)))
+    assert next(specs).label() == graphs.wheel(1, 3).label()
+    specs = sweep_specs(SweepConfig(family="wheel", n_range=(0, 1), m_range=(3, 3)))
+    with pytest.raises(ParameterError, match="n >= 1"):
+        next(specs)
+
+
 def test_sweep_runs_and_counts():
-    rows = run_sweep(SweepConfig(family="wheel", n_range=(1, 2), m_range=(3, 5),
-                                 methods=("formula", "solver")))
-    assert len(rows) == 6
-    assert verdict_counts(rows) == {"AGREE": 6, "DISAGREE": 0, "ABORTED": 0}
-    assert exit_code(rows) == 0
+    tally = VerdictTally(run_sweep(SweepConfig(family="wheel", n_range=(1, 2), m_range=(3, 5),
+                                               methods=("formula", "solver"))))
+    assert len(list(tally)) == 6
+    assert tally.counts == {"AGREE": 6, "DISAGREE": 0, "ABORTED": 0}
+    assert tally.exit_code == 0
 
 
 def test_sweep_exit_code_for_aborts():
-    rows = run_sweep(SweepConfig(family="fan", n_range=(4, 4), m_range=(6, 6),
-                                 methods=("solver",), node_budget=1))
-    assert verdict_counts(rows)["ABORTED"] == 1
-    assert exit_code(rows) == 3
+    tally = VerdictTally(run_sweep(SweepConfig(family="fan", n_range=(4, 4), m_range=(6, 6),
+                                               methods=("solver",), node_budget=1)))
+    assert len(list(tally)) == 1
+    assert tally.counts["ABORTED"] == 1
+    assert tally.exit_code == 3
+
+
+def test_tally_reads_its_rows_once_and_shares_itself():
+    rows = iter([evaluate_row(graphs.path(4)), evaluate_row(graphs.fan(4, 6), node_budget=1)])
+    tally = VerdictTally(rows)
+    assert harness.tallied(tally) is tally
+    assert [row.verdict for row in tally] == ["AGREE", "ABORTED"]
+    assert list(tally) == []
+    assert tally.counts == {"AGREE": 1, "DISAGREE": 0, "ABORTED": 1}
 
 
 def test_lemma_trials_report():
@@ -265,4 +284,6 @@ def test_solver_abort_keeps_the_construction():
     assert row.construction_valid
     assert row.solver is None and row.solver_millis is not None
     assert row.verdict == "ABORTED"
-    assert exit_code([row]) == 3
+    tally = VerdictTally([row])
+    assert list(tally) == [row]
+    assert tally.exit_code == 3

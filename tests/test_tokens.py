@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,3 +131,40 @@ def test_b1_and_b2_are_never_adjacent(n, m):
     for i in part.b1:
         for j in part.b2:
             assert not tg.graph.has_edge(i, j)
+
+
+def test_token_graphs_of_one_order_share_their_pair_tables():
+    tg = build_f2(generate(graphs.path(6)))
+    other = build_f2(generate(graphs.fan(2, 4)))
+    assert other.pairs is tg.pairs
+    assert other.index_of is tg.index_of
+    assert build_f2(generate(graphs.path(7))).pairs is not tg.pairs
+
+
+def _fresh_f2(g):
+    """Pairs, index and token graph of g built from scratch, by the
+    symmetric-difference rule, with no table shared."""
+    pairs = tuple(itertools.combinations(range(g.order), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    edges = [(i, j) for (i, p), (j, q) in itertools.combinations(enumerate(pairs), 2)
+             if len(set(p) ^ set(q)) == 2 and g.has_edge(*sorted(set(p) ^ set(q)))]
+    return pairs, index, Graph(len(pairs), frozenset(edges))
+
+
+def test_builds_from_shared_tables_equal_fresh_builds():
+    # orders come round again and again, so most builds reuse a table
+    rng = random.Random(13)
+    bases = [generate(spec) for spec in (
+        graphs.path(2), graphs.cycle(5), graphs.complete(6), graphs.empty(4),
+        graphs.fan(3, 4), graphs.wheel(2, 5), graphs.split(2, 5),
+        graphs.complete_bipartite(3, 3), graphs.path_union((3, 1, 2)))]
+    for _ in range(30):
+        n = rng.randrange(2, 10)
+        bases.append(Graph.build(n, [e for e in itertools.combinations(range(n), 2)
+                                     if rng.random() < 0.4]))
+    for g in bases:
+        tg = build_f2(g)
+        pairs, index, graph = _fresh_f2(g)
+        assert tg.pairs == pairs
+        assert tg.index_of == index
+        assert tg.graph == graph
