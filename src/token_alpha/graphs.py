@@ -170,16 +170,16 @@ def cycle(m: int) -> FamilySpec:
     return FamilySpec("cycle", m=m)
 
 
-def empty(n: int) -> FamilySpec:
-    if n < 1:
-        raise ParameterError(f"empty requires n >= 1, got {n}")
-    return FamilySpec("empty", m=n)
+def empty(m: int) -> FamilySpec:
+    if m < 1:
+        raise ParameterError(f"empty requires m >= 1, got {m}")
+    return FamilySpec("empty", m=m)
 
 
-def complete(n: int) -> FamilySpec:
-    if n < 1:
-        raise ParameterError(f"complete requires n >= 1, got {n}")
-    return FamilySpec("complete", m=n)
+def complete(m: int) -> FamilySpec:
+    if m < 1:
+        raise ParameterError(f"complete requires m >= 1, got {m}")
+    return FamilySpec("complete", m=m)
 
 
 def path_union(parts) -> FamilySpec:

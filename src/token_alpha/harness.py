@@ -254,15 +254,16 @@ def _checked_methods(methods) -> tuple[str, ...]:
 
 def evaluate_row(spec: FamilySpec, methods=METHODS,
                  node_budget: int | None = None) -> RowResult:
-    """Run the requested methods on one family instance and compare."""
+    """Run the requested methods on one family instance and compare.
+    A base graph of order below 2 has no token graph, so no method has a
+    value for it and the row is rejected, whatever the methods."""
     methods = _checked_methods(methods)
 
-    need_token_graph = "solver" in methods or "construction" in methods
     base = base_graph_for(spec)
-    if need_token_graph and base.order < 2:
+    if base.order < 2:
         raise ParameterError(
             f"{spec.label()} has order {base.order}; no token graph exists below order 2")
-    tg = build_f2(base) if need_token_graph else None
+    tg = build_f2(base) if "solver" in methods or "construction" in methods else None
 
     formula = alpha_closed_form(spec) if "formula" in methods else None
 

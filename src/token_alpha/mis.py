@@ -19,11 +19,7 @@ candidates) into the chosen set, always the lowest forced vertex first.
 It finds them from a worklist, as reduction-based solvers do (Akiba and
 Iwata, TCS 2016): only a vertex whose degree may have dropped since it was
 last seen at degree >= 2 is checked again, so a node does not rescan every
-candidate after each fold.  The clique cover narrows that worklist further:
-a vertex that shares a cover clique with two other candidates of a child
-has degree >= 2 there, so the child does not check it.  On dense token
-graphs, where every candidate is within distance two of every branch
-vertex, that leaves most children with nothing to check.
+candidate after each fold.
 
 The search runs in ascending-degree order, as colour-ordered clique solvers
 set their initial order once before the search.  The root folds in the
@@ -316,17 +312,12 @@ def max_independent_set(g: Graph | TokenGraph,
     every vertex, and after the root's folds no vertex has degree <= 1,
     so the renumbered search starts from an empty mask.  A degree-1 fold
     adds the neighbours of the neighbour it removes.  A child starts from
-    its vertices next to one its parent removed: those within distance
-    two of the branch vertex, and those next to a vertex the parent's
-    branch loop already dropped.  Of these it drops every vertex that
-    lies in a cover clique keeping at least 3 members in the child: the
-    other two are its neighbours there.  If that degree later drops, the
-    degree-1 fold that drops it re-queues the vertex.  So the lowest
-    dirty vertex of degree <= 1 is the lowest forced vertex of the
-    candidates, the one a full rescan after every fold would find, and a
-    node with an empty dirty mask skips the folds.  Each vertex's mask of
-    the vertices within distance two is built the first time the search
-    branches on it, so a solve that ends at its root builds none.
+    its vertices next to a candidate its parent removed: a candidate
+    neighbour of the branch vertex, or a vertex the parent's branch loop
+    already dropped.  A candidate loses degree only through removed candidates,
+    so the lowest dirty vertex of degree <= 1 is the lowest forced vertex
+    of the candidates, the one a full rescan after every fold would find,
+    and a node with an empty dirty mask skips the folds.
 
     For a token graph, a node's group permutes, inside each twin class of
     the base graph, the members that no chosen pair touches: root-forced,
@@ -355,7 +346,6 @@ def max_independent_set(g: Graph | TokenGraph,
     rest, forced = _fold(masks, everything, everything, 0)
     order, adj = _renumber(masks, rest)
     orbits = None if token is None else _TwinOrbits(token, forced, order)
-    adj2: list[int | None] = [None] * len(order)  # within distance two, built lazily
     best_bits = _greedy_lower_bound(adj)
     best_size = best_bits.bit_count()
     nodes = 0
@@ -379,12 +369,9 @@ def max_independent_set(g: Graph | TokenGraph,
         # Greedy clique cover: each clique grows from the lowest remaining
         # candidate.  Cliques numbered floor or below can never be branched
         # on, so only the masks of the higher ones are kept (all of them when
-        # the folds lifted size above the incumbent).  Every clique of at
-        # least 3 members, whatever its number, also goes into big, to
-        # certify degrees >= 2 in the children.
+        # the folds lifted size above the incumbent).
         floor = best_size - size
         cliques = []
-        big = []
         count = 0
         rest = cand
         while rest:
@@ -400,14 +387,11 @@ def max_independent_set(g: Graph | TokenGraph,
             count += 1
             if count > floor:
                 cliques.append(clique)
-            if clique.bit_count() > 2:
-                big.append(clique)
 
         # Branch in the reverse of the cover's order.  The candidates left
         # when a vertex of clique k comes up lie in cliques 1..k.  A child's
-        # vertex has a lower degree than here only if it neighbours N[v] or a
-        # vertex this loop has dropped (gone); it still has degree >= 2 if
-        # it lies in a clique that keeps 3 or more members in the child.
+        # vertex has a lower degree than here only if it neighbours a
+        # candidate of N(v) or a vertex this loop has dropped (gone).
         # With orbits, dropping v drops v's orbit under the node's group
         # (free, found at the node's first orbit drop) and the cliques
         # lose what it removed.  Once size + k cannot beat the incumbent
@@ -423,20 +407,12 @@ def max_independent_set(g: Graph | TokenGraph,
                 bit = 1 << v
                 clique ^= bit
                 child = cand & ~(adj[v] | bit)
-                reach = adj2[v]
-                if reach is None:
-                    reach = nbrs = adj[v]
-                    while nbrs:
-                        low = nbrs & -nbrs
-                        nbrs ^= low
-                        reach |= adj[low.bit_length() - 1]
-                    adj2[v] = reach
-                certified = 0
-                for common in big:
-                    common &= child
-                    if common.bit_count() > 2:
-                        certified |= common
-                dfs(child, chosen | bit, child & (gone | reach) & ~certified)
+                reach = nbrs = adj[v] & cand
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    reach |= adj[low.bit_length() - 1]
+                dfs(child, chosen | bit, child & (gone | reach))
                 cand ^= bit
                 gone |= adj[v]
                 if orbits is None or size + k <= best_size or not orbits.moves(v):

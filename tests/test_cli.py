@@ -247,6 +247,33 @@ def test_sweep_rejects_parameters_alpha_rejects(capsys):
     assert "wheel requires n >= 1" in err
 
 
+@pytest.mark.parametrize("flags", [(), ("--out", "report.tsv")])
+def test_sweep_over_a_row_below_order_2_writes_nothing(capsys, monkeypatch, tmp_path, flags):
+    # path(1) has no token graph, so even a formula-only sweep has no value
+    # to report for it; the sweep used to print it as AGREE and exit 0
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "sweep", "--family", "path", "--m-range", "1..4",
+                             "--methods", "formula", *flags)
+    assert code == 2
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert err == "error: path(m=1) has order 1; no token graph exists below order 2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("alpha", "--family", "empty", "--m", "0"),
+    ("alpha", "--family", "complete", "--m", "0"),
+    ("sweep", "--family", "complete", "--m-range", "0..3"),
+    ("lemma-check", "--n", "1", "--family", "empty", "--m", "0"),
+    ("lemma-check", "--n", "1", "--family", "complete", "--m", "0"),
+], ids=["alpha-empty", "alpha-complete", "sweep-complete", "lemma-empty", "lemma-complete"])
+def test_one_parameter_families_name_their_m_flag_in_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    family = argv[argv.index("--family") + 1]
+    assert err == f"error: {family} requires m >= 1, got 0\n"
+
+
 def test_sweep_path_union_compositions(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--family", "path-union",
                            "--m-range", "2..5")

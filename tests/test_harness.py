@@ -75,10 +75,13 @@ def test_row_without_token_graph_is_rejected():
         evaluate_row(graphs.path(1), ("solver",))
 
 
-def test_formula_only_row_for_uncovered_family_has_no_values():
-    row = evaluate_row(graphs.path(1), ("formula",))
-    assert row.formula is None
-    assert row.verdict == "AGREE"
+@pytest.mark.parametrize("methods", [("formula",), ("formula", "solver"), ("construction",)],
+                         ids=["formula", "formula,solver", "construction"])
+def test_row_below_order_2_is_rejected_whatever_the_methods(methods):
+    # no method has a value without a token graph, so such a row would
+    # read AGREE with every cell empty
+    with pytest.raises(ParameterError, match="has order 1; no token graph exists"):
+        evaluate_row(graphs.path(1), methods)
 
 
 def test_disagree_verdict_when_methods_differ(monkeypatch):

@@ -15,6 +15,7 @@ from token_alpha.mis import (
     max_independent_set,
     max_independent_set_exhaustive,
 )
+from token_alpha.report import witness_digest
 from token_alpha.tokens import build_f2
 
 
@@ -144,6 +145,7 @@ def test_split_5_14_solves_without_a_budget():
     assert res.nodes_explored == 16_612
     assert len(res.witness) == 17
     assert is_independent(tg.graph, res.witness)
+    assert witness_digest(tg.pair_of(i) for i in res.witness) == "9e739c30105d"
 
 
 def test_folds_can_lift_size_above_the_incumbent():
@@ -182,19 +184,19 @@ def test_a_dropped_branch_vertex_can_force_a_distant_vertex():
 
 
 @pytest.mark.parametrize("order,edges,witness", [
-    # triangles 045 and 123, with 6 next to 0, 1 and 3; the root's cover
-    # holds both and branches on 6, whose child {2, 4, 5} keeps only 2 of
-    # the triangle 123, at degree 1 (next to 4): the child folds 2, then 5
+    # triangles 045 and 123, with 6 next to 0, 1 and 3; the root branches
+    # on 6, whose child {2, 4, 5} keeps only 2 of the triangle 123, at
+    # degree 1 (next to 4): the child folds 2, then 5
     pytest.param(7, [(0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 6), (2, 3), (2, 4),
                      (3, 5), (3, 6), (4, 5)], [2, 5, 6], id="one-member-left"),
-    # the root's cover holds the triangle 347 and branches on 6, whose child
-    # {2, 3, 4} keeps 3 and 4 of it, each at degree 1 (next to the other):
-    # two members left prove degree >= 1, not >= 2, so the child folds 4, then 2
+    # the root branches on 6, whose child {2, 3, 4} keeps 3 and 4 of the
+    # triangle 347, each at degree 1 (next to the other): the child folds
+    # 4, then 2
     pytest.param(8, [(0, 1), (0, 2), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5), (1, 6),
                      (2, 5), (2, 7), (3, 4), (3, 7), (4, 7), (5, 6), (6, 7)],
                  [2, 4, 6], id="two-members-left"),
 ])
-def test_a_cover_triangle_certifies_a_child_only_with_three_members_left(order, edges, witness):
+def test_a_child_folds_its_lowest_forced_vertex_first(order, edges, witness):
     # the child solves by its folds, without a further node
     g = Graph.build(order, edges)
     res = max_independent_set(g)
@@ -295,8 +297,7 @@ def test_solvers_agree_on_sparse_graphs(g):
 
 @st.composite
 def dense_graphs(draw):
-    """Dense graphs, whose clique covers hold many cliques of 3 or more:
-    most candidates of a child are certified to have degree >= 2."""
+    """Dense graphs, whose clique covers hold many cliques of 3 or more."""
     n = draw(st.integers(1, 18))
     rng = draw(st.randoms(use_true_random=False))
     p = draw(st.floats(0.6, 0.95))
@@ -342,20 +343,30 @@ def solve_with_orbits(spec, node_budget=None):
     return res
 
 
-@pytest.mark.parametrize("spec,budget,alpha,nodes", [
-    (graphs.split(5, 14), None, 17, 6),
-    (graphs.complete(16), None, 8, 7),
-    (graphs.complete(20), 100_000, 10, 9),
-    (graphs.split(6, 18), None, 24, 8),
-    (graphs.wheel(8, 23), None, 154, 333),
-], ids=["split(5,14)", "complete(16)", "complete(20)", "split(6,18)", "wheel(8,23)"])
-def test_symmetric_search_trees_are_pinned(spec, budget, alpha, nodes):
+@pytest.mark.parametrize("spec,budget,alpha,nodes,digest", [
+    (graphs.split(5, 14), None, 17, 6, "9e739c30105d"),
+    (graphs.complete(16), None, 8, 7, "f310e7a114a8"),
+    (graphs.complete(20), 100_000, 10, 9, "4bf4420f2c5d"),
+    (graphs.split(6, 18), None, 24, 8, "7a4ab537896b"),
+    (graphs.wheel(8, 23), None, 154, 333, "5f0fee242cb9"),
+    (graphs.cycle(29), None, 203, 217, "a2a277c0ee02"),
+    (graphs.wheel(1, 23), None, 126, 790, "ae1201de270e"),
+    (graphs.fan(10, 19), None, 136, 79, "0d67b05d7fc8"),
+], ids=["split(5,14)", "complete(16)", "complete(20)", "split(6,18)", "wheel(8,23)",
+        "cycle(29)", "wheel(1,23)", "fan(10,19)"])
+def test_symmetric_search_trees_are_pinned(spec, budget, alpha, nodes, digest):
     # the plain search takes 16 612 nodes on split(5,14), 218 387 on
     # complete(16), 3 023 on wheel(8,23), and exceeds 100 000 on complete(20)
-    # and 300 000 on split(6,18)
-    res = solve_with_orbits(spec, budget)
+    # and 300 000 on split(6,18); the last three rows branch and fold
+    # below the root, so the witness digest of the solver's pairs moves
+    # with any change to the fold order, the cover or the branching
+    tg = build_f2(generate(spec))
+    res = max_independent_set(tg, node_budget=budget)
+    assert len(res.witness) == res.size
+    assert is_independent(tg.graph, res.witness)
     assert res.size == alpha == alpha_closed_form(spec).value
     assert res.nodes_explored == nodes
+    assert witness_digest(tg.pair_of(i) for i in res.witness) == digest
 
 
 @pytest.mark.parametrize("family,n_range,m_range,nodes", [
