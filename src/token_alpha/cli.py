@@ -13,7 +13,7 @@ import os
 import sys
 
 from .errors import CapacityError, ContractError, ParameterError, ParseError
-from .fileio import parse_graph, render_graph
+from .fileio import parse_graph, read_text, render_graph
 from .graphs import FamilySpec
 from . import graphs
 from .harness import (
@@ -124,8 +124,7 @@ def _cmd_alpha(args) -> int:
         for flag in ("n", "m", "parts"):
             if getattr(args, flag) is not None:
                 raise ParameterError(f"--input does not take --{flag}")
-        with open(args.input, "r", encoding="utf-8") as fh:
-            base = parse_graph(fh.read())
+        base = parse_graph(read_text(args.input))
         row = evaluate_graph_row(f"file:{os.path.basename(args.input)}", base,
                                  _parse_methods(args.methods), node_budget=_budget(args))
     else:
@@ -187,8 +186,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        g = parse_graph(fh.read())
+    g = parse_graph(read_text(args.path))
     _emit(render_graph(g), args.out)
     return 0
 

@@ -75,6 +75,17 @@ def parse_graph(text: str) -> Graph:
     return g
 
 
+def read_text(path: str) -> str:
+    """The text of a graph file.  A file that is not UTF-8 is malformed:
+    a ParseError names the line of its first undecodable byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})", line) from None
+
+
 def read_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(read_text(path))

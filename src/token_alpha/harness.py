@@ -22,7 +22,7 @@ import itertools
 import random
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constructions import (
     AssociatedSetInput,
@@ -166,13 +166,23 @@ class RowResult:
     construction_pairs: frozenset[TokenPair] | None = None
     construction_valid: bool | None = None
     solver: MisResult | None = None
-    solver_witness_pairs: tuple[TokenPair, ...] | None = None
+    token_pairs: tuple[TokenPair, ...] | None = field(default=None, repr=False,
+                                                      compare=False)
     solver_millis: int | None = None
     aborted: bool = False
 
     @property
     def construction_size(self) -> int | None:
         return None if self.construction_pairs is None else len(self.construction_pairs)
+
+    @property
+    def solver_witness_pairs(self) -> tuple[TokenPair, ...] | None:
+        """The solver's witness as base-vertex pairs, read from the token
+        graph's pair table (``token_pairs``, shared by every token graph of
+        its order) only when a report asks for the witness."""
+        if self.solver is None:
+            return None
+        return tuple(self.token_pairs[i] for i in self.solver.witness)
 
     @property
     def values(self) -> list[int]:
@@ -237,8 +247,7 @@ def _solve(tg: TokenGraph, node_budget: int | None) -> dict:
     except BudgetExceededError:
         result = None
     millis = int((time.perf_counter() - start) * 1000)
-    witness = None if result is None else tuple(tg.pair_of(i) for i in result.witness)
-    return {"solver": result, "solver_witness_pairs": witness,
+    return {"solver": result, "token_pairs": tg.pairs,
             "solver_millis": millis, "aborted": result is None}
 
 

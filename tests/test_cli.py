@@ -122,6 +122,17 @@ def test_alpha_unparsable_file(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", ["alpha --input", "import"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, command):
+    # a malformed file, not a disagreement: exit 2 with the line of the byte
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"p 3 1\ne 0 \xff\n")
+    code, out, err = run_cli(capsys, *command.split(), str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: not UTF-8 text (byte 0xff)\n"
+
+
 def test_sweep_fan_grid(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--family", "fan",
                            "--n-range", "1..5", "--m-range", "2..7",

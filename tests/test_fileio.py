@@ -69,6 +69,15 @@ def test_file_round_trip(tmp_path):
     assert read_graph(str(target)) == g
 
 
+def test_a_file_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path):
+    target = tmp_path / "latin1.txt"
+    target.write_bytes("c caf\u00e9\np 2 1\ne 0 1\n".encode("utf-8")
+                       + "c na\u00efve\n".encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        read_graph(str(target))
+    assert str(err.value) == "line 4: not UTF-8 text (byte 0xef)"
+
+
 @st.composite
 def random_graphs(draw):
     n = draw(st.integers(1, 9))

@@ -208,7 +208,7 @@ def test_a_child_folds_its_lowest_forced_vertex_first(order, edges, witness):
 @pytest.mark.parametrize("family,n_range,m_range,nodes", [
     pytest.param("fan", (1, 6), (2, 10), 304, id="fan"),
     pytest.param("wheel", (1, 6), (3, 10), 790, id="wheel"),
-    pytest.param("path_union", None, (2, 10), 1_458, id="path_union"),
+    pytest.param("path_union", None, (2, 10), 1_365, id="path_union"),
     pytest.param("complete_bipartite", (1, 6), (1, 8), 73, id="complete_bipartite"),
     pytest.param("split", (1, 5), (1, 10), 4_860, id="split"),
     pytest.param("complete", None, (2, 14), 36_573, id="complete"),
@@ -372,14 +372,16 @@ def test_symmetric_search_trees_are_pinned(spec, budget, alpha, nodes, digest):
 @pytest.mark.parametrize("family,n_range,m_range,nodes", [
     pytest.param("fan", (1, 6), (2, 10), 301, id="fan"),
     pytest.param("wheel", (1, 6), (3, 10), 721, id="wheel"),
-    pytest.param("path_union", None, (2, 10), 1_458, id="path_union"),
+    pytest.param("path_union", None, (2, 10), 1_365, id="path_union"),
     pytest.param("complete_bipartite", (1, 6), (1, 8), 73, id="complete_bipartite"),
     pytest.param("split", (1, 5), (1, 10), 118, id="split"),
     pytest.param("complete", None, (2, 14), 43, id="complete"),
 ])
 def test_symmetric_search_tree_sizes_are_pinned(family, n_range, m_range, nodes):
     # the same sweeps as test_search_tree_sizes_are_pinned; orbits never
-    # shrink the path-union trees, whose twin classes the root's folds touch
+    # shrink the path-union trees, whose twin classes the root's folds touch.
+    # Path unions are the only rows here whose residual splits into
+    # components: searched whole, they took 1 458 nodes on both routes
     specs = sweep_specs(SweepConfig(family, n_range, m_range))
     assert sum(solve_with_orbits(spec).nodes_explored for spec in specs) == nodes
 
@@ -454,3 +456,96 @@ def test_a_solve_frees_the_token_graph_without_the_garbage_collector(budget):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Disconnected residuals: the root searches each component on its own
+# ---------------------------------------------------------------------------
+
+# the sparse base graph of the benchmark's frontier rows, in its checked-in
+# labels: order 40, 30 edges, alpha of its token graph 393
+SPARSE_ORDER = 40
+SPARSE_EDGES = [
+    (0, 19), (1, 16), (1, 25), (2, 16), (3, 14), (4, 5), (5, 35), (5, 38), (6, 11), (6, 25),
+    (9, 30), (10, 19), (10, 28), (11, 15), (12, 17), (12, 26), (13, 16), (14, 19), (15, 19),
+    (15, 32), (17, 23), (17, 30), (18, 23), (18, 27), (18, 35), (18, 36), (19, 32), (21, 24),
+    (27, 38), (33, 34),
+]
+
+
+def test_sparse_graph_solves_by_its_components():
+    # searched whole, this 780-vertex token graph exceeds 200 000 nodes; the
+    # root's folds leave 8 components, the largest of 195 vertices
+    tg = build_f2(Graph.build(SPARSE_ORDER, SPARSE_EDGES))
+    res = max_independent_set(tg)
+    assert res.size == 393
+    assert res.nodes_explored == 6_706
+    assert len(res.witness) == res.size
+    assert is_independent(tg.graph, res.witness)
+
+
+def cycle_union(*lengths):
+    edges, offset = [], 0
+    for m in lengths:
+        edges += [(offset + i, offset + (i + 1) % m) for i in range(m)]
+        offset += m
+    return Graph.build(offset, edges)
+
+
+@pytest.mark.parametrize("route", ["token", "plain"])
+def test_budget_edge_counts_the_nodes_of_every_component(route):
+    # F2(C5 + C7) is F2(C5), F2(C7) and C5 x C7, alpha 5 + 10 + 14; its root
+    # does not close, so more than one component is searched
+    tg = build_f2(cycle_union(5, 7))
+    g = tg if route == "token" else tg.graph
+    full = max_independent_set(g)
+    assert full.size == 29
+    assert full.nodes_explored == 42
+    exact = max_independent_set(g, node_budget=full.nodes_explored)
+    assert (exact.size, exact.nodes_explored, exact.witness) == (
+        full.size, full.nodes_explored, full.witness)
+    with pytest.raises(BudgetExceededError) as err:
+        max_independent_set(g, node_budget=full.nodes_explored - 1)
+    assert err.value.nodes_explored == full.nodes_explored
+
+
+BLOCK_SIZES = {"cycle": (3, 5), "path": (2, 4), "clique": (2, 4), "isolated": (1, 1)}
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Disjoint unions of small cycles, paths, cliques and isolated
+    vertices, of order 2..10, with the labels shuffled: isolated vertices,
+    path ends and clique members are twins across components."""
+    blocks = []
+    order = 0
+    while order < 2 or draw(st.booleans()):
+        kind = draw(st.sampled_from(sorted(BLOCK_SIZES)))
+        size = draw(st.integers(*BLOCK_SIZES[kind]))
+        if order + size > 10:
+            break
+        blocks.append((kind, size))
+        order += size
+    labels = draw(st.permutations(range(order)))
+    edges, offset = [], 0
+    for kind, size in blocks:
+        if kind == "clique":
+            local = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        else:
+            local = [(i, i + 1) for i in range(size - 1)]
+            if kind == "cycle":
+                local.append((0, size - 1))
+        edges += [(labels[offset + u], labels[offset + v]) for u, v in local]
+        offset += size
+    return Graph.build(order, edges)
+
+
+@given(disjoint_unions())
+@settings(max_examples=60, deadline=None)
+def test_disjoint_unions_match_networkx_on_both_routes(base):
+    tg = build_f2(base)
+    alpha = networkx_alpha(tg.graph)
+    for res in (max_independent_set(tg), max_independent_set(tg.graph)):
+        assert res.size == alpha
+        assert len(res.witness) == res.size
+        assert is_independent(tg.graph, res.witness)
