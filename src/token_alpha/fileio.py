@@ -85,7 +85,3 @@ def read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})", line) from None
-
-
-def read_graph(path: str) -> Graph:
-    return parse_graph(read_text(path))

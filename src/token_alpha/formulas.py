@@ -123,35 +123,23 @@ def alpha_complete_bipartite(n: int, m: int) -> int:
     return max(m * n, comb(m, 2) + comb(n, 2))
 
 
-def alpha_closed_form(spec: FamilySpec) -> AlphaFormulaResult | None:
-    """Dispatch a family spec to its formula; None when no closed form covers it
-    (degenerate instances whose token graph has no vertices)."""
-    kind = spec.kind
-    if kind == "path":
-        if spec.m < 2:
-            return None
-        return AlphaFormulaResult(alpha_path(spec.m), False, "path")
-    if kind == "cycle":
-        return AlphaFormulaResult(alpha_cycle(spec.m), False, "cycle")
-    if kind == "empty":
-        if spec.m < 2:
-            return None
-        return AlphaFormulaResult(alpha_empty(spec.m), False, "empty")
-    if kind == "complete":
-        if spec.m < 2:
-            return None
-        return AlphaFormulaResult(alpha_complete(spec.m), False, "complete")
-    if kind == "path_union":
-        if sum(spec.parts) < 2:
-            return None
-        return AlphaFormulaResult(alpha_path_union(spec.parts), False, "path-union")
-    if kind == "fan":
-        return alpha_fan(spec.n, spec.m)
-    if kind == "wheel":
-        return alpha_wheel(spec.n, spec.m)
-    if kind == "split":
-        return alpha_split(spec.n, spec.m)
-    if kind == "complete_bipartite":
-        value = alpha_complete_bipartite(spec.n, spec.m)
-        return AlphaFormulaResult(value, False, "complete-bipartite")
-    return None
+# kind -> the closed form of a spec of that kind
+_CLOSED_FORMS = {
+    "path": lambda s: AlphaFormulaResult(alpha_path(s.m), False, "path"),
+    "cycle": lambda s: AlphaFormulaResult(alpha_cycle(s.m), False, "cycle"),
+    "empty": lambda s: AlphaFormulaResult(alpha_empty(s.m), False, "empty"),
+    "complete": lambda s: AlphaFormulaResult(alpha_complete(s.m), False, "complete"),
+    "path_union": lambda s: AlphaFormulaResult(alpha_path_union(s.parts), False, "path-union"),
+    "fan": lambda s: alpha_fan(s.n, s.m),
+    "wheel": lambda s: alpha_wheel(s.n, s.m),
+    "split": lambda s: alpha_split(s.n, s.m),
+    "complete_bipartite": lambda s: AlphaFormulaResult(
+        alpha_complete_bipartite(s.n, s.m), False, "complete-bipartite"),
+}
+
+
+def alpha_closed_form(spec: FamilySpec) -> AlphaFormulaResult:
+    """The closed form of a family spec, from its kind's formula.  A spec
+    whose base graph has order below 2 has no token graph and no closed
+    form: its family function raises ParameterError."""
+    return _CLOSED_FORMS[spec.kind](spec)

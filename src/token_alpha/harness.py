@@ -6,10 +6,12 @@ The solver is the ground truth; a row whose methods disagree is a DISAGREE
 row and fails the run.  Every method works on the graph that
 ``graphs.generate`` builds for the spec, so witnesses are in the labels
 that ``export`` writes.  Constructions never call the solver, so they
-check it independently and the node budget caps the solver alone.  Their
-witnesses are always re-checked for independence before their size is
-trusted.  The solver runs only for a row's solver cell (``_solve``); the
-lemma trials take F2(H - S2)'s maximum sets from the constructions.
+check it independently and the node budget caps the solver alone; from
+``mis`` they take only the greedy maximal independent set, as the S2 of
+a join family's cross candidate.  Their witnesses are always re-checked
+for independence before their size is trusted.  The solver runs only
+for a row's solver cell (``_solve``); the lemma trials take F2(H - S2)'s
+maximum sets from the constructions.
 
 A sweep is one pass: ``run_sweep`` yields each row as soon as it is
 evaluated, and ``VerdictTally`` counts verdicts as rows go by, so a
@@ -43,7 +45,7 @@ from .graphs import (
     join,
     path_walks,
 )
-from .mis import MisResult, is_independent, max_independent_set
+from .mis import MisResult, greedy_independent_set, is_independent, max_independent_set
 from .tokens import TokenGraph, TokenPair, build_f2, join_partition
 
 METHODS = ("formula", "construction", "solver")
@@ -53,20 +55,6 @@ VERDICTS = ("AGREE", "DISAGREE", "ABORTED")
 # ---------------------------------------------------------------------------
 # Construction recipes
 # ---------------------------------------------------------------------------
-
-def _canonical_max_independent_set_of_h(kind: str, m: int) -> VertexSet:
-    """A fixed maximum independent set of the H side (path, cycle, clique, or
-    edgeless graph), used as the S2 of the cross-heavy candidate."""
-    if kind == "path":
-        return VertexSet.of(m, range(0, m, 2))
-    if kind == "cycle":
-        return VertexSet.of(m, range(0, 2 * (m // 2), 2))
-    if kind == "complete":
-        return VertexSet.of(m, [0])
-    if kind == "empty":
-        return VertexSet.of(m, range(m))
-    raise ParameterError(f"no canonical independent set for kind {kind!r}")
-
 
 def _label_runs(m: int, removed: VertexSet, cyclic: bool) -> list[list[int]]:
     """The paths left when ``removed`` is deleted from the path, or the
@@ -125,7 +113,10 @@ def construction_pairs(spec: FamilySpec) -> frozenset[TokenPair]:
     the maximum set of their own token graph.  Join families E_n + H get
     the larger of two candidates: the side set (all E_n pairs plus a
     maximum set of F2(H)) and the cross-heavy associated set built from
-    S1 = V(E_n) and a maximum independent set S2 of H.
+    S1 = V(E_n) and a maximum independent set S2 of H.  S2 is H's greedy
+    maximal independent set in label order, which is maximum for every H
+    a join family has: the even labels of a path or a cycle, one vertex of
+    a clique, all of an edgeless graph.
     """
     kind = spec.kind
     if kind == "path_union":
@@ -141,7 +132,8 @@ def construction_pairs(spec: FamilySpec) -> frozenset[TokenPair]:
         n=n, h=h, s1=VertexSet.of(n, []), s2=nothing,
         mis_h_minus_s2=_max_ind_pairs_of_f2(h_kind, h, nothing)))
 
-    s2 = _canonical_max_independent_set_of_h(h_kind, m)
+    greedy = greedy_independent_set(h.neighbor_masks())
+    s2 = VertexSet.of(m, (v for v in range(m) if greedy >> v & 1))
     cross_mis = _max_ind_pairs_of_f2(h_kind, h, s2)
     cross = associated_independent_set(AssociatedSetInput(
         n=n, h=h, s1=VertexSet.of(n, range(n)), s2=s2, mis_h_minus_s2=cross_mis))

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from token_alpha import graphs
 from token_alpha.errors import ParseError
-from token_alpha.fileio import parse_graph, read_graph, render_graph
+from token_alpha.fileio import parse_graph, read_text, render_graph
 from token_alpha.graphs import Graph, generate
 from token_alpha.tokens import build_f2, render_token_graph
 
@@ -66,7 +66,7 @@ def test_file_round_trip(tmp_path):
     g = generate(graphs.wheel(2, 4))
     target = tmp_path / "wheel.txt"
     target.write_text(render_graph(g, comments=["wheel(2,4)"]), encoding="utf-8")
-    assert read_graph(str(target)) == g
+    assert parse_graph(read_text(str(target))) == g
 
 
 def test_a_file_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path):
@@ -74,7 +74,7 @@ def test_a_file_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path):
     target.write_bytes("c caf\u00e9\np 2 1\ne 0 1\n".encode("utf-8")
                        + "c na\u00efve\n".encode("latin-1"))
     with pytest.raises(ParseError) as err:
-        read_graph(str(target))
+        parse_graph(read_text(str(target)))
     assert str(err.value) == "line 4: not UTF-8 text (byte 0xef)"
 
 

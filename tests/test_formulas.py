@@ -128,7 +128,13 @@ def test_dispatcher_known_families():
     assert alpha_closed_form(graphs.split(2, 5)).value == 4
 
 
-def test_dispatcher_absent_cases():
-    assert alpha_closed_form(graphs.path(1)) is None
-    assert alpha_closed_form(graphs.path_union([1])) is None
-    assert alpha_closed_form(graphs.empty(1)) is None
+@pytest.mark.parametrize("spec,message", [
+    (graphs.path(1), "path formula requires m >= 2, got 1"),
+    (graphs.path_union([1]), "path-union formula requires total order >= 2, got 1"),
+    (graphs.empty(1), "empty formula requires m >= 2, got 1"),
+    (graphs.complete(1), "complete formula requires m >= 2, got 1"),
+], ids=["path(1)", "path_union([1])", "empty(1)", "complete(1)"])
+def test_dispatcher_rejects_a_base_graph_below_order_2(spec, message):
+    # no token graph exists below order 2; the family formula says so
+    with pytest.raises(ParameterError, match=message):
+        alpha_closed_form(spec)

@@ -18,7 +18,7 @@ from token_alpha.harness import (
     run_sweep,
     sweep_specs,
 )
-from token_alpha.mis import is_independent, max_independent_set
+from token_alpha.mis import greedy_independent_set, is_independent, max_independent_set
 from token_alpha.tokens import build_f2, join_partition
 
 
@@ -261,6 +261,21 @@ def test_construction_of_f2_minus_s2_is_maximum(kind, orders):
             indices = tg.indices_of(frozenset((new_label[a], new_label[b]) for a, b in pairs))
             assert is_independent(tg.graph, indices), (m, s2)
             assert len(pairs) == max_independent_set(tg.graph).size, (m, s2)
+
+
+@pytest.mark.parametrize("kind, first, alpha", [
+    ("path", 1, lambda m: (m + 1) // 2), ("cycle", 3, lambda m: m // 2),
+    ("complete", 1, lambda m: 1), ("empty", 1, lambda m: m),
+])
+def test_greedy_set_of_every_join_h_is_maximum(kind, first, alpha):
+    # the cross candidate of E_n + H takes H's greedy set in label order
+    # as its S2; one short of alpha(H) would surface only as DISAGREE rows
+    for m in range(first, 41):
+        h = generate(graphs.FAMILIES[kind][0](m))
+        bits = greedy_independent_set(h.neighbor_masks())
+        s2 = VertexSet.of(m, (v for v in range(m) if bits >> v & 1))
+        assert is_independent(h, s2), (kind, m)
+        assert len(s2) == alpha(m), (kind, m)
 
 
 @pytest.mark.parametrize("m, removed, cyclic, walks", [

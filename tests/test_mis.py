@@ -5,7 +5,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from token_alpha import graphs
+from token_alpha import graphs, mis
 from token_alpha.errors import BudgetExceededError, CapacityError, ParameterError
 from token_alpha.formulas import alpha_closed_form
 from token_alpha.graphs import Graph, VertexSet, generate, join
@@ -221,6 +221,37 @@ def test_search_tree_sizes_are_pinned(family, n_range, m_range, nodes):
     total = sum(max_independent_set(build_f2(generate(spec)).graph).nodes_explored
                 for spec in specs)
     assert total == nodes
+
+
+FOLD_SPECS = [spec for family, n_range, m_range in [
+    ("fan", (1, 6), (2, 12)), ("wheel", (1, 6), (3, 12)), ("path_union", None, (2, 10)),
+    ("complete_bipartite", (1, 6), (1, 8)), ("split", (1, 5), (1, 10)),
+    ("complete", None, (2, 14)),
+] for spec in sweep_specs(SweepConfig(family, n_range, m_range))] + [
+    graphs.wheel(8, 23), graphs.fan(10, 19), graphs.wheel(1, 23)]
+
+
+@pytest.mark.parametrize("route", ["token", "plain"])
+def test_every_fold_starts_with_each_low_degree_candidate_dirty(monkeypatch, route):
+    # the folds check only their dirty vertices, so a candidate of degree
+    # <= 1 outside the mask would never be folded; a search that forgets
+    # a vertex it removed can still find alpha, so check every call
+    real = mis._fold
+    calls = 0
+
+    def checked(adj, cand, dirty, chosen):
+        nonlocal calls
+        calls += 1
+        clean = cand & ~dirty
+        low = [v for v in range(len(adj)) if clean >> v & 1 and (adj[v] & cand).bit_count() < 2]
+        assert not low, (calls, low)
+        return real(adj, cand, dirty, chosen)
+
+    monkeypatch.setattr(mis, "_fold", checked)
+    for spec in FOLD_SPECS:
+        tg = build_f2(generate(spec))
+        max_independent_set(tg if route == "token" else tg.graph)
+    assert calls > len(FOLD_SPECS)   # folds below the roots were checked too
 
 
 def test_complete_20_spends_its_whole_budget():
