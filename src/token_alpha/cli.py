@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import CapacityError, ContractError, ParameterError, ParseError
+from .errors import ContractError, ParameterError, ParseError
 from .fileio import parse_graph, read_text, render_graph
 from .graphs import FamilySpec
 from . import graphs
@@ -39,8 +39,8 @@ def _family_kind(args) -> str:
     if "_" in name or kind not in graphs.FAMILIES:
         choices = sorted(k.replace("_", "-") for k in graphs.FAMILIES)
         raise ParameterError(f"unknown family {name!r}; choose from {', '.join(choices)}")
-    params = graphs.FAMILIES[kind][1]
-    if args.command == "sweep" and params == ("parts",):
+    params = graphs.FAMILIES[kind]
+    if args.command == "sweep" and "parts" in params:
         params = ("m",)
     for flag in ("n", "m", "parts", "n_range", "m_range"):
         if getattr(args, flag, None) is not None and flag.split("_")[0] not in params:
@@ -88,8 +88,9 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 
 
 def _family_spec(args) -> FamilySpec:
-    build, params = graphs.FAMILIES[_family_kind(args)]
-    return build(*(_parts(args) if p == "parts" else _require(args, p) for p in params))
+    kind = _family_kind(args)
+    return FamilySpec(kind, **{p: _parts(args) if p == "parts" else _require(args, p)
+                               for p in graphs.FAMILIES[kind]})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -158,7 +159,7 @@ def _cmd_lemma_check(args) -> int:
     if args.family not in _LEMMA_H_FAMILIES:
         raise ParameterError(
             f"lemma-check H family must be one of {', '.join(_LEMMA_H_FAMILIES)}")
-    h_spec = graphs.FAMILIES[args.family][0](args.m)
+    h_spec = FamilySpec(args.family, m=args.m)
     report = run_lemma_trials(args.n, h_spec, args.trials, args.seed)
     lines = []
     for index in report.failures:
@@ -259,7 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParameterError, ContractError, ParseError, CapacityError, OSError) as exc:
+    except (ParameterError, ContractError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,8 +41,6 @@ class Graph:
         """Canonicalize an edge iterable (reorder endpoints, drop duplicates)."""
         canon = set()
         for u, v in edges:
-            if u == v:
-                raise ParameterError(f"self-loop at vertex {u}")
             canon.add((u, v) if u < v else (v, u))
         return cls(order, frozenset(canon))
 
@@ -72,14 +70,6 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    @cached_property
-    def _twin_classes(self) -> tuple[tuple[int, ...], ...]:
-        by_hood: dict[tuple[bool, int], list[int]] = {}
-        for v, mask in enumerate(self.neighbor_masks()):
-            by_hood.setdefault((False, mask), []).append(v)
-            by_hood.setdefault((True, mask | 1 << v), []).append(v)
-        return tuple(sorted(tuple(c) for c in by_hood.values() if len(c) > 1))
-
 
 def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The twin classes of g: each holds 2 or more vertices with equal open
@@ -90,9 +80,12 @@ def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     are disjoint: were u a false twin of v and a true twin of w, then w in
     N(u) = N(v) would put v in N[w] = N[u], so v in N(u) = N(v).  Each
     class is sorted and the classes are ordered by their smallest member.
-    Computed once per graph and cached with it, like ``neighbor_masks``.
     """
-    return g._twin_classes
+    by_hood: dict[tuple[bool, int], list[int]] = {}
+    for v, mask in enumerate(g.neighbor_masks()):
+        by_hood.setdefault((False, mask), []).append(v)
+        by_hood.setdefault((True, mask | 1 << v), []).append(v)
+    return tuple(sorted(tuple(c) for c in by_hood.values() if len(c) > 1))
 
 
 @dataclass(frozen=True)
@@ -126,14 +119,29 @@ class VertexSet:
 # Family specifications
 # ---------------------------------------------------------------------------
 
+# Every named family kind: its parameters, in order, each with its least
+# value.  A path union's least value holds for each of its parts.
+FAMILIES = {
+    "path": {"m": 1},
+    "cycle": {"m": 3},
+    "empty": {"m": 1},
+    "complete": {"m": 1},
+    "path_union": {"parts": 1},
+    "fan": {"n": 1, "m": 1},
+    "wheel": {"n": 1, "m": 3},
+    "split": {"n": 1, "m": 1},
+    "complete_bipartite": {"n": 1, "m": 1},
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Symbolic description of one graph-family instance.
 
-    Exactly the fields relevant to ``kind`` are set:
-      path/cycle/empty/complete  -> m
-      fan/wheel/split/complete_bipartite -> n, m
-      path_union -> parts
+    Exactly the parameters ``FAMILIES`` lists for ``kind`` are set, none
+    below its least value there, and ``parts`` is stored as a tuple.  The
+    check runs when the spec is built, however it is built, so no spec
+    outside its family's range exists.
     """
 
     kind: str
@@ -144,11 +152,22 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise ParameterError(f"unknown family kind {self.kind!r}")
-        params = FAMILIES[self.kind][1]
+        params = FAMILIES[self.kind]
         for name in ("n", "m", "parts"):
             if (getattr(self, name) is None) == (name in params):
                 need = "requires" if name in params else "takes no"
                 raise ParameterError(f"{self.kind} spec {need} {name}")
+        if self.parts is not None:
+            object.__setattr__(self, "parts", tuple(self.parts))
+            if not self.parts:
+                raise ParameterError("path_union requires at least one part")
+        for name, least in params.items():
+            values = self.parts if name == "parts" else (getattr(self, name),)
+            for i, value in enumerate(values):
+                if value < least:
+                    label = f"parts[{i}]" if name == "parts" else name
+                    raise ParameterError(
+                        f"{self.kind} requires {label} >= {least}, got {value}")
 
     def label(self) -> str:
         if self.kind == "path_union":
@@ -159,79 +178,40 @@ class FamilySpec:
 
 
 def path(m: int) -> FamilySpec:
-    if m < 1:
-        raise ParameterError(f"path requires m >= 1, got {m}")
     return FamilySpec("path", m=m)
 
 
 def cycle(m: int) -> FamilySpec:
-    if m < 3:
-        raise ParameterError(f"cycle requires m >= 3, got {m}")
     return FamilySpec("cycle", m=m)
 
 
 def empty(m: int) -> FamilySpec:
-    if m < 1:
-        raise ParameterError(f"empty requires m >= 1, got {m}")
     return FamilySpec("empty", m=m)
 
 
 def complete(m: int) -> FamilySpec:
-    if m < 1:
-        raise ParameterError(f"complete requires m >= 1, got {m}")
     return FamilySpec("complete", m=m)
 
 
 def path_union(parts) -> FamilySpec:
-    parts = tuple(parts)
-    if not parts:
-        raise ParameterError("path_union requires at least one part")
-    if any(p < 1 for p in parts):
-        raise ParameterError(f"path_union parts must all be >= 1, got {parts}")
     return FamilySpec("path_union", parts=parts)
 
 
 def fan(n: int, m: int) -> FamilySpec:
-    if n < 1 or m < 1:
-        raise ParameterError(f"fan requires n, m >= 1, got n={n}, m={m}")
     return FamilySpec("fan", n=n, m=m)
 
 
 def wheel(n: int, m: int) -> FamilySpec:
-    # E_n + C_m only exists for m >= 3; smaller m is rejected at generation too.
-    if n < 1:
-        raise ParameterError(f"wheel requires n >= 1, got {n}")
-    if m < 3:
-        raise ParameterError(f"wheel requires m >= 3 (C_m undefined below), got {m}")
     return FamilySpec("wheel", n=n, m=m)
 
 
 def split(n: int, m: int) -> FamilySpec:
-    if n < 1 or m < 1:
-        raise ParameterError(f"split requires n, m >= 1, got n={n}, m={m}")
     return FamilySpec("split", n=n, m=m)
 
 
 def complete_bipartite(n: int, m: int) -> FamilySpec:
-    if n < 1 or m < 1:
-        raise ParameterError(f"complete_bipartite requires n, m >= 1, got n={n}, m={m}")
     return FamilySpec("complete_bipartite", n=n, m=m)
 
-
-# Every named family kind: its validating constructor and the parameters
-# that constructor takes, in order.  Family instances built from outside
-# input (the CLI, sweeps) go through this table.
-FAMILIES = {
-    "path": (path, ("m",)),
-    "cycle": (cycle, ("m",)),
-    "empty": (empty, ("m",)),
-    "complete": (complete, ("m",)),
-    "path_union": (path_union, ("parts",)),
-    "fan": (fan, ("n", "m")),
-    "wheel": (wheel, ("n", "m")),
-    "split": (split, ("n", "m")),
-    "complete_bipartite": (complete_bipartite, ("n", "m")),
-}
 
 # The join families E_n + H, each with the kind of its H side.
 JOIN_H_KIND = {"fan": "path", "wheel": "cycle", "split": "complete",

@@ -321,25 +321,26 @@ class SweepConfig:
 
 def sweep_specs(config: SweepConfig) -> Iterator[FamilySpec]:
     """Family instances for a sweep, in deterministic lexicographic order.
-    The family and its ranges are checked at once; each instance is built
-    by its family's validating constructor when the sweep reaches it.
-    Path unions take the m range as totals and walk all their compositions."""
+    The family and its ranges are checked at once; each instance is checked
+    against ``FAMILIES`` when the sweep reaches it and builds it.  Path
+    unions take the m range as totals and walk all their compositions."""
     family = config.family
     if family not in FAMILIES:
         raise ParameterError(f"family {family!r} cannot be swept")
-    build, params = FAMILIES[family]
-    if params == ("parts",):
+    params = FAMILIES[family]
+    if "parts" in params:
         if config.m_range is None:
             raise ParameterError(f"{family} sweep requires an m range of totals")
         lo, hi = config.m_range
         if lo < 1:
             raise ParameterError(f"{family} sweep requires totals >= 1, got m range {lo}..{hi}")
-        return (build(parts) for total in range(lo, hi + 1) for parts in compositions(total))
+        return (FamilySpec(family, parts=parts)
+                for total in range(lo, hi + 1) for parts in compositions(total))
     ranges = {"n": config.n_range, "m": config.m_range}
     if any(ranges[p] is None for p in params):
         raise ParameterError(f"{family} sweep requires a range for {' and '.join(params)}")
     grid = itertools.product(*(range(ranges[p][0], ranges[p][1] + 1) for p in params))
-    return (build(*values) for values in grid)
+    return (FamilySpec(family, **dict(zip(params, values))) for values in grid)
 
 
 def run_sweep(config: SweepConfig) -> Iterator[RowResult]:

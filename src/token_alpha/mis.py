@@ -85,7 +85,7 @@ def is_independent(g: Graph, s: VertexSet) -> bool:
     form one mask, and s is independent iff no member's neighbour mask
     meets it.  That is O(|s|) big-integer ANDs, whatever g's edge count.
     """
-    if s.order != g.order or any(v >= g.order for v in s):
+    if s.order != g.order:
         raise ParameterError(f"vertex set not within a graph of order {g.order}")
     adj = g.neighbor_masks()
     mask = 0

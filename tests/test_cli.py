@@ -122,6 +122,17 @@ def test_alpha_unparsable_file(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_alpha_on_a_file_below_order_2_is_a_usage_error(capsys, tmp_path, order):
+    # a graph of order 0 or 1 has no token graph, so the row has no value
+    tiny = tmp_path / f"k{order}.txt"
+    tiny.write_text(f"p {order} 0\n")
+    code, out, err = run_cli(capsys, "alpha", "--input", str(tiny))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: file:k{order}.txt has order {order}; no token graph exists\n"
+
+
 @pytest.mark.parametrize("command", ["alpha --input", "import"])
 def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, command):
     # a malformed file, not a disagreement: exit 2 with the line of the byte

@@ -1,9 +1,10 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from token_alpha import graphs
+from token_alpha import graphs, harness
 from token_alpha.errors import ParameterError
 from token_alpha.graphs import (
     FamilySpec,
@@ -70,10 +71,62 @@ def test_wheel_on_one_hub_and_triangle_is_k4():
     lambda: graphs.path_union([2, 0]),
     lambda: graphs.wheel(1, 2),
     lambda: graphs.fan(0, 3),
+    # built directly, a spec is checked against the same ranges
+    lambda: FamilySpec("wheel", n=1, m=2),
+    lambda: FamilySpec("wheel", n=0, m=3),
+    lambda: FamilySpec("fan", n=0, m=5),
+    lambda: FamilySpec("fan", n=1, m=0),
+    lambda: FamilySpec("cycle", m=2),
+    lambda: FamilySpec("path", m=0),
+    lambda: FamilySpec("empty", m=0),
+    lambda: FamilySpec("complete", m=0),
+    lambda: FamilySpec("split", n=0, m=1),
+    lambda: FamilySpec("split", n=1, m=0),
+    lambda: FamilySpec("complete_bipartite", n=0, m=1),
+    lambda: FamilySpec("complete_bipartite", n=1, m=0),
+    lambda: FamilySpec("path_union", parts=(3, 0, 2)),
+    lambda: FamilySpec("path_union", parts=()),
+    # E_1 + C_2 would be K3 with an AGREE row; it must not reach the solver
+    lambda: harness.evaluate_row(FamilySpec("wheel", n=1, m=2), ("solver",)),
 ])
 def test_invalid_family_parameters(bad):
     with pytest.raises(ParameterError):
         bad()
+
+
+@pytest.mark.parametrize("spec, order", [
+    (FamilySpec("path", m=1), 1),
+    (FamilySpec("cycle", m=3), 3),
+    (FamilySpec("empty", m=1), 1),
+    (FamilySpec("complete", m=1), 1),
+    (FamilySpec("path_union", parts=(1,)), 1),
+    (FamilySpec("fan", n=1, m=1), 2),
+    (FamilySpec("wheel", n=1, m=3), 4),
+    (FamilySpec("split", n=1, m=1), 2),
+    (FamilySpec("complete_bipartite", n=1, m=1), 2),
+])
+def test_least_family_parameters_are_accepted(spec, order):
+    assert generate(spec).order == order
+
+
+@pytest.mark.parametrize("message, build", [
+    ("wheel requires m >= 3, got 2", lambda: graphs.wheel(1, 2)),
+    ("fan requires n >= 1, got 0", lambda: FamilySpec("fan", n=0, m=2)),
+    ("cycle requires m >= 3, got 2", lambda: graphs.cycle(2)),
+    ("path_union requires parts[1] >= 1, got 0", lambda: graphs.path_union([3, 0, 2])),
+    ("path_union requires at least one part", lambda: FamilySpec("path_union", parts=[])),
+])
+def test_out_of_range_messages_name_the_parameter(message, build):
+    with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+        build()
+
+
+def test_path_union_parts_are_stored_as_a_tuple():
+    spec = FamilySpec("path_union", parts=[2, 1])
+    assert spec.parts == (2, 1)
+    assert spec == graphs.path_union((2, 1))
+    assert hash(spec) == hash(graphs.path_union((2, 1)))
+    assert {spec: 1}[graphs.path_union([2, 1])] == 1
 
 
 @pytest.mark.parametrize("kwargs,field", [
@@ -236,11 +289,6 @@ def test_twin_classes_of_isolated_vertices_and_graphs_without_twins():
     assert twin_classes(Graph.build(1, [])) == ()
     assert twin_classes(generate(graphs.path(4))) == ()
     assert twin_classes(generate(graphs.cycle(5))) == ()
-
-
-def test_twin_classes_are_computed_once():
-    g = generate(graphs.wheel(3, 5))
-    assert twin_classes(g) is twin_classes(g)
 
 
 @given(random_graphs(max_order=9))

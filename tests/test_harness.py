@@ -248,7 +248,7 @@ def test_construction_of_f2_minus_s2_is_maximum(kind, orders):
     # the lemma trials trust this set without a solve, so check it against
     # the solver for every independent S2 of small H
     for m in orders:
-        h = generate(graphs.FAMILIES[kind][0](m))
+        h = generate(graphs.FamilySpec(kind, m=m))
         for s2 in _independent_sets(h):
             pairs = harness._max_ind_pairs_of_f2(kind, h, s2)
             assert not any(v in s2 for pair in pairs for v in pair), (m, s2)
@@ -271,7 +271,7 @@ def test_greedy_set_of_every_join_h_is_maximum(kind, first, alpha):
     # the cross candidate of E_n + H takes H's greedy set in label order
     # as its S2; one short of alpha(H) would surface only as DISAGREE rows
     for m in range(first, 41):
-        h = generate(graphs.FAMILIES[kind][0](m))
+        h = generate(graphs.FamilySpec(kind, m=m))
         bits = greedy_independent_set(h.neighbor_masks())
         s2 = VertexSet.of(m, (v for v in range(m) if bits >> v & 1))
         assert is_independent(h, s2), (kind, m)
