@@ -26,9 +26,8 @@ print("size:", len(chosen), " solver:", max_independent_set(tg.graph).size,
 # pair all hub vertices with an alternating path set, then fill the
 # leftover path vertices with the parity construction of what remains.
 n, m = 3, 5
-h = generate(graphs.path(m))
 inp = AssociatedSetInput(
-    n=n, h=h,
+    n=n,
     s1=VertexSet.of(n, range(n)),
     s2=VertexSet.of(m, [0, 2, 4]),
     mis_h_minus_s2=frozenset([(1, 3)]),

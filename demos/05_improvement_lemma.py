@@ -36,7 +36,7 @@ for trial in range(5):
                       for i in max_independent_set(sub_tg.graph).witness))
 
     improved = associated_independent_set(AssociatedSetInput(
-        n=n, h=h, s1=s1, s2=s2, mis_h_minus_s2=mis2))
+        n=n, s1=s1, s2=s2, mis_h_minus_s2=mis2))
     print(f"  trial {trial}: |I| = {len(pairs):2d} -> |I_S1,S2| = {len(improved):2d}"
           f"   S1 = {list(s1)}, S2 = {list(s2)}")
 

@@ -2,8 +2,8 @@
 
 Subcommands: alpha (one verification row), sweep (parameter grids),
 lemma-check (random improvement-lemma trials), export and import (graph
-files).  Exit codes: 0 all rows agree, 1 any disagreement, 2 usage or IO
-error, 3 node-budget aborts only.
+files).  Exit codes: 0 all rows agree, 1 any disagreement or failed
+lemma trial, 2 usage or IO error, 3 node-budget aborts only.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import ContractError, ParameterError, ParseError
+from .errors import ParameterError, ParseError
 from .fileio import parse_graph, read_text, render_graph
 from .graphs import FamilySpec
 from . import graphs
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParameterError, ContractError, ParseError, OSError) as exc:
+    except (ParameterError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

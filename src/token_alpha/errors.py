@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """A family parameter or vertex argument violates its constraint."""
 
 
-class ContractError(ValueError):
-    """A construction input violates one of its stated invariants."""
-
-
 class ParseError(ValueError):
     """A graph file is malformed; carries the offending line number."""
 

@@ -271,7 +271,7 @@ def delete_vertices(g: Graph, a: VertexSet) -> tuple[Graph, list[int]]:
     i-th entry is the original label of new vertex i (relative order of
     the surviving vertices is preserved).
     """
-    if a.order != g.order or any(v >= g.order for v in a):
+    if a.order != g.order:
         raise ParameterError(f"deletion set not within a graph of order {g.order}")
     removed = set(a)
     kept = [v for v in range(g.order) if v not in removed]

@@ -129,14 +129,14 @@ def construction_pairs(spec: FamilySpec) -> frozenset[TokenPair]:
     h = generate(FamilySpec(h_kind, m=m))
     nothing = VertexSet.of(m, [])
     side = associated_independent_set(AssociatedSetInput(
-        n=n, h=h, s1=VertexSet.of(n, []), s2=nothing,
+        n=n, s1=VertexSet.of(n, []), s2=nothing,
         mis_h_minus_s2=_max_ind_pairs_of_f2(h_kind, h, nothing)))
 
     greedy = greedy_independent_set(h.neighbor_masks())
     s2 = VertexSet.of(m, (v for v in range(m) if greedy >> v & 1))
     cross_mis = _max_ind_pairs_of_f2(h_kind, h, s2)
     cross = associated_independent_set(AssociatedSetInput(
-        n=n, h=h, s1=VertexSet.of(n, range(n)), s2=s2, mis_h_minus_s2=cross_mis))
+        n=n, s1=VertexSet.of(n, range(n)), s2=s2, mis_h_minus_s2=cross_mis))
 
     return cross if len(cross) > len(side) else side
 
@@ -425,7 +425,7 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
         s1, s2 = extract_s1_s2(pairs, n, h)
         mis2 = _max_ind_pairs_of_f2(h_spec.kind, h, s2)
         improved = associated_independent_set(AssociatedSetInput(
-            n=n, h=h, s1=s1, s2=s2, mis_h_minus_s2=mis2))
+            n=n, s1=s1, s2=s2, mis_h_minus_s2=mis2))
         ok_ind = is_independent(tg.graph, tg.indices_of(improved))
         results.append(LemmaTrial(
             start_size=len(pairs), improved_size=len(improved),

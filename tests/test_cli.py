@@ -178,6 +178,18 @@ def test_disagree_exit_code(capsys, monkeypatch):
     assert "DISAGREE" in out
 
 
+def test_a_faulty_construction_is_a_disagree_row_in_a_sweep(capsys, construction_fault):
+    code, out, err = run_cli(capsys, "sweep", "--family", "fan", "--n-range", "2..3",
+                             "--m-range", "6..8", "--methods", "formula,construction")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    rows = [line.split("\t") for line in lines[1:-1]]
+    assert [(r[1], r[2]) for r in rows] == [(n, m) for n in "23" for m in "678"]
+    disagree = sum(r[-1] == "DISAGREE" for r in rows)
+    assert disagree >= 1
+    assert lines[-1] == f"# agree={6 - disagree} disagree={disagree} aborted=0"
+
+
 def test_sweep_budget_abort_exit_code(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--family", "fan",
                            "--n-range", "4..4", "--m-range", "6..6",
@@ -353,6 +365,16 @@ def test_lemma_check_stdout_is_pinned(capsys, argv, stdout):
     code, out, _ = run_cli(capsys, "lemma-check", *argv)
     assert code == 0
     assert out == stdout
+
+
+def test_a_faulty_associated_set_fails_lemma_check(capsys, construction_fault):
+    code, out, err = run_cli(capsys, "lemma-check", "--n", "3", "--family", "path",
+                             "--m", "8", "--trials", "20", "--seed", "1")
+    assert code == 1 and err == ""
+    *fails, summary = out.splitlines()
+    assert fails and all(line.startswith("FAIL ") and "independent=False" in line
+                         for line in fails)
+    assert f"trials=20 ok={20 - len(fails)} " in summary
 
 
 def test_lemma_check_has_no_budget_flag(capsys):

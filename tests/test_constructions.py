@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from token_alpha import graphs
 from token_alpha.constructions import (
     AssociatedSetInput,
-    _token_pairs_independent,
     associated_independent_set,
     cycle_independent_set,
     extract_s1_s2,
     path_union_independent_set,
 )
-from token_alpha.errors import ContractError
+from token_alpha.errors import ParameterError
 from token_alpha.formulas import alpha_cycle, alpha_path_union
 from token_alpha.graphs import Graph, VertexSet, components, delete_vertices, generate, join
 from token_alpha.harness import construction_pairs, random_independent_set_with_cross
@@ -96,9 +95,8 @@ def test_parity_set_is_independent_in_any_order_and_labelling(parts, rng):
 
 def test_associated_set_example_with_full_s1():
     # n=2, H=P3, S1 = both hub vertices, S2 = the middle path vertex
-    h = generate(graphs.path(3))
     inp = AssociatedSetInput(
-        n=2, h=h,
+        n=2,
         s1=VertexSet.of(2, [0, 1]),
         s2=VertexSet.of(3, [1]),
         mis_h_minus_s2=frozenset([(0, 2)]),
@@ -112,9 +110,8 @@ def test_associated_set_example_with_full_s1():
 
 def test_associated_set_example_with_singleton_s1():
     # n=3, H=P3, S1 a singleton, S2 an end vertex: 1*1 + C(2,2) + 1 = 3
-    h = generate(graphs.path(3))
     inp = AssociatedSetInput(
-        n=3, h=h,
+        n=3,
         s1=VertexSet.of(3, [0]),
         s2=VertexSet.of(3, [0]),
         mis_h_minus_s2=frozenset([(1, 2)]),
@@ -129,10 +126,9 @@ def test_associated_set_example_with_singleton_s1():
 def test_associated_set_attains_exceptional_fan_value():
     # S1 = all of E_n, S2 = alternating vertices of P_m, m odd, n = (m+1)/2
     m, n = 5, 3
-    h = generate(graphs.path(m))
     s2 = VertexSet.of(m, [0, 2, 4])
     inp = AssociatedSetInput(
-        n=n, h=h,
+        n=n,
         s1=VertexSet.of(n, range(n)),
         s2=s2,
         mis_h_minus_s2=frozenset([(1, 3)]),
@@ -141,23 +137,6 @@ def test_associated_set_attains_exceptional_fan_value():
     assert len(out) == n * ((m + 1) // 2) + 1  # n*ceil(m/2) + C(floor(m/2), 2)
     tg = build_f2(generate(graphs.fan(n, m)))
     assert is_independent(tg.graph, tg.indices_of(out))
-
-
-def test_associated_input_contract_errors():
-    h = generate(graphs.path(3))
-    with pytest.raises(ContractError, match="not independent in h"):
-        AssociatedSetInput(n=2, h=h, s1=VertexSet.of(2, []),
-                           s2=VertexSet.of(3, [0, 1]), mis_h_minus_s2=frozenset())
-    with pytest.raises(ContractError, match="touches s2"):
-        AssociatedSetInput(n=2, h=h, s1=VertexSet.of(2, []),
-                           s2=VertexSet.of(3, [1]), mis_h_minus_s2=frozenset([(1, 2)]))
-    with pytest.raises(ContractError, match="not independent in F2"):
-        AssociatedSetInput(n=2, h=h, s1=VertexSet.of(2, []),
-                           s2=VertexSet.of(3, []),
-                           mis_h_minus_s2=frozenset([(0, 1), (0, 2)]))
-    with pytest.raises(ContractError, match="E_n side"):
-        AssociatedSetInput(n=2, h=h, s1=VertexSet.of(3, [2]),
-                           s2=VertexSet.of(3, []), mis_h_minus_s2=frozenset())
 
 
 def test_extract_from_single_cross_pair():
@@ -178,7 +157,7 @@ def test_extract_picks_largest_neighborhood():
 
 def test_extract_requires_a_cross_pair():
     h = generate(graphs.path(3))
-    with pytest.raises(ContractError):
+    with pytest.raises(ParameterError, match="no cross pair"):
         extract_s1_s2(frozenset([(0, 1)]), 2, h)
 
 
@@ -207,7 +186,7 @@ def test_improvement_lemma_on_random_independent_sets(h_spec, n):
         s1, s2 = extract_s1_s2(pairs, n, h)
         mis2 = _solver_mis_pairs(h, s2)
         improved = associated_independent_set(AssociatedSetInput(
-            n=n, h=h, s1=s1, s2=s2, mis_h_minus_s2=mis2))
+            n=n, s1=s1, s2=s2, mis_h_minus_s2=mis2))
         assert is_independent(tg.graph, tg.indices_of(improved))
         assert len(improved) >= len(pairs)
 
@@ -221,7 +200,7 @@ def test_cardinality_identity(n, m, data):
     s2_members = data.draw(st.sets(st.sampled_from(odds)) if odds else st.just(set()))
     s2 = VertexSet.of(m, s2_members)
     mis2 = _solver_mis_pairs(h, s2)
-    inp = AssociatedSetInput(n=n, h=h, s1=s1, s2=s2, mis_h_minus_s2=mis2)
+    inp = AssociatedSetInput(n=n, s1=s1, s2=s2, mis_h_minus_s2=mis2)
     out = associated_independent_set(inp)
     r, s = len(s1), len(s2)
     assert len(out) == r * s + (n - r) * (n - r - 1) // 2 + len(mis2)
@@ -243,22 +222,3 @@ def test_deleted_path_alpha_matches_odd_component_formula(m):
             s = len(s2)
             expected = ((m - s) ** 2 + t * t - 2 * t) // 4
             assert max_independent_set(build_f2(sub).graph).size == expected
-
-
-@st.composite
-def graphs_with_pair_sets(draw):
-    m = draw(st.integers(2, 8))
-    all_pairs = list(itertools.combinations(range(m), 2))
-    h = graphs.Graph.build(m, [p for p in all_pairs if draw(st.booleans())])
-    pairs = draw(st.frozensets(st.sampled_from(all_pairs), max_size=2 * m))
-    return h, pairs
-
-
-@given(graphs_with_pair_sets())
-@settings(max_examples=150)
-def test_token_pairs_independent_matches_the_pairwise_definition(case):
-    h, pairs = case
-    pairwise = not any(
-        len(set(x) ^ set(y)) == 2 and h.has_edge(*(set(x) ^ set(y)))
-        for x, y in itertools.combinations(pairs, 2))
-    assert _token_pairs_independent(h, pairs) == pairwise

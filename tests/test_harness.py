@@ -103,6 +103,14 @@ def test_disagree_verdict_when_construction_is_not_independent(monkeypatch):
     assert row.verdict == "DISAGREE"
 
 
+def test_a_faulty_associated_set_is_a_disagree_row(construction_fault):
+    # the witness check alone judges the construction, whatever input of
+    # the associated set is at fault
+    row = evaluate_row(graphs.fan(3, 7))
+    assert row.construction_valid is False
+    assert row.verdict == "DISAGREE"
+
+
 def test_aborted_verdict_on_tiny_budget():
     row = evaluate_row(graphs.fan(4, 6), ("formula", "solver"), node_budget=1)
     assert row.aborted
@@ -228,6 +236,12 @@ def test_lemma_trials_never_call_the_solver(monkeypatch):
         report = run_lemma_trials(3, h_spec, trials=40, seed=2)
         assert not report.failures
         assert built == [3 + h_spec.m]   # F2(E_n + H), once
+
+
+def test_a_faulty_associated_set_fails_its_lemma_trials(construction_fault):
+    report = run_lemma_trials(3, graphs.path(8), trials=20, seed=1)
+    assert report.failures
+    assert not any(report.trials[i].independent for i in report.failures)
 
 
 def _independent_sets(h):
