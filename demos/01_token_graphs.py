@@ -9,7 +9,7 @@ from token_alpha.tokens import build_f2, join_partition, render_token_graph
 tg = build_f2(generate(graphs.path(4)))
 print("F2(P4):", tg.graph.order, "vertices,", tg.graph.edge_count, "edges")
 for i, j in tg.graph.sorted_edges():
-    print(f"  {tg.pair_of(i)} ~ {tg.pair_of(j)}")
+    print(f"  {tg.pairs[i]} ~ {tg.pairs[j]}")
 
 # Every base edge contributes one token edge per third vertex, so
 # |E(F2(G))| = (|V| - 2) |E(G)| for any simple graph.

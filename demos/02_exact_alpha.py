@@ -13,7 +13,7 @@ oracle = max_independent_set_exhaustive(tg.graph)
 fast = max_independent_set(tg.graph)
 print("F2(C5): exhaustive =", oracle.size, " branch-and-bound =", fast.size)
 print("oracle witness (lexicographically least):",
-      [tg.pair_of(i) for i in oracle.witness])
+      [tg.pairs[i] for i in oracle.witness])
 
 # The branch-and-bound solver handles the 91-vertex token graph of a fan
 # in a few dozen nodes.  Each node covers its candidates with greedy

@@ -24,7 +24,7 @@ rng = random.Random(7)
 print(f"wheel({n},{m}): improving random independent sets")
 for trial in range(5):
     indices = random_independent_set_with_cross(tg, cross, rng)
-    pairs = frozenset(tg.pair_of(i) for i in indices)
+    pairs = frozenset(tg.pairs[i] for i in indices)
     s1, s2 = extract_s1_s2(pairs, n, h)
 
     # F2(H - S2) is solved here by the exact solver, an independent route;
@@ -32,7 +32,7 @@ for trial in range(5):
     sub, kept = delete_vertices(h, s2)
     sub_tg = build_f2(sub)
     mis2 = frozenset((kept[a], kept[b]) for a, b in
-                     (sub_tg.pair_of(i)
+                     (sub_tg.pairs[i]
                       for i in max_independent_set(sub_tg.graph).witness))
 
     improved = associated_independent_set(AssociatedSetInput(

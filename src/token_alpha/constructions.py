@@ -64,8 +64,6 @@ def cycle_independent_set(m: int) -> frozenset[TokenPair]:
     distance-h pairs for odd m, which form an m-cycle in F2(C_m) taken
     here alternately.
     """
-    if m < 3:
-        raise ParameterError(f"a cycle requires m >= 3, got {m}")
     h = (m - 1) // 2
     out = {_pair(x, (x + d) % m) for d in range(1, m // 2 + 1 - m % 2, 2) for x in range(m)}
     if m % 2 and h % 2:
@@ -120,12 +118,9 @@ def extract_s1_s2(i, n: int, h: Graph) -> tuple[VertexSet, VertexSet]:
     the lowest index).  The associated set built from the result is always
     at least as large as the input set.
     """
-    order = n + h.order
     neighborhoods: dict[int, set[int]] = {u: set() for u in range(n)}
     for a, b in i:
         x, y = _pair(a, b)
-        if not (0 <= x < y < order):
-            raise ParameterError(f"pair ({x},{y}) out of range for E_{n} + H")
         if x < n <= y:
             neighborhoods[x].add(y - n)
     s1 = [u for u in range(n) if neighborhoods[u]]

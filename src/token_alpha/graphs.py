@@ -1,74 +1,72 @@
 """Simple undirected graphs, the family generators, and graph operators.
-``generate`` is the one place a family spec becomes a labelled graph; the
-families are built from ``join`` alone.  ``delete_vertices`` and
-``components`` have no caller in the package: they remain only as the
-tests' independent references.
+``generate`` is the one place a family spec becomes a labelled graph: the
+joins through ``join``, everything else through ``Graph.build``.
+``delete_vertices`` and ``components`` have no caller in the package: they
+remain only as the tests' independent references.
 
-Vertices are always 0..order-1.  Edges are stored once, as (low, high)
-tuples.  All values are immutable after construction and safe to share;
-a graph's adjacency bitsets are computed on first use and kept with it.
+Vertices are always 0..order-1.  A graph is stored as its adjacency
+bitsets, one int per vertex, which is the form every reader of a graph
+uses; edge lists are read from them on demand.  All values are immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ParameterError
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..order-1."""
+    """Simple undirected graph on vertices 0..order-1, stored as its
+    adjacency bitsets: bit v of ``masks[u]`` is set iff uv is an edge.
 
-    order: int
-    edges: frozenset[tuple[int, int]]
+    ``build`` is the checked way in from an edge list.  The other builders
+    (``join``, ``tokens.build_f2``) write symmetric, loop-free masks
+    directly."""
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise ParameterError(f"order must be non-negative, got {self.order}")
-        for u, v in self.edges:
-            if u == v:
-                raise ParameterError(f"self-loop at vertex {u}")
-            if not (u < v):
-                raise ParameterError(f"edge ({u},{v}) not in canonical (low, high) form")
-            if v >= self.order:
-                raise ParameterError(f"edge ({u},{v}) endpoint out of range for order {self.order}")
+    masks: tuple[int, ...]
 
     @classmethod
     def build(cls, order: int, edges) -> "Graph":
-        """Canonicalize an edge iterable (reorder endpoints, drop duplicates)."""
-        canon = set()
+        """The graph on 0..order-1 with the given edges, each in either
+        orientation and possibly repeated.  Rejects a negative order, a
+        self-loop and an endpoint outside 0..order-1."""
+        if order < 0:
+            raise ParameterError(f"order must be non-negative, got {order}")
+        masks = [0] * order
         for u, v in edges:
-            canon.add((u, v) if u < v else (v, u))
-        return cls(order, frozenset(canon))
+            if u == v:
+                raise ParameterError(f"self-loop at vertex {u}")
+            if not (0 <= u < order and 0 <= v < order):
+                raise ParameterError(f"edge ({u},{v}) endpoint out of range for order {order}")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return cls(tuple(masks))
+
+    @property
+    def order(self) -> int:
+        return len(self.masks)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """The edges as (low, high) tuples, in increasing order."""
+        edges = []
+        for u, mask in enumerate(self.masks):
+            above = mask >> (u + 1)
+            while above:
+                low = above & -above
+                edges.append((u, u + low.bit_length()))
+                above ^= low
+        return edges
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
-
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Adjacency as one bitset per vertex (bit v of masks[u] set iff uv
-        is an edge).  Computed once per graph on first use; every call
-        returns that same immutable tuple, so all callers share one copy."""
-        return self._neighbor_masks
-
-    # cached_property writes the instance __dict__ directly, so it works on
-    # a frozen dataclass; equality and hashing see only order and edges.
-    @cached_property
-    def _neighbor_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.order
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+        return bool(self.masks[u] >> v & 1)
 
 
 def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -82,7 +80,7 @@ def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     class is sorted and the classes are ordered by their smallest member.
     """
     by_hood: dict[tuple[bool, int], list[int]] = {}
-    for v, mask in enumerate(g.neighbor_masks()):
+    for v, mask in enumerate(g.masks):
         by_hood.setdefault((False, mask), []).append(v)
         by_hood.setdefault((True, mask | 1 << v), []).append(v)
     return tuple(sorted(tuple(c) for c in by_hood.values() if len(c) > 1))
@@ -251,10 +249,10 @@ def generate(spec: FamilySpec) -> Graph:
 def join(g1: Graph, g2: Graph) -> Graph:
     """Join of two graphs: g2 shifted past g1, plus every cross edge."""
     shift = g1.order
-    edges = list(g1.edges)
-    edges += [(u + shift, v + shift) for u, v in g2.edges]
-    edges += [(u, v + shift) for u in range(g1.order) for v in range(g2.order)]
-    return Graph.build(g1.order + g2.order, edges)
+    all1 = (1 << shift) - 1
+    all2 = ((1 << g2.order) - 1) << shift
+    return Graph(tuple(mask | all2 for mask in g1.masks)
+                 + tuple(mask << shift | all1 for mask in g2.masks))
 
 
 def path_walks(spec: FamilySpec) -> list[range]:
@@ -276,14 +274,14 @@ def delete_vertices(g: Graph, a: VertexSet) -> tuple[Graph, list[int]]:
     removed = set(a)
     kept = [v for v in range(g.order) if v not in removed]
     new_index = {old: new for new, old in enumerate(kept)}
-    edges = [(new_index[u], new_index[v]) for u, v in g.edges
+    edges = [(new_index[u], new_index[v]) for u, v in g.sorted_edges()
              if u not in removed and v not in removed]
     return Graph.build(len(kept), edges), kept
 
 
 def components(g: Graph) -> list[VertexSet]:
     """Connected components, each sorted, ordered by smallest member."""
-    masks = g.neighbor_masks()
+    masks = g.masks
     seen = [False] * g.order
     out = []
     for start in range(g.order):

@@ -132,7 +132,7 @@ def construction_pairs(spec: FamilySpec) -> frozenset[TokenPair]:
         n=n, s1=VertexSet.of(n, []), s2=nothing,
         mis_h_minus_s2=_max_ind_pairs_of_f2(h_kind, h, nothing)))
 
-    greedy = greedy_independent_set(h.neighbor_masks())
+    greedy = greedy_independent_set(h.masks)
     s2 = VertexSet.of(m, (v for v in range(m) if greedy >> v & 1))
     cross_mis = _max_ind_pairs_of_f2(h_kind, h, s2)
     cross = associated_independent_set(AssociatedSetInput(
@@ -392,7 +392,7 @@ def random_independent_set_with_cross(tg: TokenGraph, cross: VertexSet,
     yielding a maximal independent set that meets that region.  The forced
     vertex comes first, the others in the order they joined."""
     seed = rng.choice(cross.members)
-    masks = tg.graph.neighbor_masks()
+    masks = tg.graph.masks
     order = list(range(tg.graph.order))
     rng.shuffle(order)
     chosen = [seed]
@@ -421,7 +421,7 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
     results = []
     for _ in range(trials):
         indices = random_independent_set_with_cross(tg, cross, rng)
-        pairs = frozenset(tg.pair_of(i) for i in indices)
+        pairs = frozenset(tg.pairs[i] for i in indices)
         s1, s2 = extract_s1_s2(pairs, n, h)
         mis2 = _max_ind_pairs_of_f2(h_spec.kind, h, s2)
         improved = associated_independent_set(AssociatedSetInput(
@@ -429,5 +429,5 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
         ok_ind = is_independent(tg.graph, tg.indices_of(improved))
         results.append(LemmaTrial(
             start_size=len(pairs), improved_size=len(improved),
-            independent=ok_ind, seed_pair=tg.pair_of(indices[0])))
+            independent=ok_ind, seed_pair=tg.pairs[indices[0]]))
     return LemmaReport(n=n, h_spec=h_spec, trials=tuple(results))

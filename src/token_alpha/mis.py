@@ -81,13 +81,13 @@ class MisResult:
 def is_independent(g: Graph, s: VertexSet) -> bool:
     """True iff no edge of g has both endpoints in s.
 
-    Checks every member against g's shared adjacency bitsets: the members
-    form one mask, and s is independent iff no member's neighbour mask
-    meets it.  That is O(|s|) big-integer ANDs, whatever g's edge count.
+    Checks every member against g's adjacency bitsets, its stored form: the
+    members form one mask, and s is independent iff no member's neighbour
+    mask meets it.  That is O(|s|) big-integer ANDs, whatever g's edge count.
     """
     if s.order != g.order:
         raise ParameterError(f"vertex set not within a graph of order {g.order}")
-    adj = g.neighbor_masks()
+    adj = g.masks
     mask = 0
     for v in s:
         mask |= 1 << v
@@ -115,7 +115,7 @@ def max_independent_set_exhaustive(g: Graph) -> MisResult:
         raise CapacityError(
             f"order {n} exceeds the exhaustive cap of {EXHAUSTIVE_CAP}; "
             "use max_independent_set instead")
-    adj = g.neighbor_masks()
+    adj = g.masks
     best_size = -1
     best_bits = 0
     nodes = 0
@@ -416,7 +416,7 @@ def max_independent_set(g: Graph | TokenGraph,
     if node_budget is not None and node_budget < 1:
         raise BudgetExceededError(1)
 
-    masks = g.neighbor_masks()
+    masks = g.masks
     everything = (1 << n) - 1
     rest, forced = _fold(masks, everything, everything, 0)
     order, adj = _renumber(masks, rest)

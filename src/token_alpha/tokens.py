@@ -9,7 +9,7 @@ pairs, so witnesses and exported files are reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParameterError
@@ -21,64 +21,61 @@ TokenPair = tuple[int, int]
 
 @dataclass(frozen=True)
 class TokenGraph:
-    """F2-style token graph plus the pair <-> index maps both ways.  The
-    maps are shared by all token graphs of one base order; treat them as
-    read-only."""
+    """F2-style token graph plus its pair <-> index tables: ``pairs[i]`` is
+    the pair of token vertex i, and ``through[x][w]`` is the index of
+    {x,w} (-1 at w = x).  Both tables are shared by all token graphs of one
+    base order."""
 
     base: Graph
     graph: Graph
     pairs: tuple[TokenPair, ...]
-    index_of: dict[TokenPair, int] = field(compare=False)
-
-    def pair_of(self, index: int) -> TokenPair:
-        return self.pairs[index]
+    through: tuple[tuple[int, ...], ...]
 
     def indices_of(self, pair_set) -> VertexSet:
         """Map a collection of base-vertex pairs to token-vertex indices."""
-        lookup = self.index_of
+        through = self.through
+        order = len(through)
         idx = []
         for a, b in pair_set:
-            key = (a, b) if a < b else (b, a)
-            if key not in lookup:
-                raise ParameterError(f"{key} is not a 2-subset of the base vertices")
-            idx.append(lookup[key])
+            if a == b or not (0 <= a < order and 0 <= b < order):
+                raise ParameterError(f"{(a, b) if a < b else (b, a)} is not a 2-subset "
+                                     "of the base vertices")
+            idx.append(through[a][b])
         return VertexSet.of(self.graph.order, idx)
 
 
 @lru_cache(maxsize=32)
-def _pair_tables(order: int) -> tuple[tuple[TokenPair, ...], dict[TokenPair, int]]:
-    """The 2-subsets of 0..order-1 in lexicographic order and their index
-    dict.  Both depend only on the order, so every token graph of that
-    order shares the same two objects: nothing may mutate them."""
+def _pair_tables(order: int) -> tuple[tuple[TokenPair, ...], tuple[tuple[int, ...], ...]]:
+    """The 2-subsets of 0..order-1 in lexicographic order, and for each
+    vertex x the row of indices of {x,w} over w (-1 at w = x).  Both depend
+    only on the order, so every token graph of that order shares them."""
     pairs = tuple(itertools.combinations(range(order), 2))
-    return pairs, {p: i for i, p in enumerate(pairs)}
+    through = [[-1] * order for _ in range(order)]
+    for i, (a, b) in enumerate(pairs):
+        through[a][b] = through[b][a] = i
+    return pairs, tuple(map(tuple, through))
 
 
 def build_f2(g: Graph) -> TokenGraph:
     """Construct the 2-token graph of g.
 
-    Token vertices {a,x} and {b,x} are adjacent iff ab is an edge of g;
+    Token vertices {a,w} and {b,w} are adjacent iff ab is an edge of g;
     pairs with symmetric difference of size 4 are never adjacent.  Each
-    base edge contributes one token edge per choice of third vertex, so
-    the token graph has exactly (|V|-2)*|E| edges.  The result's ``pairs``
-    and ``index_of`` are shared with every token graph of the same order
-    and must not be mutated.
+    base edge ab gives one token edge per third vertex w, read as the
+    w-th entries of ``through[a]`` and ``through[b]`` and written straight
+    into the token graph's adjacency bitsets, so the token graph has
+    exactly (|V|-2)*|E| edges.
     """
     if g.order < 2:
         raise ParameterError(f"token graph requires base order >= 2, got {g.order}")
-    pairs, index = _pair_tables(g.order)
-    edges = []
+    pairs, through = _pair_tables(g.order)
+    masks = [0] * len(pairs)
     for a, b in g.sorted_edges():
-        for w in range(g.order):
-            if w == a or w == b:
-                continue
-            pa = (a, w) if a < w else (w, a)
-            pb = (b, w) if b < w else (w, b)
-            edges.append((index[pa], index[pb]))
-    # Already canonical: index[pa] < index[pb] whether w < a, a < w < b or
-    # w > b, and each (base edge, w) gives a different token edge.
-    token = Graph(len(pairs), frozenset(edges))
-    return TokenGraph(base=g, graph=token, pairs=pairs, index_of=index)
+        for i, j in zip(through[a], through[b]):
+            if i >= 0 and j >= 0:   # skips w = a and w = b
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return TokenGraph(base=g, graph=Graph(tuple(masks)), pairs=pairs, through=through)
 
 
 @dataclass(frozen=True)

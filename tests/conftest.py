@@ -22,7 +22,7 @@ def _s2_not_independent(monkeypatch):
 
     def extract(i, n, h):
         s1, s2 = real_extract(i, n, h)
-        around = h.neighbor_masks()[s2.members[0]]
+        around = h.masks[s2.members[0]]
         return s1, VertexSet.of(h.order, [*s2, *(v for v in range(h.order) if around >> v & 1)])
 
     monkeypatch.setattr(harness, "greedy_independent_set", greedy)
@@ -52,7 +52,7 @@ def _f2_set_not_independent(monkeypatch):
     def faulty(kind, h, removed):
         pairs = real(kind, h, removed)
         survivors = [v for v in range(h.order) if v not in removed]
-        for y, z in h.edges:
+        for y, z in h.sorted_edges():
             x = next((v for v in survivors if v not in (y, z)), None)
             if y in survivors and z in survivors and x is not None:
                 return pairs | {tuple(sorted((x, y))), tuple(sorted((x, z)))}

@@ -167,7 +167,7 @@ def _solver_mis_pairs(h, s2):
         return frozenset()
     tg = build_f2(sub)
     res = max_independent_set(tg.graph)
-    return frozenset((kept[a], kept[b]) for a, b in (tg.pair_of(i) for i in res.witness))
+    return frozenset((kept[a], kept[b]) for a, b in (tg.pairs[i] for i in res.witness))
 
 
 @pytest.mark.parametrize("h_spec,n", [
@@ -182,7 +182,7 @@ def test_improvement_lemma_on_random_independent_sets(h_spec, n):
     rng = random.Random(97)
     for _ in range(60):
         indices = random_independent_set_with_cross(tg, cross, rng)
-        pairs = frozenset(tg.pair_of(i) for i in indices)
+        pairs = frozenset(tg.pairs[i] for i in indices)
         s1, s2 = extract_s1_s2(pairs, n, h)
         mis2 = _solver_mis_pairs(h, s2)
         improved = associated_independent_set(AssociatedSetInput(

@@ -216,7 +216,7 @@ def test_lemma_trials_report_the_pair_each_trial_was_seeded_with():
     for trial in report.trials:
         drawn = rng.choice(cross.members)
         rng.shuffle(list(range(tg.graph.order)))
-        assert trial.seed_pair == tg.pair_of(drawn)
+        assert trial.seed_pair == tg.pairs[drawn]
 
 
 def test_lemma_trials_never_call_the_solver(monkeypatch):
@@ -246,7 +246,7 @@ def test_a_faulty_associated_set_fails_its_lemma_trials(construction_fault):
 
 def _independent_sets(h):
     """Every independent set of h, the empty set included."""
-    masks = h.neighbor_masks()
+    masks = h.masks
     for size in range(h.order + 1):
         for members in itertools.combinations(range(h.order), size):
             inside = sum(1 << v for v in members)
@@ -286,7 +286,7 @@ def test_greedy_set_of_every_join_h_is_maximum(kind, first, alpha):
     # as its S2; one short of alpha(H) would surface only as DISAGREE rows
     for m in range(first, 41):
         h = generate(graphs.FamilySpec(kind, m=m))
-        bits = greedy_independent_set(h.neighbor_masks())
+        bits = greedy_independent_set(h.masks)
         s2 = VertexSet.of(m, (v for v in range(m) if bits >> v & 1))
         assert is_independent(h, s2), (kind, m)
         assert len(s2) == alpha(m), (kind, m)

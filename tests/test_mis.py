@@ -101,7 +101,7 @@ def test_adding_edges_never_increases_alpha():
         missing = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(missing)
         for u, v in missing[:10]:
-            g = Graph.build(n, list(g.edges) + [(u, v)])
+            g = Graph.build(n, g.sorted_edges() + [(u, v)])
             size = max_independent_set(g).size
             assert size <= previous
             previous = size
@@ -145,7 +145,7 @@ def test_split_5_14_solves_without_a_budget():
     assert res.nodes_explored == 16_612
     assert len(res.witness) == 17
     assert is_independent(tg.graph, res.witness)
-    assert witness_digest(tg.pair_of(i) for i in res.witness) == "9e739c30105d"
+    assert witness_digest(tg.pairs[i] for i in res.witness) == "9e739c30105d"
 
 
 def test_folds_can_lift_size_above_the_incumbent():
@@ -358,7 +358,7 @@ def graphs_with_subsets(draw):
 def test_is_independent_matches_the_edge_scan(case):
     g, s = case
     members = set(s)
-    by_edges = not any(u in members and v in members for u, v in g.edges)
+    by_edges = not any(u in members and v in members for u, v in g.sorted_edges())
     assert is_independent(g, s) == by_edges
 
 
@@ -397,7 +397,7 @@ def test_symmetric_search_trees_are_pinned(spec, budget, alpha, nodes, digest):
     assert is_independent(tg.graph, res.witness)
     assert res.size == alpha == alpha_closed_form(spec).value
     assert res.nodes_explored == nodes
-    assert witness_digest(tg.pair_of(i) for i in res.witness) == digest
+    assert witness_digest(tg.pairs[i] for i in res.witness) == digest
 
 
 @pytest.mark.parametrize("family,n_range,m_range,nodes", [
@@ -431,7 +431,7 @@ def networkx_alpha(g):
     nx = pytest.importorskip("networkx")
     h = nx.Graph()
     h.add_nodes_from(range(g.order))
-    h.add_edges_from(g.edges)
+    h.add_edges_from(g.sorted_edges())
     clique, _ = nx.max_weight_clique(nx.complement(h), weight=None)
     return len(clique)
 

@@ -16,7 +16,7 @@ nx = pytest.importorskip("networkx")
 def networkx_alpha(g: Graph) -> int:
     h = nx.Graph()
     h.add_nodes_from(range(g.order))
-    h.add_edges_from(g.edges)
+    h.add_edges_from(g.sorted_edges())
     clique, _ = nx.max_weight_clique(nx.complement(h), weight=None)
     return len(clique)
 

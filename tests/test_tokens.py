@@ -16,7 +16,7 @@ def test_f2_of_path_3():
     assert tg.graph.order == 3
     assert tg.pairs == ((0, 1), (0, 2), (1, 2))
     # {0,1}~{0,2} via edge (1,2); {0,2}~{1,2} via edge (0,1)
-    assert set(tg.graph.edges) == {(0, 1), (1, 2)}
+    assert set(tg.graph.sorted_edges()) == {(0, 1), (1, 2)}
     assert max_independent_set_exhaustive(tg.graph).size == 2
 
 
@@ -71,7 +71,7 @@ def test_token_edges_stay_within_base_components(g):
         for v in comp:
             component_of[v] = ci
     tg = build_f2(g)
-    for i, j in tg.graph.edges:
+    for i, j in tg.graph.sorted_edges():
         a, b = sorted(set(tg.pairs[i]) ^ set(tg.pairs[j]))
         assert component_of[a] == component_of[b]
 
@@ -81,17 +81,15 @@ def test_token_edges_stay_within_base_components(g):
 def test_f2_is_label_covariant(g, rng):
     perm = list(range(g.order))
     rng.shuffle(perm)
-    relabeled = Graph.build(g.order, [(perm[u], perm[v]) for u, v in g.edges])
+    relabeled = Graph.build(g.order, [(perm[u], perm[v]) for u, v in g.sorted_edges()])
     tg = build_f2(g)
     tg2 = build_f2(relabeled)
-    index2 = tg2.index_of
+    through2 = tg2.through
     mapped = set()
-    for i, j in tg.graph.edges:
-        pi = tuple(sorted(perm[v] for v in tg.pairs[i]))
-        pj = tuple(sorted(perm[v] for v in tg.pairs[j]))
-        a, b = sorted((index2[pi], index2[pj]))
-        mapped.add((a, b))
-    assert mapped == set(tg2.graph.edges)
+    for i, j in tg.graph.sorted_edges():
+        (a, b), (c, d) = tg.pairs[i], tg.pairs[j]
+        mapped.add(tuple(sorted((through2[perm[a]][perm[b]], through2[perm[c]][perm[d]]))))
+    assert mapped == set(tg2.graph.sorted_edges())
 
 
 def test_join_partition_of_fan_2_3():
@@ -116,6 +114,15 @@ def test_join_partition_r_of_k22_is_independent():
     assert is_independent(tg.graph, part.r)
 
 
+def test_indices_of_maps_either_orientation_and_rejects_non_pairs():
+    tg = build_f2(generate(graphs.path(4)))
+    assert list(tg.indices_of([(3, 2), (0, 1)])) == [0, 5]
+    # a negative vertex would otherwise index a table row from its end
+    for bad in ((1, 1), (0, 4), (-1, 2), (2, -1)):
+        with pytest.raises(ParameterError, match="is not a 2-subset"):
+            tg.indices_of([bad])
+
+
 def test_join_partition_rejects_bad_split():
     tg = build_f2(generate(graphs.fan(2, 3)))
     for split in (0, 5, -1):
@@ -137,18 +144,20 @@ def test_token_graphs_of_one_order_share_their_pair_tables():
     tg = build_f2(generate(graphs.path(6)))
     other = build_f2(generate(graphs.fan(2, 4)))
     assert other.pairs is tg.pairs
-    assert other.index_of is tg.index_of
+    assert other.through is tg.through
     assert build_f2(generate(graphs.path(7))).pairs is not tg.pairs
 
 
 def _fresh_f2(g):
-    """Pairs, index and token graph of g built from scratch, by the
-    symmetric-difference rule, with no table shared."""
+    """Pairs, pair -> index table and token graph of g built from scratch,
+    by the symmetric-difference rule, with no table shared."""
     pairs = tuple(itertools.combinations(range(g.order), 2))
     index = {p: i for i, p in enumerate(pairs)}
+    through = tuple(tuple(index.get((min(x, w), max(x, w)), -1) for w in range(g.order))
+                    for x in range(g.order))
     edges = [(i, j) for (i, p), (j, q) in itertools.combinations(enumerate(pairs), 2)
              if len(set(p) ^ set(q)) == 2 and g.has_edge(*sorted(set(p) ^ set(q)))]
-    return pairs, index, Graph(len(pairs), frozenset(edges))
+    return pairs, through, Graph.build(len(pairs), edges)
 
 
 def test_builds_from_shared_tables_equal_fresh_builds():
@@ -164,7 +173,7 @@ def test_builds_from_shared_tables_equal_fresh_builds():
                                      if rng.random() < 0.4]))
     for g in bases:
         tg = build_f2(g)
-        pairs, index, graph = _fresh_f2(g)
+        pairs, through, graph = _fresh_f2(g)
         assert tg.pairs == pairs
-        assert tg.index_of == index
+        assert tg.through == through
         assert tg.graph == graph
