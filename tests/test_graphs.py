@@ -262,7 +262,21 @@ def test_deleting_from_paths_and_cycles_leaves_paths(m, data):
             assert degree <= 2
 
 
-def test_edge_lists_in_any_order_orientation_or_multiplicity_build_one_graph():
+def test_neighbor_masks_are_computed_once_and_immutable():
+    # the masks are the graph's one field, written when it is built
+    g = generate(graphs.wheel(2, 5))
+    masks = g.masks
+    assert isinstance(masks, tuple)
+    assert g.masks is masks
+    with pytest.raises(AttributeError):
+        g.masks = ()
+    edges = g.sorted_edges()
+    assert all(masks[u] >> v & 1 and masks[v] >> u & 1 for u, v in edges)
+    assert sum(m.bit_count() for m in masks) == 2 * g.edge_count == 2 * len(edges)
+
+
+def test_the_mask_cache_does_not_change_equality_or_hashing():
+    # edge lists in any order, orientation or multiplicity build one graph
     a = generate(graphs.fan(2, 4))
     edges = a.sorted_edges()
     flipped = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)]
@@ -270,8 +284,7 @@ def test_edge_lists_in_any_order_orientation_or_multiplicity_build_one_graph():
     c = Graph.build(a.order, edges + flipped[::3])
     assert a == b == c and hash(a) == hash(b) == hash(c)
     assert len({a, b, c}) == 1
-    assert all(a.masks[u] >> v & 1 and a.masks[v] >> u & 1 for u, v in edges)
-    assert sum(m.bit_count() for m in a.masks) == 2 * a.edge_count == 2 * len(edges)
+    assert a.masks == b.masks == c.masks
 
 
 def _grid_specs():
