@@ -6,11 +6,14 @@ Both renderers read their rows once, from any iterable, and keep only what
 they write: a TSV line or a JSON record per row, plus the verdict tally
 that the summary is written from.  A caller that passes a ``VerdictTally``
 reads the exit code from the same counts.
+
+``hashlib`` is imported inside ``witness_digest``, not here: it maps
+OpenSSL's libcrypto (~3.4 MB of resident memory), which only reports that
+print a digest should pay for.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .harness import RowResult, tallied
@@ -25,6 +28,8 @@ def witness_strings(pairs) -> list[str]:
 
 
 def witness_digest(pairs) -> str:
+    import hashlib
+
     blob = json.dumps(witness_strings(pairs)).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 

@@ -231,8 +231,12 @@ def random_graphs(draw, max_order=10):
 @given(family_specs)
 def test_generated_graphs_satisfy_invariants(spec):
     g = generate(spec)
-    for u, v in g.sorted_edges():
-        assert 0 <= u < v < g.order
+    for u, mask in enumerate(g.masks):
+        assert 0 <= mask < 1 << g.order
+        assert not mask >> u & 1
+        for v in range(g.order):
+            assert mask >> v & 1 == g.masks[v] >> u & 1
+    assert g == Graph.build(g.order, g.sorted_edges())
 
 
 @given(random_graphs())

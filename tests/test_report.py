@@ -1,5 +1,10 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +48,54 @@ def test_a_sweep_holds_at_most_two_rows(monkeypatch, render):
 def test_renderers_read_any_iterable_once(render):
     rows = [harness.evaluate_row(graphs.fan(2, m)) for m in (2, 3)]
     assert render(iter(rows)) == render(rows) == render(tuple(rows))
+
+
+_LEAN_IMPORT_SCRIPT = r"""
+import io, json, os, sys
+from contextlib import redirect_stdout
+
+import random
+if "_hashlib" in sys.modules:
+    print(json.dumps({"skip": "import random alone loads _hashlib on this build"}))
+    sys.exit()
+
+from token_alpha import cli
+
+def run(*argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(list(argv))
+    assert code == 0, (argv, code)
+    return buf.getvalue()
+
+def digest_modules():
+    return sorted({"hashlib", "_hashlib"} & set(sys.modules))
+
+graph_file = os.path.join(sys.argv[1], "wheel.txt")
+run("sweep", "--family", "wheel", "--n-range", "1..2", "--m-range", "3..5")
+run("alpha", "--family", "fan", "--n", "2", "--m", "3")
+run("lemma-check", "--n", "3", "--family", "path", "--m", "4", "--trials", "20")
+run("export", "--family", "wheel", "--n", "2", "--m", "5", "--out", graph_file)
+run("import", graph_file)
+lean = digest_modules()
+doc = json.loads(run("sweep", "--family", "wheel", "--n-range", "1..2", "--m-range", "3..5",
+                     "--format", "json", "--deterministic"))
+print(json.dumps({"lean": lean, "after_json": digest_modules(),
+                  "digests": [row["construction"]["digest"] for row in doc["rows"]]}))
+"""
+
+
+def test_only_json_reports_load_the_digest_stack(tmp_path):
+    # a fresh interpreter: pytest and hypothesis have imported hashlib here
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-S", "-c", _LEAN_IMPORT_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    if "skip" in result:
+        pytest.skip(result["skip"])
+    assert result["lean"] == []
+    assert "hashlib" in result["after_json"]
+    assert len(result["digests"]) == 6
+    assert all(re.fullmatch(r"[0-9a-f]{12}", d) for d in result["digests"])
