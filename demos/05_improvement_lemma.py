@@ -10,7 +10,11 @@ from token_alpha.constructions import (
     extract_s1_s2,
 )
 from token_alpha.graphs import delete_vertices, generate
-from token_alpha.harness import random_independent_set_with_cross, run_lemma_trials
+from token_alpha.harness import (
+    draw_tables,
+    random_independent_set_with_cross,
+    run_lemma_trials,
+)
 from token_alpha.mis import max_independent_set
 from token_alpha.tokens import build_f2, join_partition
 
@@ -19,11 +23,12 @@ h = generate(graphs.cycle(m))
 base = generate(graphs.wheel(n, m))
 tg = build_f2(base)
 cross = join_partition(tg, n).r   # token vertices pairing a hub with a cycle vertex
+tables = draw_tables(tg.graph)    # built once, read by every draw
 rng = random.Random(7)
 
 print(f"wheel({n},{m}): improving random independent sets")
 for trial in range(5):
-    indices = random_independent_set_with_cross(tg, cross, rng)
+    indices = random_independent_set_with_cross(tables, cross, rng)
     pairs = frozenset(tg.pairs[i] for i in indices)
     s1, s2 = extract_s1_s2(pairs, n, h)
 

@@ -9,6 +9,7 @@ lemma trial, 2 usage or IO error, 3 node-budget aborts only.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -203,7 +204,11 @@ def _add_row_flags(sub):
     sub.add_argument("--out", default=None, help="write the report to this path")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and kept
+    for the process: parsing leaves no state in it, so every later call
+    parses as a fresh parser would."""
     parser = argparse.ArgumentParser(
         prog="token-alpha",
         description="Verify closed-form independence numbers of 2-token graphs "

@@ -39,14 +39,14 @@ def path_union_independent_set(walks) -> frozenset[TokenPair]:
     both pairs are chosen only if y and z have the same parity (opposite to
     x's on x's own path, equal to x's on any other).
     """
-    out: set[TokenPair] = set()
+    out: list[TokenPair] = []
     evens: list[int] = []   # even positions of the walks seen so far
     odds: list[int] = []
     for walk in walks:
         even, odd = walk[0::2], walk[1::2]
-        out.update(_pair(x, y) for x in even for y in odd)
-        out.update(_pair(x, y) for x in even for y in evens)
-        out.update(_pair(x, y) for x in odd for y in odds)
+        out += [(x, y) if x < y else (y, x) for x in even for y in odd]
+        out += [(x, y) if x < y else (y, x) for x in even for y in evens]
+        out += [(x, y) if x < y else (y, x) for x in odd for y in odds]
         evens.extend(even)
         odds.extend(odd)
     return frozenset(out)
@@ -118,13 +118,14 @@ def extract_s1_s2(i, n: int, h: Graph) -> tuple[VertexSet, VertexSet]:
     the lowest index).  The associated set built from the result is always
     at least as large as the input set.
     """
-    neighborhoods: dict[int, set[int]] = {u: set() for u in range(n)}
+    neighborhoods: list[set[int]] = [set() for _ in range(n)]
     for a, b in i:
-        x, y = _pair(a, b)
-        if x < n <= y:
-            neighborhoods[x].add(y - n)
+        if a > b:
+            a, b = b, a
+        if 0 <= a < n <= b:
+            neighborhoods[a].add(b - n)
     s1 = [u for u in range(n) if neighborhoods[u]]
     if not s1:
         raise ParameterError("independent set contains no cross pair (i ∩ R is empty)")
     best = max(s1, key=lambda u: (len(neighborhoods[u]), -u))
-    return VertexSet.of(n, s1), VertexSet.of(h.order, neighborhoods[best])
+    return VertexSet(n, tuple(s1)), VertexSet.of(h.order, neighborhoods[best])

@@ -13,6 +13,7 @@ after construction and safe to share.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -88,15 +89,18 @@ def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """A subset of the vertices of a graph of the given order."""
+    """A subset of the vertices of a graph of the given order, its members
+    strictly increasing and in 0..order-1.  ``of`` takes members in any
+    order, with repeats."""
 
     order: int
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if list(self.members) != sorted(set(self.members)):
+        members = self.members
+        if not all(map(operator.lt, members, members[1:])):
             raise ParameterError("members must be sorted and duplicate-free")
-        if self.members and not (0 <= self.members[0] and self.members[-1] < self.order):
+        if members and not (0 <= members[0] and members[-1] < self.order):
             raise ParameterError(f"member out of range for order {self.order}")
 
     @classmethod

@@ -92,7 +92,8 @@ def _max_ind_pairs_of_f2(kind: str, h: Graph, removed: VertexSet) -> frozenset[T
     cycle gets the cycle construction.  Otherwise h - removed is a union
     of paths, covered by the parity construction on its label runs.
     """
-    survivors = [v for v in range(h.order) if v not in removed]
+    gone = set(removed.members)
+    survivors = [v for v in range(h.order) if v not in gone]
     if len(survivors) < 2:
         return frozenset()
     if kind == "complete":
@@ -385,22 +386,64 @@ class LemmaReport:
         return sum(t.improved_size - t.start_size for t in self.trials) / len(self.trials)
 
 
-def random_independent_set_with_cross(tg: TokenGraph, cross: VertexSet,
+@dataclass(frozen=True)
+class DrawTables:
+    """What ``random_independent_set_with_cross`` reads of one graph, built
+    once per graph by ``draw_tables``: each vertex's closed neighbourhood
+    ``closed[v] = masks[v] | 1 << v``, its own bit ``bits[v] = 1 << v``,
+    and ``widths[i] = (i + 1).bit_length()``, the number of random bits
+    the shuffle draws for position i."""
+
+    closed: tuple[int, ...]
+    bits: tuple[int, ...]
+    widths: tuple[int, ...]
+
+
+def draw_tables(g: Graph) -> DrawTables:
+    """g's tables for ``random_independent_set_with_cross``."""
+    bits = tuple(1 << v for v in range(g.order))
+    return DrawTables(closed=tuple(m | b for m, b in zip(g.masks, bits)), bits=bits,
+                      widths=tuple((i + 1).bit_length() for i in range(g.order)))
+
+
+def _shuffled_range(widths: tuple[int, ...], getrandbits) -> list[int]:
+    """0..len(widths)-1 shuffled by the Fisher-Yates that CPython's
+    ``random.Random.shuffle`` runs, written out: for i from the last
+    position down to 1, ``getrandbits(widths[i])``, drawn again while it
+    exceeds i, picks the position swapped with i.  So ``rng.shuffle`` of
+    ``list(range(len(widths)))`` gives the same list and leaves rng in the
+    same state, without its per-draw ``_randbelow`` call."""
+    order = list(range(len(widths)))
+    for i in range(len(widths) - 1, 0, -1):
+        k = widths[i]
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def random_independent_set_with_cross(tables: DrawTables, cross: VertexSet,
                                       rng: random.Random) -> list[int]:
     """Greedy closure of a shuffled vertex order around a forced cross pair
     drawn from ``cross`` (the mixed region R of ``join_partition``),
-    yielding a maximal independent set that meets that region.  The forced
-    vertex comes first, the others in the order they joined."""
+    yielding a maximal independent set, meeting that region, of the graph
+    ``tables`` was built from.  The forced vertex comes first, the others
+    in the order they joined.
+
+    The draws are ``rng.choice(cross.members)``, then ``_shuffled_range``
+    over every vertex: the same draws as ``rng.shuffle``, so a seed gives
+    the same sets on every Python whose ``choice`` and ``getrandbits``
+    give the same values.
+    """
     seed = rng.choice(cross.members)
-    masks = tg.graph.masks
-    order = list(range(tg.graph.order))
-    rng.shuffle(order)
+    closed, bits = tables.closed, tables.bits
     chosen = [seed]
-    blocked = masks[seed] | (1 << seed)
-    for v in order:
-        if not blocked >> v & 1:
+    blocked = closed[seed]
+    for v in _shuffled_range(tables.widths, rng.getrandbits):
+        if not blocked & bits[v]:
             chosen.append(v)
-            blocked |= masks[v] | (1 << v)
+            blocked |= closed[v]
     return chosen
 
 
@@ -417,11 +460,13 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
     h = generate(h_spec)
     tg = build_f2(join(Graph.build(n, []), h))
     cross = join_partition(tg, n).r
+    tables = draw_tables(tg.graph)
+    token_pairs = tg.pairs
     rng = random.Random(seed)
     results = []
     for _ in range(trials):
-        indices = random_independent_set_with_cross(tg, cross, rng)
-        pairs = frozenset(tg.pairs[i] for i in indices)
+        indices = random_independent_set_with_cross(tables, cross, rng)
+        pairs = [token_pairs[i] for i in indices]   # distinct, as the indices are
         s1, s2 = extract_s1_s2(pairs, n, h)
         mis2 = _max_ind_pairs_of_f2(h_spec.kind, h, s2)
         improved = associated_independent_set(AssociatedSetInput(
@@ -429,5 +474,5 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
         ok_ind = is_independent(tg.graph, tg.indices_of(improved))
         results.append(LemmaTrial(
             start_size=len(pairs), improved_size=len(improved),
-            independent=ok_ind, seed_pair=tg.pairs[indices[0]]))
+            independent=ok_ind, seed_pair=token_pairs[indices[0]]))
     return LemmaReport(n=n, h_spec=h_spec, trials=tuple(results))

@@ -88,10 +88,14 @@ def is_independent(g: Graph, s: VertexSet) -> bool:
     if s.order != g.order:
         raise ParameterError(f"vertex set not within a graph of order {g.order}")
     adj = g.masks
+    members = s.members
     mask = 0
-    for v in s:
+    for v in members:
         mask |= 1 << v
-    return not any(adj[v] & mask for v in s)
+    for v in members:
+        if adj[v] & mask:
+            return False
+    return True
 
 
 def _bits_to_sorted(bits: int) -> list[int]:

@@ -1,10 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from token_alpha import harness
+from token_alpha import cli, harness
 from token_alpha.cli import main
 from token_alpha.errors import ParameterError
 from token_alpha.fileio import parse_graph
@@ -526,3 +529,38 @@ def test_complete_20_finishes_within_the_frontier_budget(capsys):
     assert code == 0
     assert mask_millis(out).splitlines()[1].split("\t") == [
         "complete", "-", "20", "-", "10", "no", "10", "10", "9", "X", "AGREE"]
+
+
+_ONE_PROCESS_RUNS = [
+    (0, ("alpha", "--family", "fan", "--n", "2", "--m", "5")),
+    (2, ("alpha", "--family", "fan", "--n", "two", "--m", "5")),    # argparse rejects it
+    (2, ("alpha", "--family", "wheel", "--n", "1", "--m", "2")),    # the spec rejects it
+    (0, ("sweep", "--family", "wheel", "--n-range", "1..2", "--m-range", "3..5")),
+    (0, ("lemma-check", "--n", "3", "--family", "cycle", "--m", "7", "--trials", "40",
+         "--seed", "5")),
+    (0, ("alpha", "--family", "fan", "--n", "2", "--m", "5")),      # the first run again
+]
+
+
+def test_one_parser_serves_every_main_call_in_a_process(capsys, monkeypatch):
+    # main keeps the parser it builds; each run in one process must read
+    # as it does alone in a fresh interpreter, usage errors included
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps its usage to this width
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import token_alpha.cli as cli; print(cli._build_parser.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert fresh.stdout == "0\n"   # importing the CLI builds no parser
+    for expected, argv in _ONE_PROCESS_RUNS:
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "token_alpha.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        assert code == expected, argv
+        assert (code, mask_report(captured.out), captured.err) == (
+            alone.returncode, mask_report(alone.stdout), alone.stderr), argv
+    assert cli._build_parser.cache_info().currsize == 1

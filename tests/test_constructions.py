@@ -15,7 +15,11 @@ from token_alpha.constructions import (
 from token_alpha.errors import ParameterError
 from token_alpha.formulas import alpha_cycle, alpha_path_union
 from token_alpha.graphs import Graph, VertexSet, components, delete_vertices, generate, join
-from token_alpha.harness import construction_pairs, random_independent_set_with_cross
+from token_alpha.harness import (
+    construction_pairs,
+    draw_tables,
+    random_independent_set_with_cross,
+)
 from token_alpha.mis import is_independent, max_independent_set, max_independent_set_exhaustive
 from token_alpha.tokens import build_f2, join_partition
 
@@ -179,9 +183,10 @@ def test_improvement_lemma_on_random_independent_sets(h_spec, n):
     h = generate(h_spec)
     tg = build_f2(join(generate(graphs.empty(n)), h))
     cross = join_partition(tg, n).r
+    tables = draw_tables(tg.graph)
     rng = random.Random(97)
     for _ in range(60):
-        indices = random_independent_set_with_cross(tg, cross, rng)
+        indices = random_independent_set_with_cross(tables, cross, rng)
         pairs = frozenset(tg.pairs[i] for i in indices)
         s1, s2 = extract_s1_s2(pairs, n, h)
         mis2 = _solver_mis_pairs(h, s2)

@@ -159,6 +159,34 @@ def test_graph_rejects_a_negative_endpoint_and_a_negative_order():
         Graph.build(-1, [])
 
 
+@pytest.mark.parametrize("members, message", [
+    ((2, 1), "sorted and duplicate-free"),
+    ((0, 3, 2, 4), "sorted and duplicate-free"),
+    ((1, 1), "sorted and duplicate-free"),
+    ((0, 2, 2, 3), "sorted and duplicate-free"),
+    ((-1, 2), "out of range for order 5"),
+    ((1, 5), "out of range for order 5"),
+    ((5,), "out of range for order 5"),
+])
+def test_vertex_set_rejects_members_out_of_order_or_range(members, message):
+    with pytest.raises(ParameterError, match=message):
+        VertexSet(5, members)
+
+
+def test_vertex_set_accepts_increasing_members_in_range():
+    assert VertexSet(5, (0, 1, 4)).members == (0, 1, 4)
+    assert VertexSet(5, (3,)).members == (3,)
+    assert VertexSet(0, ()).members == ()
+
+
+def test_vertex_set_of_sorts_and_deduplicates():
+    assert VertexSet.of(6, [4, 0, 4, 2, 0]) == VertexSet(6, (0, 2, 4))
+    assert VertexSet.of(6, iter({5, 1})).members == (1, 5)
+    assert VertexSet.of(3, []) == VertexSet(3, ())
+    with pytest.raises(ParameterError, match="out of range"):
+        VertexSet.of(3, [3, 0])
+
+
 def test_delete_middle_of_path():
     g = generate(graphs.path(5))
     sub, kept = delete_vertices(g, VertexSet.of(5, [2]))

@@ -2,16 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from token_alpha import graphs, harness
 from token_alpha.errors import ParameterError
 from token_alpha.formulas import AlphaFormulaResult, alpha_closed_form
-from token_alpha.graphs import VertexSet, delete_vertices, generate
+from token_alpha.graphs import Graph, VertexSet, delete_vertices, generate
 from token_alpha.harness import (
     SweepConfig,
     VerdictTally,
     compositions,
     construction_pairs,
+    draw_tables,
     evaluate_graph_row,
     evaluate_row,
     run_lemma_trials,
@@ -217,6 +219,38 @@ def test_lemma_trials_report_the_pair_each_trial_was_seeded_with():
         drawn = rng.choice(cross.members)
         rng.shuffle(list(range(tg.graph.order)))
         assert trial.seed_pair == tg.pairs[drawn]
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 45, 190])
+def test_the_written_out_shuffle_is_the_stdlib_shuffle(length):
+    # lemma-check's trials, and so its pinned stdout, rest on this: the
+    # same permutation as random.shuffle, and the generator left where
+    # random.shuffle leaves it
+    widths = draw_tables(Graph.build(length, [])).widths
+    for seed in range(200):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        expected = list(range(length))
+        stdlib.shuffle(expected)
+        assert harness._shuffled_range(widths, ours.getrandbits) == expected, seed
+        assert ours.getrandbits(64) == stdlib.getrandbits(64), seed
+
+
+@given(st.sampled_from(["fan", "wheel"]), st.integers(1, 3), st.integers(3, 6),
+       st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_a_random_set_is_maximal_and_starts_at_its_cross_vertex(kind, n, m, seed):
+    tg = build_f2(generate(graphs.FamilySpec(kind, n=n, m=m)))
+    cross = join_partition(tg, n).r
+    chosen = harness.random_independent_set_with_cross(
+        draw_tables(tg.graph), cross, random.Random(seed))
+    assert chosen[0] == random.Random(seed).choice(cross.members)
+    assert len(set(chosen)) == len(chosen)
+    inside = VertexSet.of(tg.graph.order, chosen)
+    assert is_independent(tg.graph, inside)
+    masks = tg.graph.masks
+    covered = sum(1 << v for v in chosen)
+    for v in range(tg.graph.order):
+        assert v in inside or masks[v] & covered, v   # nothing can be added
 
 
 def test_lemma_trials_never_call_the_solver(monkeypatch):
