@@ -238,12 +238,16 @@ def generate(spec: FamilySpec) -> Graph:
     one every witness, sweep row and exported file refers to.
 
     Paths and cycles are numbered consecutively along the path/cycle; a path
-    union numbers its parts consecutively in the order given.  E_n + H
-    places the E_n side at 0..n-1 and H, in its own labelling, after it.
+    union numbers its parts consecutively in the order given, each part's
+    edges joining consecutive labels.  E_n + H places the E_n side at
+    0..n-1 and H, in its own labelling, after it.  No walk or part list is
+    kept beside the graph: the constructions read the paths and cycles off
+    its adjacency bitsets.
     """
     kind = spec.kind
     if kind == "path_union":
-        edges = [(v, v + 1) for walk in path_walks(spec) for v in walk[:-1]]
+        starts = itertools.accumulate(spec.parts, initial=0)
+        edges = [(v, v + 1) for s, p in zip(starts, spec.parts) for v in range(s, s + p - 1)]
         return Graph.build(sum(spec.parts), edges)
     if kind in JOIN_H_KIND:
         return join(Graph.build(spec.n, []), _GRAPH_OF_M[JOIN_H_KIND[kind]](spec.m))
@@ -257,13 +261,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     all2 = ((1 << g2.order) - 1) << shift
     return Graph(tuple(mask | all2 for mask in g1.masks)
                  + tuple(mask << shift | all1 for mask in g2.masks))
-
-
-def path_walks(spec: FamilySpec) -> list[range]:
-    """The paths of a path-union spec, each as the sequence of its vertices
-    in ``generate``'s labels: consecutive ranges, in part order."""
-    starts = itertools.accumulate(spec.parts, initial=0)
-    return [range(s, s + p) for s, p in zip(starts, spec.parts)]
 
 
 def delete_vertices(g: Graph, a: VertexSet) -> tuple[Graph, list[int]]:

@@ -10,8 +10,11 @@ check it independently and the node budget caps the solver alone; from
 ``mis`` they take only the greedy maximal independent set, as the S2 of
 a join family's cross candidate.  Their witnesses are always re-checked
 for independence before their size is trusted.  The solver runs only
-for a row's solver cell (``_solve``); the lemma trials take F2(H - S2)'s
-maximum sets from the constructions.
+for a row's solver cell (``_solve``).  Every construction route, the
+one-graph kinds, both join candidates and the lemma trials, takes its
+maximum set of an F2(H - S2) from one recipe, ``_max_ind_pairs_of_f2``,
+which reads the shape of H - S2 off H's adjacency bitsets (paths, a
+clique or a whole cycle), not from a family name.
 
 A sweep is one pass: ``run_sweep`` yields each row as soon as it is
 evaluated, and ``VerdictTally`` counts verdicts as rows go by, so a
@@ -43,7 +46,6 @@ from .graphs import (
     VertexSet,
     generate,
     join,
-    path_walks,
 )
 from .mis import MisResult, greedy_independent_set, is_independent, max_independent_set
 from .tokens import TokenGraph, TokenPair, build_f2, join_partition
@@ -56,62 +58,51 @@ VERDICTS = ("AGREE", "DISAGREE", "ABORTED")
 # Construction recipes
 # ---------------------------------------------------------------------------
 
-def _label_runs(m: int, removed: VertexSet, cyclic: bool) -> list[list[int]]:
-    """The paths left when ``removed`` is deleted from the path, or the
-    cycle when ``cyclic``, that ``generate`` numbers 0..m-1 along itself.
+def _max_ind_pairs_of_f2(g: Graph, removed: VertexSet) -> frozenset[TokenPair]:
+    """A maximum independent set of F2(g - removed) as pairs in g's labels,
+    built without the solver and chosen by the shape of what is left, as
+    g's adjacency bitsets show it.  The one-graph constructions, both join
+    candidates and the lemma trials all take it.
 
-    Each path is a maximal run of consecutive surviving labels; a cycle,
-    which must lose a vertex, is read from the vertex after its lowest
-    removed one, so a run may wrap past m-1.  Each walk starts at its
-    lower-labelled end: the parity set of an even-length walk depends on
-    its direction.
+    Each path of g - removed is walked from its lower-labelled end (an
+    isolated vertex is a walk of one, and K2 is a path); if that walks
+    every survivor, the parity construction on the walks is maximum.  The
+    parity set of an even-length walk depends on its direction, so
+    starting low keeps witnesses fixed.  Otherwise a clique is covered by
+    a matching, and anything else gets the cycle construction, which is
+    maximum only for a whole cycle numbered 0..m-1 around itself as
+    ``generate`` builds it: the only other shape a family leaves.  Any
+    other shape, such as a vertex of degree 3 or more beside a path end,
+    may get a wrong set; a row's ``is_independent`` check and solver cell,
+    or a trial's size check, are what judge it.
     """
-    gone = set(removed)
-    start = removed.members[0] + 1 if cyclic else 0
-    walks, run = [], []
-    for v in range(start, start + m):
-        v %= m
-        if v not in gone:
-            run.append(v)
-        elif run:
-            walks.append(run)
-            run = []
-    if run:
-        walks.append(run)
-    return [w if w[0] < w[-1] else w[::-1] for w in walks]
-
-
-def _max_ind_pairs_of_f2(kind: str, h: Graph, removed: VertexSet) -> frozenset[TokenPair]:
-    """A maximum independent set of F2(h - removed) as pairs in h's labels,
-    built without the solver; the lemma trials and the join constructions
-    both take it.
-
-    h is the path, cycle, clique or edgeless graph that ``generate`` builds
-    for ``kind``.  A clique leaves a clique, covered by a matching; an
-    edgeless graph leaves one, whose token graph has no edges; a whole
-    cycle gets the cycle construction.  Otherwise h - removed is a union
-    of paths, covered by the parity construction on its label runs.
-    """
-    gone = set(removed.members)
-    survivors = [v for v in range(h.order) if v not in gone]
-    if len(survivors) < 2:
-        return frozenset()
-    if kind == "complete":
+    adj = g.masks
+    left = (1 << g.order) - 1 & ~sum(1 << v for v in removed)
+    walks, walked = [], 0
+    for v in range(g.order):
+        if not (left ^ walked) >> v & 1 or (adj[v] & left).bit_count() > 1:
+            continue
+        walk, step = [], 1 << v
+        while step and not step & (step - 1):   # exactly one way on
+            walk.append(step.bit_length() - 1)
+            walked |= step
+            step = adj[walk[-1]] & left & ~walked
+        walks.append(walk)
+    if walked == left:
+        return path_union_independent_set(walks)
+    survivors = [v for v in range(g.order) if left >> v & 1]
+    if all(adj[v] & left == left ^ 1 << v for v in survivors):
         return frozenset(zip(survivors[0::2], survivors[1::2]))
-    if kind == "empty":
-        return frozenset(itertools.combinations(survivors, 2))
-    if kind == "cycle" and not removed:
-        return cycle_independent_set(h.order)
-    return path_union_independent_set(_label_runs(h.order, removed, kind == "cycle"))
+    return cycle_independent_set(g.order)
 
 
 def construction_pairs(spec: FamilySpec) -> frozenset[TokenPair]:
     """Explicit independent set for the family instance, built without the
     exact solver.
 
-    Path unions get the parity set, on the walks of their parts in
-    ``generate``'s labels; paths, cycles, cliques and edgeless graphs get
-    the maximum set of their own token graph.  Join families E_n + H get
+    Paths, path unions, cycles, cliques and edgeless graphs get the
+    maximum set of their own token graph, read off the graph that
+    ``generate`` builds.  Join families E_n + H get
     the larger of two candidates: the side set (all E_n pairs plus a
     maximum set of F2(H)) and the cross-heavy associated set built from
     S1 = V(E_n) and a maximum independent set S2 of H.  S2 is H's greedy
@@ -119,23 +110,20 @@ def construction_pairs(spec: FamilySpec) -> frozenset[TokenPair]:
     a join family has: the even labels of a path or a cycle, one vertex of
     a clique, all of an edgeless graph.
     """
-    kind = spec.kind
-    if kind == "path_union":
-        return path_union_independent_set(path_walks(spec))
-    if kind not in JOIN_H_KIND:
-        return _max_ind_pairs_of_f2(kind, generate(spec), VertexSet.of(spec.m, []))
+    if spec.kind not in JOIN_H_KIND:
+        g = generate(spec)
+        return _max_ind_pairs_of_f2(g, VertexSet(g.order, ()))
 
     n, m = spec.n, spec.m
-    h_kind = JOIN_H_KIND[kind]
-    h = generate(FamilySpec(h_kind, m=m))
+    h = generate(FamilySpec(JOIN_H_KIND[spec.kind], m=m))
     nothing = VertexSet.of(m, [])
     side = associated_independent_set(AssociatedSetInput(
         n=n, s1=VertexSet.of(n, []), s2=nothing,
-        mis_h_minus_s2=_max_ind_pairs_of_f2(h_kind, h, nothing)))
+        mis_h_minus_s2=_max_ind_pairs_of_f2(h, nothing)))
 
     greedy = greedy_independent_set(h.masks)
     s2 = VertexSet.of(m, (v for v in range(m) if greedy >> v & 1))
-    cross_mis = _max_ind_pairs_of_f2(h_kind, h, s2)
+    cross_mis = _max_ind_pairs_of_f2(h, s2)
     cross = associated_independent_set(AssociatedSetInput(
         n=n, s1=VertexSet.of(n, range(n)), s2=s2, mis_h_minus_s2=cross_mis))
 
@@ -468,7 +456,7 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
         indices = random_independent_set_with_cross(tables, cross, rng)
         pairs = [token_pairs[i] for i in indices]   # distinct, as the indices are
         s1, s2 = extract_s1_s2(pairs, n, h)
-        mis2 = _max_ind_pairs_of_f2(h_spec.kind, h, s2)
+        mis2 = _max_ind_pairs_of_f2(h, s2)
         improved = associated_independent_set(AssociatedSetInput(
             n=n, s1=s1, s2=s2, mis_h_minus_s2=mis2))
         ok_ind = is_independent(tg.graph, tg.indices_of(improved))

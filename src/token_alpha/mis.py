@@ -62,6 +62,7 @@ one too, so split(5,14) solves in 6 nodes instead of 16 612.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, CapacityError, ParameterError
@@ -410,6 +411,9 @@ def max_independent_set(g: Graph | TokenGraph,
     nodes_explored counts search nodes (calls into the recursion) over
     all components; the root, with its folds and its cover, is node 1.
     Raises BudgetExceededError once the count would exceed node_budget.
+    The search recurses once per chosen vertex, so for the solve the
+    interpreter's recursion limit is raised by two frames per renumbered
+    vertex, and restored however the solve ends.
     """
     token = None
     if isinstance(g, TokenGraph):
@@ -487,6 +491,11 @@ def max_independent_set(g: Graph | TokenGraph,
                     clique &= cand
                     gone |= _union(adj, twins)
 
+    # each level of the search is two frames (dfs, then branch) and adds a
+    # vertex to the chosen set, so a dive may need 2 * len(order) frames
+    # above the caller's, past the default limit from ~490 levels on
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * len(order) + 50)
     found = greedy
     try:
         if count > greedy.bit_count():
@@ -500,6 +509,7 @@ def max_independent_set(g: Graph | TokenGraph,
                 branch(part, 0, 0, len(own), own[best_size:])
                 found |= best_bits
     finally:
+        sys.setrecursionlimit(limit)
         # dfs and branch reach each other through their closures; breaking
         # that cycle frees the search's state, and the token graph held for
         # the orbits, as soon as the solve ends rather than at a later

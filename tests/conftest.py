@@ -34,8 +34,8 @@ def _pair_touches_s2(monkeypatch):
     nonempty S2; {u,a} of I_R and {a,b} differ by the join edge u-b."""
     real = harness._max_ind_pairs_of_f2
 
-    def faulty(kind, h, removed):
-        pairs = real(kind, h, removed)
+    def faulty(h, removed):
+        pairs = real(h, removed)
         if not removed:
             return pairs
         a = removed.members[0]
@@ -49,8 +49,8 @@ def _f2_set_not_independent(monkeypatch):
     a third vertex x of H - S2, wherever H - S2 has them."""
     real = harness._max_ind_pairs_of_f2
 
-    def faulty(kind, h, removed):
-        pairs = real(kind, h, removed)
+    def faulty(h, removed):
+        pairs = real(h, removed)
         survivors = [v for v in range(h.order) if v not in removed]
         for y, z in h.sorted_edges():
             x = next((v for v in survivors if v not in (y, z)), None)

@@ -117,6 +117,20 @@ def test_alpha_from_file(capsys, tmp_path):
     assert row[7] == "5"
 
 
+def test_a_deep_search_on_a_file_is_an_aborted_row(capsys, tmp_path):
+    # GP(50,2), whose search dives past the default recursion limit before
+    # 600 nodes: the budget ends it, as an ABORTED row and exit 3
+    edges = [e for i in range(50)
+             for e in ((i, (i + 1) % 50), (i, 50 + i), (50 + i, 50 + (i + 2) % 50))]
+    target = tmp_path / "gp.txt"
+    target.write_text("p 100 150\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    code, out, _ = run_cli(capsys, "alpha", "--input", str(target), "--budget", "600")
+    assert code == 3
+    rows = out.splitlines()
+    assert rows[1].startswith("file:gp.txt\t") and rows[1].endswith("\tABORTED")
+    assert rows[-1] == "# agree=0 disagree=0 aborted=1"
+
+
 def test_alpha_unparsable_file(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("p 3 1\ne 9 9\n")

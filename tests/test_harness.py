@@ -288,6 +288,22 @@ def _independent_sets(h):
                 yield VertexSet(h.order, members)
 
 
+def _check_f2_minus_s2(h, s2):
+    """The recipe's set for F2(h - s2) avoids s2, is independent there and
+    is as large as the solver's maximum."""
+    pairs = harness._max_ind_pairs_of_f2(h, s2)
+    assert not any(v in s2 for pair in pairs for v in pair), s2
+    sub, kept = delete_vertices(h, s2)
+    if sub.order < 2:
+        assert pairs == frozenset(), s2
+        return
+    tg = build_f2(sub)
+    new_label = {old: new for new, old in enumerate(kept)}
+    indices = tg.indices_of(frozenset((new_label[a], new_label[b]) for a, b in pairs))
+    assert is_independent(tg.graph, indices), s2
+    assert len(pairs) == max_independent_set(tg.graph).size, s2
+
+
 @pytest.mark.parametrize("kind, orders", [
     ("path", range(1, 11)), ("cycle", range(3, 11)),
     ("complete", range(1, 8)), ("empty", range(1, 8)),
@@ -298,17 +314,42 @@ def test_construction_of_f2_minus_s2_is_maximum(kind, orders):
     for m in orders:
         h = generate(graphs.FamilySpec(kind, m=m))
         for s2 in _independent_sets(h):
-            pairs = harness._max_ind_pairs_of_f2(kind, h, s2)
-            assert not any(v in s2 for pair in pairs for v in pair), (m, s2)
-            sub, kept = delete_vertices(h, s2)
-            if sub.order < 2:
-                assert pairs == frozenset(), (m, s2)
-                continue
-            tg = build_f2(sub)
-            new_label = {old: new for new, old in enumerate(kept)}
-            indices = tg.indices_of(frozenset((new_label[a], new_label[b]) for a, b in pairs))
-            assert is_independent(tg.graph, indices), (m, s2)
-            assert len(pairs) == max_independent_set(tg.graph).size, (m, s2)
+            _check_f2_minus_s2(h, s2)
+
+
+def test_recipe_is_maximum_on_every_small_graph():
+    # the recipe reads the shape off the graph, not a family name: every
+    # graph H of order 1..7 and every independent S2 that leaves a union of
+    # paths or a clique gets a maximum set of F2(H - S2)
+    nx = pytest.importorskip("networkx")
+    graphs_seen = cases = 0
+    for atlas in nx.graph_atlas_g():
+        k = atlas.number_of_nodes()
+        if k == 0:
+            continue
+        graphs_seen += 1
+        h = Graph.build(k, atlas.edges())
+        for s2 in _independent_sets(h):
+            rest = atlas.subgraph(v for v in atlas if v not in s2)
+            left = rest.number_of_nodes()
+            clique = rest.number_of_edges() == left * (left - 1) // 2
+            if clique or (nx.is_forest(rest) and max(d for _, d in rest.degree()) <= 2):
+                _check_f2_minus_s2(h, s2)
+                cases += 1
+    assert (graphs_seen, cases) == (1252, 8749)
+
+
+@pytest.mark.parametrize("h_spec, removed, walks", [
+    (graphs.path(7), (2, 4), [[0, 1], [3], [5, 6]]),
+    (graphs.cycle(7), (2, 4), [[3], [1, 0, 6, 5]]),   # the path through 6, 0
+    (graphs.cycle(6), (0,), [[1, 2, 3, 4, 5]]),
+])
+def test_recipe_walks_start_at_their_lower_end(h_spec, removed, walks):
+    # the parity set of an even-length walk depends on its direction, so
+    # construction witnesses stay fixed only if every walk starts low
+    h = generate(h_spec)
+    pairs = harness._max_ind_pairs_of_f2(h, VertexSet.of(h.order, removed))
+    assert pairs == harness.path_union_independent_set(walks)
 
 
 @pytest.mark.parametrize("kind, first, alpha", [
@@ -324,17 +365,6 @@ def test_greedy_set_of_every_join_h_is_maximum(kind, first, alpha):
         s2 = VertexSet.of(m, (v for v in range(m) if bits >> v & 1))
         assert is_independent(h, s2), (kind, m)
         assert len(s2) == alpha(m), (kind, m)
-
-
-@pytest.mark.parametrize("m, removed, cyclic, walks", [
-    (7, (2, 4), False, [[0, 1], [3], [5, 6]]),
-    (7, (2, 4), True, [[3], [1, 0, 6, 5]]),   # the run through 6, 0 wraps
-    (6, (0,), True, [[1, 2, 3, 4, 5]]),
-])
-def test_label_runs_start_at_their_lower_end(m, removed, cyclic, walks):
-    # the parity set of an even-length walk depends on its direction, so
-    # construction witnesses stay fixed only if every walk starts low
-    assert harness._label_runs(m, VertexSet.of(m, removed), cyclic) == walks
 
 
 def test_lemma_trials_require_positive_count():

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -125,6 +126,21 @@ def test_budget_abort_is_distinct():
     assert err.value.nodes_explored > 1
     # and without a budget the same instance solves fine
     assert max_independent_set(tg.graph).size == 15
+
+
+def test_a_deep_search_ends_on_its_budget_not_the_recursion_limit():
+    # the generalized Petersen graph GP(50,2): outer cycle, spokes, inner
+    # edges i to i+2.  Its token graph's search dives ~500 levels within
+    # 600 nodes, two frames a level, past the default limit of 1000
+    edges = [e for i in range(50)
+             for e in ((i, (i + 1) % 50), (i, 50 + i), (50 + i, 50 + (i + 2) % 50))]
+    tg = build_f2(Graph.build(100, edges))
+    limit = sys.getrecursionlimit()
+    with pytest.raises(BudgetExceededError):
+        max_independent_set(tg, node_budget=600)
+    assert sys.getrecursionlimit() == limit
+    max_independent_set(build_f2(generate(graphs.fan(4, 6))))
+    assert sys.getrecursionlimit() == limit
 
 
 def test_budget_edge_is_the_node_count():
