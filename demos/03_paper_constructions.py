@@ -7,7 +7,7 @@ from token_alpha.constructions import (
     cycle_independent_set,
     path_union_independent_set,
 )
-from token_alpha.graphs import VertexSet, generate
+from token_alpha.graphs import generate
 from token_alpha.mis import is_independent, max_independent_set
 from token_alpha.tokens import build_f2
 
@@ -25,11 +25,12 @@ print("size:", len(chosen), " solver:", max_independent_set(tg.graph).size,
 # Associated set for the fan E3 + P5 (n = (m+1)/2, the exceptional case):
 # pair all hub vertices with an alternating path set, then fill the
 # leftover path vertices with the parity construction of what remains.
+# S1 and S2 are bitmasks: bit u of S1 is hub u, bit v of S2 is path vertex v.
 n, m = 3, 5
 inp = AssociatedSetInput(
     n=n,
-    s1=VertexSet.of(n, range(n)),
-    s2=VertexSet.of(m, [0, 2, 4]),
+    s1=0b111,        # every hub
+    s2=0b10101,      # path vertices 0, 2, 4
     mis_h_minus_s2=frozenset([(1, 3)]),
 )
 assoc = associated_independent_set(inp)

@@ -10,6 +10,8 @@ token-graph indices, so they stay independent of any particular token
 graph object.  The parity set takes the paths' walks in the labels of the
 graph they belong to.  Under the join labeling the E_n side occupies
 0..n-1 and H occupies n..n+|H|-1; H-side inputs are given in H's own labels.
+S1 and S2 are plain bitmasks, the form of a graph's adjacency bitsets:
+bit u of S1 is E_n vertex u, bit v of S2 is H vertex v.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .graphs import Graph, VertexSet
 from .tokens import TokenPair
 
 
@@ -75,18 +76,19 @@ def cycle_independent_set(m: int) -> frozenset[TokenPair]:
 class AssociatedSetInput:
     """Inputs for the associated set of E_n + H.
 
-    s1 lives on the E_n side, s2 and mis_h_minus_s2 in H's own labels;
-    mis_h_minus_s2 is a maximum independent set of F2(H - s2) supplied by
-    the caller; the harness takes it from the constructions.  The record
-    checks nothing.  The harness judges the associated set built from it
-    with ``is_independent`` on F2(E_n + H), which catches an s2 that is
-    not independent in H, a pair of mis_h_minus_s2 that meets s2 (when s1
-    is nonempty) and a mis_h_minus_s2 that is not independent.
+    s1 is a bitmask over the E_n side 0..n-1, s2 a bitmask over H's own
+    labels, and mis_h_minus_s2 a maximum independent set of F2(H - s2) as
+    pairs in H's own labels, supplied by the caller; the harness takes it
+    from the constructions.  The record checks nothing.  The harness
+    judges the associated set built from it with ``is_independent`` on
+    F2(E_n + H), which catches an s2 that is not independent in H, a pair
+    of mis_h_minus_s2 that meets s2 (when s1 is nonempty) and a
+    mis_h_minus_s2 that is not independent.
     """
 
     n: int
-    s1: VertexSet
-    s2: VertexSet
+    s1: int
+    s2: int
     mis_h_minus_s2: frozenset[TokenPair]
 
 
@@ -98,34 +100,32 @@ def associated_independent_set(inp: AssociatedSetInput) -> frozenset[TokenPair]:
     edges, so everything is independent there) plus the supplied maximum
     independent set of F2(H - s2), shifted onto the H side.
     """
-    n = inp.n
-    s1 = set(inp.s1)
-    out: set[TokenPair] = set()
-    for u in s1:
-        for v in inp.s2:
-            out.add((u, n + v))
-    rest = [u for u in range(n) if u not in s1]
+    n, s1, s2 = inp.n, inp.s1, inp.s2
+    h_side = [n + v for v in range(s2.bit_length()) if s2 >> v & 1]
+    out = {(u, v) for u in range(n) if s1 >> u & 1 for v in h_side}
+    rest = [u for u in range(n) if not s1 >> u & 1]
     out.update(itertools.combinations(rest, 2))
     out.update((n + a, n + b) for a, b in inp.mis_h_minus_s2)
     return frozenset(out)
 
 
-def extract_s1_s2(i, n: int, h: Graph) -> tuple[VertexSet, VertexSet]:
-    """Recover (S1, S2) from an independent set of F2(E_n + H) meeting R.
+def extract_s1_s2(i, n: int) -> tuple[int, int]:
+    """Recover (S1, S2), as bitmasks, from an independent set of F2(E_n + H)
+    meeting R, given as pairs under the join labeling.
 
     S1 collects the E_n vertices paired with anything on the H side; S2 is
-    the H-neighborhood of a vertex maximizing that neighborhood (ties to
-    the lowest index).  The associated set built from the result is always
-    at least as large as the input set.
+    the H-neighborhood, in H's own labels, of a vertex maximizing that
+    neighborhood (ties to the lowest index).  The associated set built from
+    the result is always at least as large as the input set.
     """
-    neighborhoods: list[set[int]] = [set() for _ in range(n)]
+    hoods = [0] * n   # hoods[u]: the H vertices paired with E_n vertex u
+    s1 = 0
     for a, b in i:
         if a > b:
             a, b = b, a
-        if 0 <= a < n <= b:
-            neighborhoods[a].add(b - n)
-    s1 = [u for u in range(n) if neighborhoods[u]]
+        if a < n <= b:
+            hoods[a] |= 1 << b - n
+            s1 |= 1 << a
     if not s1:
         raise ParameterError("independent set contains no cross pair (i ∩ R is empty)")
-    best = max(s1, key=lambda u: (len(neighborhoods[u]), -u))
-    return VertexSet(n, tuple(s1)), VertexSet.of(h.order, neighborhoods[best])
+    return s1, max(hoods, key=int.bit_count)

@@ -10,11 +10,14 @@ check it independently and the node budget caps the solver alone; from
 ``mis`` they take only the greedy maximal independent set, as the S2 of
 a join family's cross candidate.  Their witnesses are always re-checked
 for independence before their size is trusted.  The solver runs only
-for a row's solver cell (``_solve``).  Every construction route, the
-one-graph kinds, both join candidates and the lemma trials, takes its
-maximum set of an F2(H - S2) from one recipe, ``_max_ind_pairs_of_f2``,
-which reads the shape of H - S2 off H's adjacency bitsets (paths, a
-clique or a whole cycle), not from a family name.
+for a row's solver cell (``_solve``).  A row generates its graph once:
+the construction reads it, and a join's H is read off it.  Every
+construction route, the one-graph kinds, both join candidates and the
+lemma trials, takes its maximum set of an F2(H - S2) from one recipe,
+``_max_ind_pairs_of_f2``, which reads the shape of H - S2 off H's
+adjacency bitsets (paths, a clique or a whole cycle), not from a family
+name.  S1, S2 and the recipe's removed set are bitmasks, as the
+adjacency bitsets are.
 
 A sweep is one pass: ``run_sweep`` yields each row as soon as it is
 evaluated, and ``VerdictTally`` counts verdicts as rows go by, so a
@@ -40,7 +43,6 @@ from .errors import BudgetExceededError, ParameterError
 from .formulas import AlphaFormulaResult, alpha_closed_form
 from .graphs import (
     FAMILIES,
-    JOIN_H_KIND,
     FamilySpec,
     Graph,
     VertexSet,
@@ -58,11 +60,12 @@ VERDICTS = ("AGREE", "DISAGREE", "ABORTED")
 # Construction recipes
 # ---------------------------------------------------------------------------
 
-def _max_ind_pairs_of_f2(g: Graph, removed: VertexSet) -> frozenset[TokenPair]:
+def _max_ind_pairs_of_f2(g: Graph, removed: int) -> frozenset[TokenPair]:
     """A maximum independent set of F2(g - removed) as pairs in g's labels,
     built without the solver and chosen by the shape of what is left, as
-    g's adjacency bitsets show it.  The one-graph constructions, both join
-    candidates and the lemma trials all take it.
+    g's adjacency bitsets show it; removed is a bitmask of g's vertices.
+    The one-graph constructions, both join candidates and the lemma trials
+    all take it.
 
     Each path of g - removed is walked from its lower-labelled end (an
     isolated vertex is a walk of one, and K2 is a path); if that walks
@@ -77,7 +80,7 @@ def _max_ind_pairs_of_f2(g: Graph, removed: VertexSet) -> frozenset[TokenPair]:
     or a trial's size check, are what judge it.
     """
     adj = g.masks
-    left = (1 << g.order) - 1 & ~sum(1 << v for v in removed)
+    left = (1 << g.order) - 1 & ~removed
     walks, walked = [], 0
     for v in range(g.order):
         if not (left ^ walked) >> v & 1 or (adj[v] & left).bit_count() > 1:
@@ -96,37 +99,31 @@ def _max_ind_pairs_of_f2(g: Graph, removed: VertexSet) -> frozenset[TokenPair]:
     return cycle_independent_set(g.order)
 
 
-def construction_pairs(spec: FamilySpec) -> frozenset[TokenPair]:
+def construction_pairs(spec: FamilySpec, base: Graph) -> frozenset[TokenPair]:
     """Explicit independent set for the family instance, built without the
-    exact solver.
+    exact solver from base, the graph ``generate`` builds for spec.
 
     Paths, path unions, cycles, cliques and edgeless graphs get the
-    maximum set of their own token graph, read off the graph that
-    ``generate`` builds.  Join families E_n + H get
-    the larger of two candidates: the side set (all E_n pairs plus a
-    maximum set of F2(H)) and the cross-heavy associated set built from
-    S1 = V(E_n) and a maximum independent set S2 of H.  S2 is H's greedy
-    maximal independent set in label order, which is maximum for every H
-    a join family has: the even labels of a path or a cycle, one vertex of
-    a clique, all of an edgeless graph.
+    maximum set of their own token graph, read off base.  Join families
+    E_n + H (the kinds with an n) read H off base, where ``generate`` puts
+    it past the E_n side 0..n-1, and get the larger of two candidates: the
+    side set (all E_n pairs plus a maximum set of F2(H)) and the
+    cross-heavy associated set built from S1 = V(E_n) and a maximum
+    independent set S2 of H.  S2 is H's greedy maximal independent set in
+    label order, which is maximum for every H a join family has: the even
+    labels of a path or a cycle, one vertex of a clique, all of an
+    edgeless graph.
     """
-    if spec.kind not in JOIN_H_KIND:
-        g = generate(spec)
-        return _max_ind_pairs_of_f2(g, VertexSet(g.order, ()))
+    n = spec.n
+    if n is None:
+        return _max_ind_pairs_of_f2(base, 0)
 
-    n, m = spec.n, spec.m
-    h = generate(FamilySpec(JOIN_H_KIND[spec.kind], m=m))
-    nothing = VertexSet.of(m, [])
+    h = Graph(tuple(mask >> n for mask in base.masks[n:]))
     side = associated_independent_set(AssociatedSetInput(
-        n=n, s1=VertexSet.of(n, []), s2=nothing,
-        mis_h_minus_s2=_max_ind_pairs_of_f2(h, nothing)))
-
-    greedy = greedy_independent_set(h.masks)
-    s2 = VertexSet.of(m, (v for v in range(m) if greedy >> v & 1))
-    cross_mis = _max_ind_pairs_of_f2(h, s2)
+        n=n, s1=0, s2=0, mis_h_minus_s2=_max_ind_pairs_of_f2(h, 0)))
+    s2 = greedy_independent_set(h.masks)
     cross = associated_independent_set(AssociatedSetInput(
-        n=n, s1=VertexSet.of(n, range(n)), s2=s2, mis_h_minus_s2=cross_mis))
-
+        n=n, s1=(1 << n) - 1, s2=s2, mis_h_minus_s2=_max_ind_pairs_of_f2(h, s2)))
     return cross if len(cross) > len(side) else side
 
 
@@ -259,7 +256,7 @@ def evaluate_row(spec: FamilySpec, methods=METHODS,
 
     pairs = valid = None
     if "construction" in methods:
-        pairs = construction_pairs(spec)
+        pairs = construction_pairs(spec, base)
         valid = is_independent(tg.graph, tg.indices_of(pairs))
 
     solved = _solve(tg, node_budget) if "solver" in methods else {}
@@ -455,7 +452,7 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
     for _ in range(trials):
         indices = random_independent_set_with_cross(tables, cross, rng)
         pairs = [token_pairs[i] for i in indices]   # distinct, as the indices are
-        s1, s2 = extract_s1_s2(pairs, n, h)
+        s1, s2 = extract_s1_s2(pairs, n)
         mis2 = _max_ind_pairs_of_f2(h, s2)
         improved = associated_independent_set(AssociatedSetInput(
             n=n, s1=s1, s2=s2, mis_h_minus_s2=mis2))

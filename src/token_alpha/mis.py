@@ -408,12 +408,15 @@ def max_independent_set(g: Graph | TokenGraph,
     in an ancestor's group, which contains the node's.  So a set of the
     node that holds an image of v is the image of one that holds v.
 
-    nodes_explored counts search nodes (calls into the recursion) over
-    all components; the root, with its folds and its cover, is node 1.
-    Raises BudgetExceededError once the count would exceed node_budget.
-    The search recurses once per chosen vertex, so for the solve the
-    interpreter's recursion limit is raised by two frames per renumbered
-    vertex, and restored however the solve ends.
+    nodes_explored counts search nodes over all components; the root,
+    with its folds and its cover, is node 1, and each child the branch
+    loop creates is one more.  A child's node work (its folds, leaf,
+    bound and cover) runs in the loop that creates it, and only a child
+    that goes on branching recurses.  Raises BudgetExceededError once the
+    count would exceed node_budget.  The search recurses once per chosen
+    vertex, one frame per level, so for the solve the interpreter's
+    recursion limit is raised by one frame per renumbered vertex, and
+    restored however the solve ends.
     """
     token = None
     if isinstance(g, TokenGraph):
@@ -435,27 +438,6 @@ def max_independent_set(g: Graph | TokenGraph,
     best_size = best_bits = 0
     nodes = 1
 
-    def dfs(cand: int, chosen: int, dirty: int):
-        nonlocal best_size, best_bits, nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise BudgetExceededError(nodes)
-
-        if dirty:
-            cand, chosen = _fold(adj, cand, dirty, chosen)
-        size = chosen.bit_count()
-        if cand == 0:
-            if size > best_size:
-                best_size, best_bits = size, chosen
-            return
-        if size + cand.bit_count() <= best_size:
-            return
-        # Cliques numbered best_size - size or below can never be branched
-        # on, so only the higher ones are kept (all of them when the folds
-        # lifted size above the incumbent).
-        count, cliques = _cover(adj, cand, best_size - size)
-        branch(cand, chosen, size, count, cliques)
-
     def branch(cand: int, chosen: int, size: int, count: int, cliques: list[int]):
         # Branch in the reverse of the cover's order; cliques holds the
         # cover's highest-numbered cliques, the last numbered count.  The
@@ -467,6 +449,7 @@ def max_independent_set(g: Graph | TokenGraph,
         # (free, found at the node's first orbit drop) and the cliques
         # lose what it removed.  Once size + k cannot beat the incumbent
         # the node branches no more, so no orbit is worth dropping.
+        nonlocal best_size, best_bits, nodes
         gone = 0
         free = None
         for k, clique in zip(range(count, 0, -1), reversed(cliques)):
@@ -477,8 +460,26 @@ def max_independent_set(g: Graph | TokenGraph,
                 v = clique.bit_length() - 1
                 bit = 1 << v
                 clique ^= bit
-                child = cand & ~(adj[v] | bit)
-                dfs(child, chosen | bit, child & (gone | _union(adj, adj[v] & cand)))
+                # the child that includes v: one search node, whose folds,
+                # leaf, bound and cover run here
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    raise BudgetExceededError(nodes)
+                child, grown = cand & ~(adj[v] | bit), chosen | bit
+                dirty = child & (gone | _union(adj, adj[v] & cand))
+                if dirty:
+                    child, grown = _fold(adj, child, dirty, grown)
+                grown_size = grown.bit_count()
+                if child == 0:
+                    if grown_size > best_size:
+                        best_size, best_bits = grown_size, grown
+                elif grown_size + child.bit_count() > best_size:
+                    # Cliques numbered best_size - grown_size or below can
+                    # never be branched on, so only the higher ones are kept
+                    # (all of them when the folds lifted grown_size above the
+                    # incumbent).
+                    branch(child, grown, grown_size,
+                           *_cover(adj, child, best_size - grown_size))
                 cand ^= bit
                 gone |= adj[v]
                 if orbits is None or size + k <= best_size or not orbits.moves(v):
@@ -491,11 +492,11 @@ def max_independent_set(g: Graph | TokenGraph,
                     clique &= cand
                     gone |= _union(adj, twins)
 
-    # each level of the search is two frames (dfs, then branch) and adds a
-    # vertex to the chosen set, so a dive may need 2 * len(order) frames
-    # above the caller's, past the default limit from ~490 levels on
+    # each level of the search is one frame and adds a vertex to the
+    # chosen set, so a dive may need len(order) frames above the caller's,
+    # past the default limit of 1 000 on the deepest dives
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 2 * len(order) + 50)
+    sys.setrecursionlimit(limit + len(order) + 50)
     found = greedy
     try:
         if count > greedy.bit_count():
@@ -510,10 +511,10 @@ def max_independent_set(g: Graph | TokenGraph,
                 found |= best_bits
     finally:
         sys.setrecursionlimit(limit)
-        # dfs and branch reach each other through their closures; breaking
-        # that cycle frees the search's state, and the token graph held for
-        # the orbits, as soon as the solve ends rather than at a later
-        # garbage collection
-        dfs = branch = None
+        # branch reaches itself through its closure; breaking that cycle
+        # frees the search's state, and the token graph held for the
+        # orbits, as soon as the solve ends rather than at a later garbage
+        # collection
+        branch = None
     witness = _bits_to_sorted(forced) + [order[i] for i in _bits_to_sorted(found)]
     return MisResult(forced.bit_count() + found.bit_count(), VertexSet.of(n, witness), nodes)

@@ -6,25 +6,35 @@ never as an error."""
 import pytest
 
 from token_alpha import harness
-from token_alpha.graphs import VertexSet
+
+
+def _lowest(bits):
+    return (bits & -bits).bit_length() - 1
 
 
 def _s2_not_independent(monkeypatch):
     """Every S2 the harness takes, the cross candidate's greedy set and the
     lemma trials' extracted set, gains the H-neighbours of its lowest
     member; two of its members x, y then share an edge, and {u,x}, {u,y}
-    of I_R are adjacent."""
+    of I_R are adjacent.  The extracted set's H is read off the graph under
+    test, E_n + H, the last graph the harness built a token graph of."""
     real_greedy, real_extract = harness.greedy_independent_set, harness.extract_s1_s2
+    real_build = harness.build_f2
+    built = []
+
+    def build(base):
+        built.append(base)
+        return real_build(base)
 
     def greedy(adj):
         bits = real_greedy(adj)
-        return bits | adj[(bits & -bits).bit_length() - 1]
+        return bits | adj[_lowest(bits)]
 
-    def extract(i, n, h):
-        s1, s2 = real_extract(i, n, h)
-        around = h.masks[s2.members[0]]
-        return s1, VertexSet.of(h.order, [*s2, *(v for v in range(h.order) if around >> v & 1)])
+    def extract(i, n):
+        s1, s2 = real_extract(i, n)
+        return s1, s2 | built[-1].masks[n + _lowest(s2)] >> n
 
+    monkeypatch.setattr(harness, "build_f2", build)
     monkeypatch.setattr(harness, "greedy_independent_set", greedy)
     monkeypatch.setattr(harness, "extract_s1_s2", extract)
 
@@ -38,7 +48,7 @@ def _pair_touches_s2(monkeypatch):
         pairs = real(h, removed)
         if not removed:
             return pairs
-        a = removed.members[0]
+        a = _lowest(removed)
         return pairs | {(0, a) if a else (0, 1)}
 
     monkeypatch.setattr(harness, "_max_ind_pairs_of_f2", faulty)
@@ -51,7 +61,7 @@ def _f2_set_not_independent(monkeypatch):
 
     def faulty(h, removed):
         pairs = real(h, removed)
-        survivors = [v for v in range(h.order) if v not in removed]
+        survivors = [v for v in range(h.order) if not removed >> v & 1]
         for y, z in h.sorted_edges():
             x = next((v for v in survivors if v not in (y, z)), None)
             if y in survivors and z in survivors and x is not None:

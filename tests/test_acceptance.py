@@ -71,9 +71,10 @@ def test_criterion_02_cycles():
     failures = []
     for m in range(3, 13):
         spec = graphs.cycle(m)
-        chosen = construction_pairs(spec)
-        tg = build_f2(generate(spec))
-        got = _solve_checked(generate(spec))
+        base = generate(spec)
+        chosen = construction_pairs(spec, base)
+        tg = build_f2(base)
+        got = _solve_checked(base)
         independent = is_independent(tg.graph, tg.indices_of(chosen))
         if not (alpha_cycle(m) == len(chosen) == got and independent):
             failures.append((m, alpha_cycle(m), len(chosen), got, independent))
@@ -90,8 +91,8 @@ def test_criterion_03_path_unions():
         for parts in compositions(m):
             rows += 1
             spec = graphs.path_union(parts)
-            chosen = construction_pairs(spec)
             base = generate(spec)
+            chosen = construction_pairs(spec, base)
             tg = build_f2(base)
             formula = alpha_path_union(parts)
             solver = _solve_checked(base)

@@ -118,8 +118,8 @@ def test_alpha_from_file(capsys, tmp_path):
 
 
 def test_a_deep_search_on_a_file_is_an_aborted_row(capsys, tmp_path):
-    # GP(50,2), whose search dives past the default recursion limit before
-    # 600 nodes: the budget ends it, as an ABORTED row and exit 3
+    # GP(50,2), whose search dives ~600 levels within 600 nodes: the
+    # budget ends it, as an ABORTED row and exit 3
     edges = [e for i in range(50)
              for e in ((i, (i + 1) % 50), (i, 50 + i), (50 + i, 50 + (i + 2) % 50))]
     target = tmp_path / "gp.txt"
@@ -223,13 +223,30 @@ def test_sweep_deterministic_output(capsys):
     assert mask_millis(out1) == mask_millis(out2)
 
 
-@pytest.mark.parametrize("name, argv", [("sweep_wheel", WHEEL_SWEEP),
-                                        ("sweep_path_union", PATH_UNION_SWEEP)])
+# one small sweep per construction route; the JSON reports pin every
+# construction witness byte
+PINNED_SWEEPS = [
+    ("sweep_wheel", WHEEL_SWEEP),
+    ("sweep_path_union", PATH_UNION_SWEEP),
+    ("sweep_fan", ("sweep", "--family", "fan", "--n-range", "1..2", "--m-range", "1..4")),
+    ("sweep_split", ("sweep", "--family", "split", "--n-range", "1..2", "--m-range", "1..4")),
+    ("sweep_complete_bipartite", ("sweep", "--family", "complete-bipartite",
+                                  "--n-range", "1..2", "--m-range", "1..3")),
+    ("sweep_path", ("sweep", "--family", "path", "--m-range", "2..6")),
+    ("sweep_cycle", ("sweep", "--family", "cycle", "--m-range", "3..7")),
+    ("sweep_complete", ("sweep", "--family", "complete", "--m-range", "2..6")),
+    ("sweep_empty", ("sweep", "--family", "empty", "--m-range", "2..5")),
+]
+
+
+@pytest.mark.parametrize("name, argv", PINNED_SWEEPS)
 @pytest.mark.parametrize("flags, suffix", [((), "tsv"),
                                            (("--format", "json", "--deterministic"), "json")])
 def test_sweep_report_bytes_are_pinned(capsys, name, argv, flags, suffix):
-    # the files hold the reports as they were before sweeps streamed their
-    # rows, with millis masked; a renderer rewrite must keep every byte
+    # the files hold the reports, with millis masked, as the code wrote them
+    # before sweeps streamed their rows (wheel, path union) and before the
+    # constructions took the row's own graph (the other seven kinds); a
+    # renderer or construction rewrite must keep every byte
     code, out, err = run_cli(capsys, *argv, *flags)
     assert code == 0 and err == ""
     assert mask_report(out) == (PINNED / f"{name}.{suffix}").read_text(encoding="utf-8")

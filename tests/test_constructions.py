@@ -26,7 +26,7 @@ from token_alpha.tokens import build_f2, join_partition
 
 def associated_set_size(inp):
     """|s1||s2| + C(n-|s1|, 2) + |mis|, the cardinality the set always attains."""
-    r, s = len(inp.s1), len(inp.s2)
+    r, s = inp.s1.bit_count(), inp.s2.bit_count()
     rest = inp.n - r
     return r * s + rest * (rest - 1) // 2 + len(inp.mis_h_minus_s2)
 
@@ -73,9 +73,10 @@ def test_parity_set_size_and_independence_for_all_compositions(total):
     # builds, which is the graph export writes.
     for parts in compositions(total):
         spec = graphs.path_union(parts)
-        chosen = construction_pairs(spec)
+        base = generate(spec)
+        chosen = construction_pairs(spec, base)
         assert len(chosen) == alpha_path_union(parts)
-        tg = build_f2(generate(spec))
+        tg = build_f2(base)
         assert is_independent(tg.graph, tg.indices_of(chosen)), parts
 
 
@@ -101,8 +102,8 @@ def test_associated_set_example_with_full_s1():
     # n=2, H=P3, S1 = both hub vertices, S2 = the middle path vertex
     inp = AssociatedSetInput(
         n=2,
-        s1=VertexSet.of(2, [0, 1]),
-        s2=VertexSet.of(3, [1]),
+        s1=0b11,
+        s2=0b010,
         mis_h_minus_s2=frozenset([(0, 2)]),
     )
     out = associated_independent_set(inp)
@@ -116,8 +117,8 @@ def test_associated_set_example_with_singleton_s1():
     # n=3, H=P3, S1 a singleton, S2 an end vertex: 1*1 + C(2,2) + 1 = 3
     inp = AssociatedSetInput(
         n=3,
-        s1=VertexSet.of(3, [0]),
-        s2=VertexSet.of(3, [0]),
+        s1=0b001,
+        s2=0b001,
         mis_h_minus_s2=frozenset([(1, 2)]),
     )
     out = associated_independent_set(inp)
@@ -130,11 +131,10 @@ def test_associated_set_example_with_singleton_s1():
 def test_associated_set_attains_exceptional_fan_value():
     # S1 = all of E_n, S2 = alternating vertices of P_m, m odd, n = (m+1)/2
     m, n = 5, 3
-    s2 = VertexSet.of(m, [0, 2, 4])
     inp = AssociatedSetInput(
         n=n,
-        s1=VertexSet.of(n, range(n)),
-        s2=s2,
+        s1=0b111,
+        s2=0b10101,
         mis_h_minus_s2=frozenset([(1, 3)]),
     )
     out = associated_independent_set(inp)
@@ -144,29 +144,33 @@ def test_associated_set_attains_exceptional_fan_value():
 
 
 def test_extract_from_single_cross_pair():
-    h = generate(graphs.path(3))
-    s1, s2 = extract_s1_s2(frozenset([(0, 2)]), 2, h)
-    assert list(s1) == [0]
-    assert list(s2) == [0]
+    s1, s2 = extract_s1_s2(frozenset([(0, 2)]), 2)
+    assert s1 == 0b1
+    assert s2 == 0b1
 
 
 def test_extract_picks_largest_neighborhood():
     # E2 + P3: cross pairs around hub 0 dominate
-    h = generate(graphs.path(3))
     i = frozenset([(0, 2), (0, 4), (1, 2)])
-    s1, s2 = extract_s1_s2(i, 2, h)
-    assert list(s1) == [0, 1]
-    assert list(s2) == [0, 2]
+    s1, s2 = extract_s1_s2(i, 2)
+    assert s1 == 0b11
+    assert s2 == 0b101
+
+
+def test_extract_breaks_ties_to_the_lowest_vertex():
+    # E3 + P3: hubs 1 and 2 each pair with two H vertices; hub 1 wins
+    i = frozenset([(1, 3), (1, 5), (4, 2), (2, 5)])
+    assert extract_s1_s2(i, 3) == (0b110, 0b101)
 
 
 def test_extract_requires_a_cross_pair():
-    h = generate(graphs.path(3))
     with pytest.raises(ParameterError, match="no cross pair"):
-        extract_s1_s2(frozenset([(0, 1)]), 2, h)
+        extract_s1_s2(frozenset([(0, 1)]), 2)
 
 
 def _solver_mis_pairs(h, s2):
-    sub, kept = delete_vertices(h, s2)
+    sub, kept = delete_vertices(h, VertexSet.of(h.order, (v for v in range(h.order)
+                                                          if s2 >> v & 1)))
     if sub.order < 2:
         return frozenset()
     tg = build_f2(sub)
@@ -188,7 +192,7 @@ def test_improvement_lemma_on_random_independent_sets(h_spec, n):
     for _ in range(60):
         indices = random_independent_set_with_cross(tables, cross, rng)
         pairs = frozenset(tg.pairs[i] for i in indices)
-        s1, s2 = extract_s1_s2(pairs, n, h)
+        s1, s2 = extract_s1_s2(pairs, n)
         mis2 = _solver_mis_pairs(h, s2)
         improved = associated_independent_set(AssociatedSetInput(
             n=n, s1=s1, s2=s2, mis_h_minus_s2=mis2))
@@ -200,14 +204,14 @@ def test_improvement_lemma_on_random_independent_sets(h_spec, n):
 @settings(max_examples=40, deadline=None)
 def test_cardinality_identity(n, m, data):
     h = generate(graphs.path(m))
-    s1 = VertexSet.of(n, data.draw(st.sets(st.integers(0, n - 1))))
+    s1 = sum(1 << u for u in data.draw(st.sets(st.integers(0, n - 1))))
     odds = list(range(0, m, 2))
     s2_members = data.draw(st.sets(st.sampled_from(odds)) if odds else st.just(set()))
-    s2 = VertexSet.of(m, s2_members)
+    s2 = sum(1 << v for v in s2_members)
     mis2 = _solver_mis_pairs(h, s2)
     inp = AssociatedSetInput(n=n, s1=s1, s2=s2, mis_h_minus_s2=mis2)
     out = associated_independent_set(inp)
-    r, s = len(s1), len(s2)
+    r, s = s1.bit_count(), len(s2_members)
     assert len(out) == r * s + (n - r) * (n - r - 1) // 2 + len(mis2)
 
 

@@ -52,12 +52,13 @@ def test_construction_matches_formula_across_join_families():
     specs += [graphs.split(n, m) for n in range(1, 5) for m in range(1, 6)]
     specs += [graphs.complete_bipartite(n, m) for n in range(1, 5) for m in range(1, 5)]
     for spec in specs:
-        if generate(spec).order < 2:
+        base = generate(spec)
+        if base.order < 2:
             continue
-        pairs = construction_pairs(spec)
+        pairs = construction_pairs(spec, base)
         expected = alpha_closed_form(spec).value
         assert len(pairs) == expected, spec.label()
-        tg = build_f2(generate(spec))
+        tg = build_f2(base)
         assert is_independent(tg.graph, tg.indices_of(pairs)), spec.label()
 
 
@@ -70,6 +71,24 @@ def test_one_parameter_rows_show_formula_construction_and_solver(spec):
     assert row.formula.value == row.construction_size == row.solver.size
     assert row.construction_valid
     assert row.verdict == "AGREE"
+
+
+@pytest.mark.parametrize("spec", [graphs.path_union([3, 2]), graphs.cycle(7),
+                                  graphs.fan(3, 7), graphs.wheel(2, 5)],
+                         ids=lambda s: s.label())
+def test_a_row_generates_its_graph_once(monkeypatch, spec):
+    # the construction reads the row's own graph, and a join's H off it
+    generated = []
+    real = harness.generate
+
+    def counting_generate(s):
+        generated.append(s)
+        return real(s)
+
+    monkeypatch.setattr(harness, "generate", counting_generate)
+    row = evaluate_row(spec)
+    assert row.verdict == "AGREE"
+    assert generated == [spec]
 
 
 def test_row_without_token_graph_is_rejected():
@@ -98,7 +117,7 @@ def test_disagree_verdict_when_methods_differ(monkeypatch):
 def test_disagree_verdict_when_construction_is_not_independent(monkeypatch):
     # Right size for F2(P4), but {0,1} and {0,2} are adjacent.
     monkeypatch.setattr(harness, "construction_pairs",
-                        lambda spec, node_budget=None: frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
+                        lambda spec, base: frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
     row = evaluate_row(graphs.path(4))
     assert row.values == [4, 4, 4]
     assert row.construction_valid is False
@@ -291,7 +310,7 @@ def _independent_sets(h):
 def _check_f2_minus_s2(h, s2):
     """The recipe's set for F2(h - s2) avoids s2, is independent there and
     is as large as the solver's maximum."""
-    pairs = harness._max_ind_pairs_of_f2(h, s2)
+    pairs = harness._max_ind_pairs_of_f2(h, sum(1 << v for v in s2))
     assert not any(v in s2 for pair in pairs for v in pair), s2
     sub, kept = delete_vertices(h, s2)
     if sub.order < 2:
@@ -348,7 +367,7 @@ def test_recipe_walks_start_at_their_lower_end(h_spec, removed, walks):
     # the parity set of an even-length walk depends on its direction, so
     # construction witnesses stay fixed only if every walk starts low
     h = generate(h_spec)
-    pairs = harness._max_ind_pairs_of_f2(h, VertexSet.of(h.order, removed))
+    pairs = harness._max_ind_pairs_of_f2(h, sum(1 << v for v in removed))
     assert pairs == harness.path_union_independent_set(walks)
 
 

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import random
 import sys
 import weakref
@@ -130,17 +131,23 @@ def test_budget_abort_is_distinct():
 
 def test_a_deep_search_ends_on_its_budget_not_the_recursion_limit():
     # the generalized Petersen graph GP(50,2): outer cycle, spokes, inner
-    # edges i to i+2.  Its token graph's search dives ~500 levels within
-    # 600 nodes, two frames a level, past the default limit of 1000
+    # edges i to i+2.  Its token graph's search dives ~600 levels within
+    # 600 nodes, one frame a level; run under a limit 300 frames above
+    # this one, it ends on its budget only if the solve raises the limit
     edges = [e for i in range(50)
              for e in ((i, (i + 1) % 50), (i, 50 + i), (50 + i, 50 + (i + 2) % 50))]
     tg = build_f2(Graph.build(100, edges))
-    limit = sys.getrecursionlimit()
-    with pytest.raises(BudgetExceededError):
-        max_independent_set(tg, node_budget=600)
-    assert sys.getrecursionlimit() == limit
-    max_independent_set(build_f2(generate(graphs.fan(4, 6))))
-    assert sys.getrecursionlimit() == limit
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 300)
+    try:
+        limit = sys.getrecursionlimit()
+        with pytest.raises(BudgetExceededError):
+            max_independent_set(tg, node_budget=600)
+        assert sys.getrecursionlimit() == limit
+        max_independent_set(build_f2(generate(graphs.fan(4, 6))))
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_budget_edge_is_the_node_count():
