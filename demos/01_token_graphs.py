@@ -23,7 +23,8 @@ for spec in (graphs.cycle(6), graphs.complete(5), graphs.fan(2, 4)):
 fan = generate(graphs.fan(2, 3))
 tg = build_f2(fan)
 part = join_partition(tg, 2)
-print("fan(2,3) partition sizes:", len(part.b1), len(part.b2), len(part.r))
+print("fan(2,3) partition sizes:", part.b1.bit_count(), part.b2.bit_count(),
+      part.r.bit_count())
 
 # Token graphs serialize with their pair mapping in the header.
 print()

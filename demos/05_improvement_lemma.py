@@ -9,7 +9,7 @@ from token_alpha.constructions import (
     associated_independent_set,
     extract_s1_s2,
 )
-from token_alpha.graphs import VertexSet, delete_vertices, generate
+from token_alpha.graphs import delete_vertices, generate, members
 from token_alpha.harness import (
     draw_tables,
     random_independent_set_with_cross,
@@ -22,7 +22,7 @@ n, m = 3, 5
 h = generate(graphs.cycle(m))
 base = generate(graphs.wheel(n, m))
 tg = build_f2(base)
-cross = join_partition(tg, n).r   # token vertices pairing a hub with a cycle vertex
+cross = members(join_partition(tg, n).r)   # token vertices pairing a hub with a cycle vertex
 tables = draw_tables(tg.graph)    # built once, read by every draw
 rng = random.Random(7)
 
@@ -31,21 +31,19 @@ for trial in range(5):
     indices = random_independent_set_with_cross(tables, cross, rng)
     pairs = frozenset(tg.pairs[i] for i in indices)
     s1, s2 = extract_s1_s2(pairs, n)   # bitmasks over the hubs and over C_m
-    s1_members = [u for u in range(n) if s1 >> u & 1]
-    s2_members = [v for v in range(m) if s2 >> v & 1]
 
     # F2(H - S2) is solved here by the exact solver, an independent route;
     # run_lemma_trials takes the same maximum set from the construction.
-    sub, kept = delete_vertices(h, VertexSet(m, tuple(s2_members)))
+    sub, kept = delete_vertices(h, s2)
     sub_tg = build_f2(sub)
     mis2 = frozenset((kept[a], kept[b]) for a, b in
                      (sub_tg.pairs[i]
-                      for i in max_independent_set(sub_tg.graph).witness))
+                      for i in members(max_independent_set(sub_tg.graph).witness)))
 
     improved = associated_independent_set(AssociatedSetInput(
         n=n, s1=s1, s2=s2, mis_h_minus_s2=mis2))
     print(f"  trial {trial}: |I| = {len(pairs):2d} -> |I_S1,S2| = {len(improved):2d}"
-          f"   S1 = {s1_members}, S2 = {s2_members}")
+          f"   S1 = {members(s1)}, S2 = {members(s2)}")
 
 # The aggregated form the harness exposes, over many seeded trials.
 report = run_lemma_trials(n, graphs.cycle(m), trials=200, seed=42)

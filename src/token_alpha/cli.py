@@ -235,7 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lemma = subs.add_parser("lemma-check",
                             help="random independent sets vs the associated-set bound")
     lemma.add_argument("--n", type=int, required=True)
-    lemma.add_argument("--family", required=True, help="H family: path, cycle, complete, empty")
+    lemma.add_argument("--family", required=True,
+                       help=f"H family: {', '.join(_LEMMA_H_FAMILIES)}")
     lemma.add_argument("--m", type=int, required=True)
     lemma.add_argument("--trials", type=int, default=200)
     lemma.add_argument("--seed", type=int, default=0)

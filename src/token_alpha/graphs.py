@@ -6,14 +6,15 @@ remain only as the tests' independent references.
 
 Vertices are always 0..order-1.  A graph is stored as its adjacency
 bitsets, one int per vertex, which is the form every reader of a graph
-uses; edge lists are read from them on demand.  All values are immutable
+uses; edge lists are read from them on demand.  A vertex set is a
+bitmask in the same form, bit v set iff v is a member, and ``members``
+lists a mask's members in ascending order.  All values are immutable
 after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -87,34 +88,15 @@ def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(c) for c in by_hood.values() if len(c) > 1))
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """A subset of the vertices of a graph of the given order, its members
-    strictly increasing and in 0..order-1.  ``of`` takes members in any
-    order, with repeats."""
-
-    order: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        members = self.members
-        if not all(map(operator.lt, members, members[1:])):
-            raise ParameterError("members must be sorted and duplicate-free")
-        if members and not (0 <= members[0] and members[-1] < self.order):
-            raise ParameterError(f"member out of range for order {self.order}")
-
-    @classmethod
-    def of(cls, order: int, members) -> "VertexSet":
-        return cls(order, tuple(sorted(set(members))))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
+def members(mask: int) -> list[int]:
+    """The members of a vertex-set bitmask, which is non-negative, in
+    ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +245,24 @@ def join(g1: Graph, g2: Graph) -> Graph:
                  + tuple(mask << shift | all1 for mask in g2.masks))
 
 
-def delete_vertices(g: Graph, a: VertexSet) -> tuple[Graph, list[int]]:
-    """Induced subgraph on V(g) minus a, vertices renumbered to 0..k-1.
+def delete_vertices(g: Graph, removed: int) -> tuple[Graph, list[int]]:
+    """Induced subgraph on V(g) minus the bitmask removed, vertices
+    renumbered to 0..k-1.
 
     Returns the subgraph together with the relabeling map: a list whose
     i-th entry is the original label of new vertex i (relative order of
     the surviving vertices is preserved).
     """
-    if a.order != g.order:
+    if removed >> g.order:
         raise ParameterError(f"deletion set not within a graph of order {g.order}")
-    removed = set(a)
-    kept = [v for v in range(g.order) if v not in removed]
+    kept = [v for v in range(g.order) if not removed >> v & 1]
     new_index = {old: new for new, old in enumerate(kept)}
     edges = [(new_index[u], new_index[v]) for u, v in g.sorted_edges()
-             if u not in removed and v not in removed]
+             if not (removed >> u | removed >> v) & 1]
     return Graph.build(len(kept), edges), kept
 
 
-def components(g: Graph) -> list[VertexSet]:
+def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components, each sorted, ordered by smallest member."""
     masks = g.masks
     seen = [False] * g.order
@@ -302,5 +284,5 @@ def components(g: Graph) -> list[VertexSet]:
                 if not seen[u]:
                     seen[u] = True
                     stack.append(u)
-        out.append(VertexSet.of(g.order, comp))
+        out.append(tuple(sorted(comp)))
     return out

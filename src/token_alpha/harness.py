@@ -41,14 +41,7 @@ from .constructions import (
 )
 from .errors import BudgetExceededError, ParameterError
 from .formulas import AlphaFormulaResult, alpha_closed_form
-from .graphs import (
-    FAMILIES,
-    FamilySpec,
-    Graph,
-    VertexSet,
-    generate,
-    join,
-)
+from .graphs import FAMILIES, FamilySpec, Graph, generate, join, members
 from .mis import MisResult, greedy_independent_set, is_independent, max_independent_set
 from .tokens import TokenGraph, TokenPair, build_f2, join_partition
 
@@ -93,7 +86,7 @@ def _max_ind_pairs_of_f2(g: Graph, removed: int) -> frozenset[TokenPair]:
         walks.append(walk)
     if walked == left:
         return path_union_independent_set(walks)
-    survivors = [v for v in range(g.order) if left >> v & 1]
+    survivors = members(left)
     if all(adj[v] & left == left ^ 1 << v for v in survivors):
         return frozenset(zip(survivors[0::2], survivors[1::2]))
     return cycle_independent_set(g.order)
@@ -160,7 +153,7 @@ class RowResult:
         its order) only when a report asks for the witness."""
         if self.solver is None:
             return None
-        return tuple(self.token_pairs[i] for i in self.solver.witness)
+        return tuple(self.token_pairs[i] for i in members(self.solver.witness))
 
     @property
     def values(self) -> list[int]:
@@ -408,20 +401,20 @@ def _shuffled_range(widths: tuple[int, ...], getrandbits) -> list[int]:
     return order
 
 
-def random_independent_set_with_cross(tables: DrawTables, cross: VertexSet,
+def random_independent_set_with_cross(tables: DrawTables, cross: list[int],
                                       rng: random.Random) -> list[int]:
     """Greedy closure of a shuffled vertex order around a forced cross pair
-    drawn from ``cross`` (the mixed region R of ``join_partition``),
-    yielding a maximal independent set, meeting that region, of the graph
-    ``tables`` was built from.  The forced vertex comes first, the others
-    in the order they joined.
+    drawn from ``cross``, the members of the mixed region R of
+    ``join_partition`` in ascending order, yielding a maximal independent
+    set, meeting that region, of the graph ``tables`` was built from.  The
+    forced vertex comes first, the others in the order they joined.
 
-    The draws are ``rng.choice(cross.members)``, then ``_shuffled_range``
-    over every vertex: the same draws as ``rng.shuffle``, so a seed gives
-    the same sets on every Python whose ``choice`` and ``getrandbits``
-    give the same values.
+    The draws are ``rng.choice(cross)``, then ``_shuffled_range`` over
+    every vertex: the same draws as ``rng.shuffle``, so a seed gives the
+    same sets on every Python whose ``choice`` and ``getrandbits`` give the
+    same values.
     """
-    seed = rng.choice(cross.members)
+    seed = rng.choice(cross)
     closed, bits = tables.closed, tables.bits
     chosen = [seed]
     blocked = closed[seed]
@@ -444,7 +437,7 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
         raise ParameterError(f"trials must be >= 1, got {trials}")
     h = generate(h_spec)
     tg = build_f2(join(Graph.build(n, []), h))
-    cross = join_partition(tg, n).r
+    cross = members(join_partition(tg, n).r)
     tables = draw_tables(tg.graph)
     token_pairs = tg.pairs
     rng = random.Random(seed)

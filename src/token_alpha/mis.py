@@ -3,7 +3,9 @@
 Two routes: a subset-enumeration oracle for small graphs (deterministic,
 lexicographically least witness) and a bitset branch-and-bound solver for
 the token graphs the harness actually verifies.  Their sizes agree on the
-overlapping domain; the test suite enforces that.
+overlapping domain; the test suite enforces that.  Both return their
+witness as a bitmask of the graph's vertices (``MisResult.witness``), the
+form ``is_independent`` checks and the search itself works in.
 
 The branch-and-bound solver is the independent-set form of the colour-
 ordered maximum-clique search (Tomita et al., MCS, WALCOM 2010; San Segundo
@@ -66,7 +68,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, CapacityError, ParameterError
-from .graphs import Graph, VertexSet, twin_classes
+from .graphs import Graph, members, twin_classes
 from .tokens import TokenGraph
 
 EXHAUSTIVE_CAP = 30
@@ -75,37 +77,21 @@ EXHAUSTIVE_CAP = 30
 @dataclass(frozen=True)
 class MisResult:
     size: int
-    witness: VertexSet
+    witness: int
     nodes_explored: int
 
 
-def is_independent(g: Graph, s: VertexSet) -> bool:
-    """True iff no edge of g has both endpoints in s.
+def is_independent(g: Graph, s: int) -> bool:
+    """True iff no edge of g has both endpoints in the bitmask s.
 
-    Checks every member against g's adjacency bitsets, its stored form: the
-    members form one mask, and s is independent iff no member's neighbour
-    mask meets it.  That is O(|s|) big-integer ANDs, whatever g's edge count.
+    Checks every member against g's adjacency bitsets, its stored form: s
+    is independent iff no member's neighbour mask meets it.  That is
+    O(|s|) big-integer ANDs, whatever g's edge count.
     """
-    if s.order != g.order:
+    if s >> g.order:
         raise ParameterError(f"vertex set not within a graph of order {g.order}")
     adj = g.masks
-    members = s.members
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    for v in members:
-        if adj[v] & mask:
-            return False
-    return True
-
-
-def _bits_to_sorted(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
+    return not any(adj[v] & s for v in members(s))
 
 
 def max_independent_set_exhaustive(g: Graph) -> MisResult:
@@ -139,8 +125,7 @@ def max_independent_set_exhaustive(g: Graph) -> MisResult:
         dfs(cand ^ low, size, chosen)
 
     dfs((1 << n) - 1, 0, 0)
-    witness = VertexSet.of(n, _bits_to_sorted(best_bits))
-    return MisResult(best_size, witness, nodes)
+    return MisResult(best_size, best_bits, nodes)
 
 
 def greedy_independent_set(adj: tuple[int, ...]) -> int:
@@ -195,7 +180,7 @@ def _renumber(adj: tuple[int, ...], cand: int) -> tuple[list[int], tuple[int, ..
     """Order the vertices of cand by ascending degree among themselves, ties
     to the lower label; returns that order and the induced subgraph's
     adjacency bitsets, in which vertex i is order[i]."""
-    order = sorted(_bits_to_sorted(cand), key=lambda v: (adj[v] & cand).bit_count())
+    order = sorted(members(cand), key=lambda v: (adj[v] & cand).bit_count())
     bit = [0] * len(adj)
     for i, v in enumerate(order):
         bit[v] = 1 << i
@@ -229,18 +214,18 @@ class _TwinOrbits:
     def _build(self) -> None:
         base, pairs = self._token.base, self._token.pairs
         fixed = 0  # base vertices on the root's forced pairs
-        for t in _bits_to_sorted(self._forced):
+        for t in members(self._forced):
             a, b = pairs[t]
             fixed |= 1 << a | 1 << b
         self._fixed = fixed
         self._class_of = class_of = [0] * base.order
         self._classes = []
-        for members in twin_classes(base):
-            mask = sum(1 << x for x in members)
+        for twins in twin_classes(base):
+            mask = sum(1 << x for x in twins)
             left = mask & ~fixed
             if left & (left - 1):
                 self._classes.append(mask)
-                for x in members:
+                for x in twins:
                     class_of[x] = mask
         self._inc = inc = [0] * base.order  # renumbered vertices on each base vertex
         self._ends = ends = []  # each renumbered vertex's endpoints, as one mask
@@ -423,7 +408,7 @@ def max_independent_set(g: Graph | TokenGraph,
         token, g = g, g.graph
     n = g.order
     if n == 0:
-        return MisResult(0, VertexSet.of(0, []), 0)
+        return MisResult(0, 0, 0)
     if node_budget is not None and node_budget < 1:
         raise BudgetExceededError(1)
 
@@ -516,5 +501,5 @@ def max_independent_set(g: Graph | TokenGraph,
         # orbits, as soon as the solve ends rather than at a later garbage
         # collection
         branch = None
-    witness = _bits_to_sorted(forced) + [order[i] for i in _bits_to_sorted(found)]
-    return MisResult(forced.bit_count() + found.bit_count(), VertexSet.of(n, witness), nodes)
+    witness = forced | sum(1 << order[i] for i in members(found))
+    return MisResult(witness.bit_count(), witness, nodes)

@@ -3,7 +3,10 @@
 The 2-token graph of a base graph G has one vertex per 2-subset of V(G);
 two subsets are adjacent exactly when their symmetric difference is an
 edge of G.  Token vertices are indexed in lexicographic order of their
-pairs, so witnesses and exported files are reproducible.
+pairs, so witnesses and exported files are reproducible.  A set of token
+vertices is a bitmask over those indices, as every vertex set is
+(``graphs.members``): ``TokenGraph.indices_of`` maps base pairs to one,
+and ``JoinPartition``'s three sides are three.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from functools import lru_cache
 
 from .errors import ParameterError
 from .fileio import render_graph
-from .graphs import Graph, VertexSet
+from .graphs import Graph
 
 TokenPair = tuple[int, int]
 
@@ -31,17 +34,18 @@ class TokenGraph:
     pairs: tuple[TokenPair, ...]
     through: tuple[tuple[int, ...], ...]
 
-    def indices_of(self, pair_set) -> VertexSet:
-        """Map a collection of base-vertex pairs to token-vertex indices."""
+    def indices_of(self, pair_set) -> int:
+        """The bitmask of the token vertices of a collection of base-vertex
+        pairs, each in either orientation; a repeated pair counts once."""
         through = self.through
         order = len(through)
-        idx = []
+        mask = 0
         for a, b in pair_set:
             if a == b or not (0 <= a < order and 0 <= b < order):
                 raise ParameterError(f"{(a, b) if a < b else (b, a)} is not a 2-subset "
                                      "of the base vertices")
-            idx.append(through[a][b])
-        return VertexSet.of(self.graph.order, idx)
+            mask |= 1 << through[a][b]
+        return mask
 
 
 @lru_cache(maxsize=32)
@@ -80,12 +84,13 @@ def build_f2(g: Graph) -> TokenGraph:
 
 @dataclass(frozen=True)
 class JoinPartition:
-    """Token vertices split by side when the base graph is a join G1 + G2:
-    both elements in G1 (b1), both in G2 (b2), or one in each (r)."""
+    """Token vertices split by side when the base graph is a join G1 + G2,
+    as bitmasks: both elements in G1 (b1), both in G2 (b2), or one in each
+    (r)."""
 
-    b1: VertexSet
-    b2: VertexSet
-    r: VertexSet
+    b1: int
+    b2: int
+    r: int
 
 
 def join_partition(tg: TokenGraph, split: int) -> JoinPartition:
@@ -93,17 +98,15 @@ def join_partition(tg: TokenGraph, split: int) -> JoinPartition:
     n = tg.base.order
     if not 0 < split < n:
         raise ParameterError(f"split must satisfy 0 < split < {n}, got {split}")
-    b1, b2, r = [], [], []
+    b1 = b2 = r = 0
     for i, (a, b) in enumerate(tg.pairs):
         if b < split:
-            b1.append(i)
+            b1 |= 1 << i
         elif a >= split:
-            b2.append(i)
+            b2 |= 1 << i
         else:
-            r.append(i)
-    order = tg.graph.order
-    return JoinPartition(VertexSet.of(order, b1), VertexSet.of(order, b2),
-                         VertexSet.of(order, r))
+            r |= 1 << i
+    return JoinPartition(b1, b2, r)
 
 
 def render_token_graph(tg: TokenGraph) -> str:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -118,13 +119,20 @@ def test_alpha_from_file(capsys, tmp_path):
 
 
 def test_a_deep_search_on_a_file_is_an_aborted_row(capsys, tmp_path):
-    # GP(50,2), whose search dives ~600 levels within 600 nodes: the
-    # budget ends it, as an ABORTED row and exit 3
+    # GP(50,2), whose search dives ~600 levels within 600 nodes, one frame
+    # a level: run under a limit 300 frames above this one, the budget
+    # ends it, as an ABORTED row and exit 3, only if the solve raises the
+    # limit
     edges = [e for i in range(50)
              for e in ((i, (i + 1) % 50), (i, 50 + i), (50 + i, 50 + (i + 2) % 50))]
     target = tmp_path / "gp.txt"
     target.write_text("p 100 150\n" + "".join(f"e {u} {v}\n" for u, v in edges))
-    code, out, _ = run_cli(capsys, "alpha", "--input", str(target), "--budget", "600")
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 300)
+    try:
+        code, out, _ = run_cli(capsys, "alpha", "--input", str(target), "--budget", "600")
+    finally:
+        sys.setrecursionlimit(saved)
     assert code == 3
     rows = out.splitlines()
     assert rows[1].startswith("file:gp.txt\t") and rows[1].endswith("\tABORTED")

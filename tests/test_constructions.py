@@ -14,7 +14,7 @@ from token_alpha.constructions import (
 )
 from token_alpha.errors import ParameterError
 from token_alpha.formulas import alpha_cycle, alpha_path_union
-from token_alpha.graphs import Graph, VertexSet, components, delete_vertices, generate, join
+from token_alpha.graphs import Graph, components, delete_vertices, generate, join, members
 from token_alpha.harness import (
     construction_pairs,
     draw_tables,
@@ -169,13 +169,12 @@ def test_extract_requires_a_cross_pair():
 
 
 def _solver_mis_pairs(h, s2):
-    sub, kept = delete_vertices(h, VertexSet.of(h.order, (v for v in range(h.order)
-                                                          if s2 >> v & 1)))
+    sub, kept = delete_vertices(h, s2)
     if sub.order < 2:
         return frozenset()
     tg = build_f2(sub)
     res = max_independent_set(tg.graph)
-    return frozenset((kept[a], kept[b]) for a, b in (tg.pairs[i] for i in res.witness))
+    return frozenset((kept[a], kept[b]) for a, b in (tg.pairs[i] for i in members(res.witness)))
 
 
 @pytest.mark.parametrize("h_spec,n", [
@@ -186,7 +185,7 @@ def _solver_mis_pairs(h, s2):
 def test_improvement_lemma_on_random_independent_sets(h_spec, n):
     h = generate(h_spec)
     tg = build_f2(join(generate(graphs.empty(n)), h))
-    cross = join_partition(tg, n).r
+    cross = members(join_partition(tg, n).r)
     tables = draw_tables(tg.graph)
     rng = random.Random(97)
     for _ in range(60):
@@ -223,11 +222,10 @@ def test_deleted_path_alpha_matches_odd_component_formula(m):
         for s2_members in itertools.combinations(range(m), size):
             if any(b - a == 1 for a, b in zip(s2_members, s2_members[1:])):
                 continue
-            s2 = VertexSet.of(m, s2_members)
-            sub, _ = delete_vertices(h, s2)
+            sub, _ = delete_vertices(h, sum(1 << v for v in s2_members))
             if sub.order < 2:
                 continue
             t = sum(len(c) % 2 for c in components(sub))
-            s = len(s2)
+            s = len(s2_members)
             expected = ((m - s) ** 2 + t * t - 2 * t) // 4
             assert max_independent_set(build_f2(sub).graph).size == expected

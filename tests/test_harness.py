@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from token_alpha import graphs, harness
 from token_alpha.errors import ParameterError
 from token_alpha.formulas import AlphaFormulaResult, alpha_closed_form
-from token_alpha.graphs import Graph, VertexSet, delete_vertices, generate
+from token_alpha.graphs import Graph, delete_vertices, generate, members
 from token_alpha.harness import (
     SweepConfig,
     VerdictTally,
@@ -232,10 +232,10 @@ def test_lemma_trials_report_the_pair_each_trial_was_seeded_with():
     n, h_spec, seed = 6, graphs.path(14), 5
     report = run_lemma_trials(n, h_spec, trials=300, seed=seed)
     tg = build_f2(generate(graphs.fan(n, h_spec.m)))
-    cross = join_partition(tg, n).r
+    cross = members(join_partition(tg, n).r)
     rng = random.Random(seed)
     for trial in report.trials:
-        drawn = rng.choice(cross.members)
+        drawn = rng.choice(cross)
         rng.shuffle(list(range(tg.graph.order)))
         assert trial.seed_pair == tg.pairs[drawn]
 
@@ -259,17 +259,16 @@ def test_the_written_out_shuffle_is_the_stdlib_shuffle(length):
 @settings(max_examples=60, deadline=None)
 def test_a_random_set_is_maximal_and_starts_at_its_cross_vertex(kind, n, m, seed):
     tg = build_f2(generate(graphs.FamilySpec(kind, n=n, m=m)))
-    cross = join_partition(tg, n).r
+    cross = members(join_partition(tg, n).r)
     chosen = harness.random_independent_set_with_cross(
         draw_tables(tg.graph), cross, random.Random(seed))
-    assert chosen[0] == random.Random(seed).choice(cross.members)
+    assert chosen[0] == random.Random(seed).choice(cross)
     assert len(set(chosen)) == len(chosen)
-    inside = VertexSet.of(tg.graph.order, chosen)
+    inside = sum(1 << v for v in chosen)
     assert is_independent(tg.graph, inside)
     masks = tg.graph.masks
-    covered = sum(1 << v for v in chosen)
     for v in range(tg.graph.order):
-        assert v in inside or masks[v] & covered, v   # nothing can be added
+        assert inside >> v & 1 or masks[v] & inside, v   # nothing can be added
 
 
 def test_lemma_trials_never_call_the_solver(monkeypatch):
@@ -298,20 +297,20 @@ def test_a_faulty_associated_set_fails_its_lemma_trials(construction_fault):
 
 
 def _independent_sets(h):
-    """Every independent set of h, the empty set included."""
+    """Every independent set of h as a bitmask, the empty set included."""
     masks = h.masks
     for size in range(h.order + 1):
-        for members in itertools.combinations(range(h.order), size):
-            inside = sum(1 << v for v in members)
-            if not any(masks[v] & inside for v in members):
-                yield VertexSet(h.order, members)
+        for chosen in itertools.combinations(range(h.order), size):
+            inside = sum(1 << v for v in chosen)
+            if not any(masks[v] & inside for v in chosen):
+                yield inside
 
 
 def _check_f2_minus_s2(h, s2):
     """The recipe's set for F2(h - s2) avoids s2, is independent there and
     is as large as the solver's maximum."""
-    pairs = harness._max_ind_pairs_of_f2(h, sum(1 << v for v in s2))
-    assert not any(v in s2 for pair in pairs for v in pair), s2
+    pairs = harness._max_ind_pairs_of_f2(h, s2)
+    assert not any(s2 >> v & 1 for pair in pairs for v in pair), s2
     sub, kept = delete_vertices(h, s2)
     if sub.order < 2:
         assert pairs == frozenset(), s2
@@ -349,7 +348,7 @@ def test_recipe_is_maximum_on_every_small_graph():
         graphs_seen += 1
         h = Graph.build(k, atlas.edges())
         for s2 in _independent_sets(h):
-            rest = atlas.subgraph(v for v in atlas if v not in s2)
+            rest = atlas.subgraph(v for v in atlas if not s2 >> v & 1)
             left = rest.number_of_nodes()
             clique = rest.number_of_edges() == left * (left - 1) // 2
             if clique or (nx.is_forest(rest) and max(d for _, d in rest.degree()) <= 2):
@@ -380,10 +379,9 @@ def test_greedy_set_of_every_join_h_is_maximum(kind, first, alpha):
     # as its S2; one short of alpha(H) would surface only as DISAGREE rows
     for m in range(first, 41):
         h = generate(graphs.FamilySpec(kind, m=m))
-        bits = greedy_independent_set(h.masks)
-        s2 = VertexSet.of(m, (v for v in range(m) if bits >> v & 1))
+        s2 = greedy_independent_set(h.masks)
         assert is_independent(h, s2), (kind, m)
-        assert len(s2) == alpha(m), (kind, m)
+        assert s2.bit_count() == alpha(m), (kind, m)
 
 
 def test_lemma_trials_require_positive_count():

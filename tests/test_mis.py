@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from token_alpha import graphs, mis
 from token_alpha.errors import BudgetExceededError, CapacityError, ParameterError
 from token_alpha.formulas import alpha_closed_form
-from token_alpha.graphs import Graph, VertexSet, generate, join
+from token_alpha.graphs import Graph, generate, join, members
 from token_alpha.harness import SweepConfig, sweep_specs
 from token_alpha.mis import (
     is_independent,
@@ -28,11 +28,15 @@ def random_graph(rng, n, p):
 
 def test_is_independent():
     g = generate(graphs.path(3))
-    assert is_independent(g, VertexSet.of(3, [0, 2]))
-    assert not is_independent(g, VertexSet.of(3, [0, 1]))
-    assert is_independent(g, VertexSet.of(3, []))
-    with pytest.raises(ParameterError):
-        is_independent(g, VertexSet.of(4, [3]))
+    assert is_independent(g, 0b101)
+    assert not is_independent(g, 0b011)
+    assert is_independent(g, 0)
+
+
+@pytest.mark.parametrize("s", [1 << 3, 1 << 3 | 1, 1 << 70 | 0b101, -1])
+def test_is_independent_rejects_a_mask_outside_the_order(s):
+    with pytest.raises(ParameterError, match="not within a graph of order 3"):
+        is_independent(generate(graphs.path(3)), s)
 
 
 def test_exhaustive_on_trivial_graphs():
@@ -49,9 +53,9 @@ def test_exhaustive_on_f2_of_p4():
 def test_exhaustive_witness_is_lexicographically_least():
     res = max_independent_set_exhaustive(generate(graphs.cycle(5)))
     assert res.size == 2
-    assert list(res.witness) == [0, 2]
+    assert members(res.witness) == [0, 2]
     res = max_independent_set_exhaustive(generate(graphs.empty(3)))
-    assert list(res.witness) == [0, 1, 2]
+    assert members(res.witness) == [0, 1, 2]
 
 
 def test_exhaustive_cap():
@@ -84,7 +88,7 @@ def test_solver_witness_is_always_independent():
         g = random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.5, 0.8]))
         res = max_independent_set(g)
         assert is_independent(g, res.witness)
-        assert len(res.witness) == res.size
+        assert res.witness.bit_count() == res.size
 
 
 def test_solver_matches_exhaustive_on_random_graphs():
@@ -166,9 +170,9 @@ def test_split_5_14_solves_without_a_budget():
     res = max_independent_set(tg.graph)
     assert res.size == 17
     assert res.nodes_explored == 16_612
-    assert len(res.witness) == 17
+    assert res.witness.bit_count() == 17
     assert is_independent(tg.graph, res.witness)
-    assert witness_digest(tg.pairs[i] for i in res.witness) == "9e739c30105d"
+    assert witness_digest(tg.pairs[i] for i in members(res.witness)) == "9e739c30105d"
 
 
 def test_folds_can_lift_size_above_the_incumbent():
@@ -189,7 +193,7 @@ def test_a_fold_can_force_a_lower_vertex():
     g = Graph.build(7, [(0, 1), (0, 3), (0, 5), (0, 6), (1, 4), (2, 5), (2, 6)])
     res = max_independent_set(g)
     assert res.size == 4
-    assert list(res.witness) == [1, 3, 5, 6]
+    assert members(res.witness) == [1, 3, 5, 6]
     assert res.nodes_explored == 1
 
 
@@ -202,7 +206,7 @@ def test_a_dropped_branch_vertex_can_force_a_distant_vertex():
     g = Graph.build(11, edges)
     res = max_independent_set(g)
     assert res.size == max_independent_set_exhaustive(g).size == 5
-    assert list(res.witness) == [1, 2, 4, 9, 10]
+    assert members(res.witness) == [1, 2, 4, 9, 10]
     assert res.nodes_explored == 3
 
 
@@ -224,7 +228,7 @@ def test_a_child_folds_its_lowest_forced_vertex_first(order, edges, witness):
     g = Graph.build(order, edges)
     res = max_independent_set(g)
     assert res.size == max_independent_set_exhaustive(g).size == 3
-    assert list(res.witness) == witness
+    assert members(res.witness) == witness
     assert res.nodes_explored == 2
 
 
@@ -345,7 +349,7 @@ def test_solvers_agree_on_sparse_graphs(g):
     a = max_independent_set_exhaustive(g)
     b = max_independent_set(g)
     assert a.size == b.size
-    assert len(b.witness) == b.size
+    assert b.witness.bit_count() == b.size
     assert is_independent(g, b.witness)
 
 
@@ -365,23 +369,22 @@ def test_solvers_agree_on_dense_graphs(g):
     a = max_independent_set_exhaustive(g)
     b = max_independent_set(g)
     assert a.size == b.size
-    assert len(b.witness) == b.size
+    assert b.witness.bit_count() == b.size
     assert is_independent(g, b.witness)
 
 
 @st.composite
 def graphs_with_subsets(draw):
     g = draw(small_graphs(max_order=12))
-    members = draw(st.lists(st.integers(0, g.order - 1), unique=True))
-    return g, VertexSet.of(g.order, members)
+    chosen = draw(st.sets(st.integers(0, g.order - 1)))
+    return g, sum(1 << v for v in chosen)
 
 
 @given(graphs_with_subsets())
 @settings(max_examples=100)
 def test_is_independent_matches_the_edge_scan(case):
     g, s = case
-    members = set(s)
-    by_edges = not any(u in members and v in members for u, v in g.sorted_edges())
+    by_edges = not any(s >> u & 1 and s >> v & 1 for u, v in g.sorted_edges())
     assert is_independent(g, s) == by_edges
 
 
@@ -392,7 +395,7 @@ def test_is_independent_matches_the_edge_scan(case):
 def solve_with_orbits(spec, node_budget=None):
     tg = build_f2(generate(spec))
     res = max_independent_set(tg, node_budget=node_budget)
-    assert len(res.witness) == res.size
+    assert res.witness.bit_count() == res.size
     assert is_independent(tg.graph, res.witness)
     return res
 
@@ -416,11 +419,11 @@ def test_symmetric_search_trees_are_pinned(spec, budget, alpha, nodes, digest):
     # with any change to the fold order, the cover or the branching
     tg = build_f2(generate(spec))
     res = max_independent_set(tg, node_budget=budget)
-    assert len(res.witness) == res.size
+    assert res.witness.bit_count() == res.size
     assert is_independent(tg.graph, res.witness)
     assert res.size == alpha == alpha_closed_form(spec).value
     assert res.nodes_explored == nodes
-    assert witness_digest(tg.pairs[i] for i in res.witness) == digest
+    assert witness_digest(tg.pairs[i] for i in members(res.witness)) == digest
 
 
 @pytest.mark.parametrize("family,n_range,m_range,nodes", [
@@ -489,7 +492,7 @@ def test_orbit_pruning_keeps_alpha_and_witnesses(base):
         assert pruned.size == max_independent_set_exhaustive(tg.graph).size
     else:
         assert pruned.size == networkx_alpha(tg.graph)
-    assert len(pruned.witness) == pruned.size
+    assert pruned.witness.bit_count() == pruned.size
     assert is_independent(tg.graph, pruned.witness)
 
 
@@ -534,7 +537,7 @@ def test_sparse_graph_solves_by_its_components():
     res = max_independent_set(tg)
     assert res.size == 393
     assert res.nodes_explored == 6_706
-    assert len(res.witness) == res.size
+    assert res.witness.bit_count() == res.size
     assert is_independent(tg.graph, res.witness)
 
 
@@ -601,5 +604,5 @@ def test_disjoint_unions_match_networkx_on_both_routes(base):
     alpha = networkx_alpha(tg.graph)
     for res in (max_independent_set(tg), max_independent_set(tg.graph)):
         assert res.size == alpha
-        assert len(res.witness) == res.size
+        assert res.witness.bit_count() == res.size
         assert is_independent(tg.graph, res.witness)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from token_alpha import graphs
 from token_alpha.errors import ParameterError
-from token_alpha.graphs import Graph, generate
+from token_alpha.graphs import Graph, generate, members
 from token_alpha.mis import is_independent, max_independent_set_exhaustive
 from token_alpha.tokens import build_f2, join_partition
 
@@ -95,28 +95,32 @@ def test_f2_is_label_covariant(g, rng):
 def test_join_partition_of_fan_2_3():
     tg = build_f2(generate(graphs.fan(2, 3)))
     part = join_partition(tg, 2)
-    assert (len(part.b1), len(part.b2), len(part.r)) == (1, 3, 6)
-    all_indices = sorted(list(part.b1) + list(part.b2) + list(part.r))
-    assert all_indices == list(range(tg.graph.order))
+    assert (part.b1.bit_count(), part.b2.bit_count(), part.r.bit_count()) == (1, 3, 6)
+    assert not (part.b1 & part.b2 or part.b1 & part.r or part.b2 & part.r)
+    assert part.b1 | part.b2 | part.r == (1 << tg.graph.order) - 1
 
 
 def test_join_partition_split_one_has_empty_b1():
     tg = build_f2(generate(graphs.fan(1, 4)))
     part = join_partition(tg, 1)
-    assert len(part.b1) == 0
-    assert len(part.r) == 4
+    assert part.b1 == 0
+    assert part.r.bit_count() == 4
 
 
 def test_join_partition_r_of_k22_is_independent():
     tg = build_f2(generate(graphs.complete_bipartite(2, 2)))
     part = join_partition(tg, 2)
-    assert len(part.r) == 4
+    assert part.r.bit_count() == 4
     assert is_independent(tg.graph, part.r)
 
 
 def test_indices_of_maps_either_orientation_and_rejects_non_pairs():
     tg = build_f2(generate(graphs.path(4)))
-    assert list(tg.indices_of([(3, 2), (0, 1)])) == [0, 5]
+    assert tg.indices_of([(3, 2), (0, 1)]) == 1 << 0 | 1 << 5
+    assert tg.indices_of([(1, 0), (2, 3)]) == 1 << 0 | 1 << 5
+    assert tg.indices_of([]) == 0
+    # a repeated pair, in either orientation, is one member
+    assert tg.indices_of([(1, 3), (3, 1), (1, 3)]) == 1 << tg.through[1][3]
     # a negative vertex would otherwise index a table row from its end
     for bad in ((1, 1), (0, 4), (-1, 2), (2, -1)):
         with pytest.raises(ParameterError, match="is not a 2-subset"):
@@ -135,8 +139,8 @@ def test_join_partition_rejects_bad_split():
 def test_b1_and_b2_are_never_adjacent(n, m):
     tg = build_f2(generate(graphs.complete_bipartite(n, m)))
     part = join_partition(tg, n)
-    for i in part.b1:
-        for j in part.b2:
+    for i in members(part.b1):
+        for j in members(part.b2):
             assert not tg.graph.has_edge(i, j)
 
 
