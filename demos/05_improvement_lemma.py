@@ -28,21 +28,25 @@ rng = random.Random(7)
 
 print(f"wheel({n},{m}): improving random independent sets")
 for trial in range(5):
-    indices = random_independent_set_with_cross(tables, cross, rng)
-    pairs = frozenset(tg.pairs[i] for i in indices)
-    s1, s2 = extract_s1_s2(pairs, n)   # bitmasks over the hubs and over C_m
+    # a set of token vertices is a bitmask over them
+    _, chosen = random_independent_set_with_cross(tables, cross, rng)
+    s1, s2 = extract_s1_s2(chosen, n, base.order)   # bitmasks over the hubs and over C_m
 
     # F2(H - S2) is solved here by the exact solver, an independent route;
     # run_lemma_trials takes the same maximum set from the construction.
+    # The associated set takes it as partner rows in C_m's labels: row x
+    # holds the partners of cycle vertex x.
     sub, kept = delete_vertices(h, s2)
     sub_tg = build_f2(sub)
-    mis2 = frozenset((kept[a], kept[b]) for a, b in
-                     (sub_tg.pairs[i]
-                      for i in members(max_independent_set(sub_tg.graph).witness)))
+    mis2 = [0] * m
+    for i in members(max_independent_set(sub_tg.graph).witness):
+        a, b = sub_tg.pairs[i]
+        mis2[kept[a]] |= 1 << kept[b]
 
     improved = associated_independent_set(AssociatedSetInput(
-        n=n, s1=s1, s2=s2, mis_h_minus_s2=mis2))
-    print(f"  trial {trial}: |I| = {len(pairs):2d} -> |I_S1,S2| = {len(improved):2d}"
+        n=n, s1=s1, s2=s2, mis_h_minus_s2=mis2))   # a token mask of F2(wheel)
+    print(f"  trial {trial}: |I| = {chosen.bit_count():2d} -> "
+          f"|I_S1,S2| = {improved.bit_count():2d}"
           f"   S1 = {members(s1)}, S2 = {members(s2)}")
 
 # The aggregated form the harness exposes, over many seeded trials.

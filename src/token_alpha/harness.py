@@ -14,10 +14,12 @@ for a row's solver cell (``_solve``).  A row generates its graph once:
 the construction reads it, and a join's H is read off it.  Every
 construction route, the one-graph kinds, both join candidates and the
 lemma trials, takes its maximum set of an F2(H - S2) from one recipe,
-``_max_ind_pairs_of_f2``, which reads the shape of H - S2 off H's
+``_max_ind_rows_of_f2``, which reads the shape of H - S2 off H's
 adjacency bitsets (paths, a clique or a whole cycle), not from a family
 name.  S1, S2 and the recipe's removed set are bitmasks, as the
-adjacency bitsets are.
+adjacency bitsets are.  Constructions, lemma-trial sets and solver
+witnesses are token masks; a row maps one to pairs, through its token
+graph's pair table, only when a report asks for the witness.
 
 A sweep is one pass: ``run_sweep`` yields each row as soon as it is
 evaluated, and ``VerdictTally`` counts verdicts as rows go by, so a
@@ -43,7 +45,7 @@ from .errors import BudgetExceededError, ParameterError
 from .formulas import AlphaFormulaResult, alpha_closed_form
 from .graphs import FAMILIES, FamilySpec, Graph, generate, join, members
 from .mis import MisResult, greedy_independent_set, is_independent, max_independent_set
-from .tokens import TokenGraph, TokenPair, build_f2, join_partition
+from .tokens import TokenGraph, TokenPair, build_f2, join_partition, partner_rows_mask
 
 METHODS = ("formula", "construction", "solver")
 VERDICTS = ("AGREE", "DISAGREE", "ABORTED")
@@ -53,12 +55,12 @@ VERDICTS = ("AGREE", "DISAGREE", "ABORTED")
 # Construction recipes
 # ---------------------------------------------------------------------------
 
-def _max_ind_pairs_of_f2(g: Graph, removed: int) -> frozenset[TokenPair]:
-    """A maximum independent set of F2(g - removed) as pairs in g's labels,
-    built without the solver and chosen by the shape of what is left, as
-    g's adjacency bitsets show it; removed is a bitmask of g's vertices.
-    The one-graph constructions, both join candidates and the lemma trials
-    all take it.
+def _max_ind_rows_of_f2(g: Graph, removed: int) -> list[int]:
+    """A maximum independent set of F2(g - removed) as partner rows in g's
+    labels (``constructions``), built without the solver and chosen by
+    the shape of what is left, as g's adjacency bitsets show it; removed
+    is a bitmask of g's vertices.  The one-graph constructions, both join
+    candidates and the lemma trials all take it.
 
     Each path of g - removed is walked from its lower-labelled end (an
     isolated vertex is a walk of one, and K2 is a path); if that walks
@@ -85,16 +87,20 @@ def _max_ind_pairs_of_f2(g: Graph, removed: int) -> frozenset[TokenPair]:
             step = adj[walk[-1]] & left & ~walked
         walks.append(walk)
     if walked == left:
-        return path_union_independent_set(walks)
+        return path_union_independent_set(walks, g.order)
     survivors = members(left)
     if all(adj[v] & left == left ^ 1 << v for v in survivors):
-        return frozenset(zip(survivors[0::2], survivors[1::2]))
+        rows = [0] * g.order
+        for x, y in zip(survivors[0::2], survivors[1::2]):
+            rows[x] = 1 << y
+        return rows
     return cycle_independent_set(g.order)
 
 
-def construction_pairs(spec: FamilySpec, base: Graph) -> frozenset[TokenPair]:
-    """Explicit independent set for the family instance, built without the
-    exact solver from base, the graph ``generate`` builds for spec.
+def construction_pairs(spec: FamilySpec, base: Graph) -> int:
+    """Explicit independent set for the family instance, as the token mask
+    of F2(base), built without the exact solver from base, the graph
+    ``generate`` builds for spec.
 
     Paths, path unions, cycles, cliques and edgeless graphs get the
     maximum set of their own token graph, read off base.  Join families
@@ -109,15 +115,15 @@ def construction_pairs(spec: FamilySpec, base: Graph) -> frozenset[TokenPair]:
     """
     n = spec.n
     if n is None:
-        return _max_ind_pairs_of_f2(base, 0)
+        return partner_rows_mask(_max_ind_rows_of_f2(base, 0))
 
     h = Graph(tuple(mask >> n for mask in base.masks[n:]))
     side = associated_independent_set(AssociatedSetInput(
-        n=n, s1=0, s2=0, mis_h_minus_s2=_max_ind_pairs_of_f2(h, 0)))
+        n=n, s1=0, s2=0, mis_h_minus_s2=_max_ind_rows_of_f2(h, 0)))
     s2 = greedy_independent_set(h.masks)
     cross = associated_independent_set(AssociatedSetInput(
-        n=n, s1=(1 << n) - 1, s2=s2, mis_h_minus_s2=_max_ind_pairs_of_f2(h, s2)))
-    return cross if len(cross) > len(side) else side
+        n=n, s1=(1 << n) - 1, s2=s2, mis_h_minus_s2=_max_ind_rows_of_f2(h, s2)))
+    return cross if cross.bit_count() > side.bit_count() else side
 
 
 def base_graph_for(spec: FamilySpec) -> Graph:
@@ -134,7 +140,7 @@ class RowResult:
     label: str
     spec: FamilySpec | None = None
     formula: AlphaFormulaResult | None = None
-    construction_pairs: frozenset[TokenPair] | None = None
+    construction: int | None = None
     construction_valid: bool | None = None
     solver: MisResult | None = None
     token_pairs: tuple[TokenPair, ...] | None = field(default=None, repr=False,
@@ -144,24 +150,30 @@ class RowResult:
 
     @property
     def construction_size(self) -> int | None:
-        return None if self.construction_pairs is None else len(self.construction_pairs)
+        return None if self.construction is None else self.construction.bit_count()
+
+    def _pairs_of(self, mask: int) -> tuple[TokenPair, ...]:
+        """A token mask as base-vertex pairs, in index order, which is
+        lexicographic, read from the token graph's pair table
+        (``token_pairs``, shared by every token graph of its order) only
+        when a report asks for a witness."""
+        return tuple(self.token_pairs[i] for i in members(mask))
+
+    @property
+    def construction_pairs(self) -> tuple[TokenPair, ...] | None:
+        return None if self.construction is None else self._pairs_of(self.construction)
 
     @property
     def solver_witness_pairs(self) -> tuple[TokenPair, ...] | None:
-        """The solver's witness as base-vertex pairs, read from the token
-        graph's pair table (``token_pairs``, shared by every token graph of
-        its order) only when a report asks for the witness."""
-        if self.solver is None:
-            return None
-        return tuple(self.token_pairs[i] for i in members(self.solver.witness))
+        return None if self.solver is None else self._pairs_of(self.solver.witness)
 
     @property
     def values(self) -> list[int]:
         out = []
         if self.formula is not None:
             out.append(self.formula.value)
-        if self.construction_pairs is not None:
-            out.append(len(self.construction_pairs))
+        if self.construction is not None:
+            out.append(self.construction.bit_count())
         if self.solver is not None:
             out.append(self.solver.size)
         return out
@@ -218,8 +230,7 @@ def _solve(tg: TokenGraph, node_budget: int | None) -> dict:
     except BudgetExceededError:
         result = None
     millis = int((time.perf_counter() - start) * 1000)
-    return {"solver": result, "token_pairs": tg.pairs,
-            "solver_millis": millis, "aborted": result is None}
+    return {"solver": result, "solver_millis": millis, "aborted": result is None}
 
 
 def _checked_methods(methods) -> tuple[str, ...]:
@@ -247,13 +258,14 @@ def evaluate_row(spec: FamilySpec, methods=METHODS,
 
     formula = alpha_closed_form(spec) if "formula" in methods else None
 
-    pairs = valid = None
+    witness = valid = None
     if "construction" in methods:
-        pairs = construction_pairs(spec, base)
-        valid = is_independent(tg.graph, tg.indices_of(pairs))
+        witness = construction_pairs(spec, base)
+        valid = is_independent(tg.graph, witness)
 
     solved = _solve(tg, node_budget) if "solver" in methods else {}
-    return RowResult(spec.label(), spec, formula, pairs, valid, **solved)
+    return RowResult(spec.label(), spec, formula, witness, valid,
+                     token_pairs=tg.pairs if tg else None, **solved)
 
 
 def evaluate_graph_row(label: str, base: Graph, methods=("solver",),
@@ -267,7 +279,8 @@ def evaluate_graph_row(label: str, base: Graph, methods=("solver",),
                              f"got {','.join(methods)}")
     if base.order < 2:
         raise ParameterError(f"{label} has order {base.order}; no token graph exists")
-    return RowResult(label, **_solve(build_f2(base), node_budget))
+    tg = build_f2(base)
+    return RowResult(label, token_pairs=tg.pairs, **_solve(tg, node_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +415,12 @@ def _shuffled_range(widths: tuple[int, ...], getrandbits) -> list[int]:
 
 
 def random_independent_set_with_cross(tables: DrawTables, cross: list[int],
-                                      rng: random.Random) -> list[int]:
+                                      rng: random.Random) -> tuple[int, int]:
     """Greedy closure of a shuffled vertex order around a forced cross pair
     drawn from ``cross``, the members of the mixed region R of
     ``join_partition`` in ascending order, yielding a maximal independent
-    set, meeting that region, of the graph ``tables`` was built from.  The
-    forced vertex comes first, the others in the order they joined.
+    set, meeting that region, of the graph ``tables`` was built from.
+    Returns the forced vertex and the set's bitmask.
 
     The draws are ``rng.choice(cross)``, then ``_shuffled_range`` over
     every vertex: the same draws as ``rng.shuffle``, so a seed gives the
@@ -416,13 +429,13 @@ def random_independent_set_with_cross(tables: DrawTables, cross: list[int],
     """
     seed = rng.choice(cross)
     closed, bits = tables.closed, tables.bits
-    chosen = [seed]
+    chosen = bits[seed]
     blocked = closed[seed]
     for v in _shuffled_range(tables.widths, rng.getrandbits):
         if not blocked & bits[v]:
-            chosen.append(v)
+            chosen |= bits[v]
             blocked |= closed[v]
-    return chosen
+    return seed, chosen
 
 
 def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> LemmaReport:
@@ -437,20 +450,18 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
         raise ParameterError(f"trials must be >= 1, got {trials}")
     h = generate(h_spec)
     tg = build_f2(join(Graph.build(n, []), h))
+    order = tg.base.order
     cross = members(join_partition(tg, n).r)
     tables = draw_tables(tg.graph)
-    token_pairs = tg.pairs
     rng = random.Random(seed)
     results = []
     for _ in range(trials):
-        indices = random_independent_set_with_cross(tables, cross, rng)
-        pairs = [token_pairs[i] for i in indices]   # distinct, as the indices are
-        s1, s2 = extract_s1_s2(pairs, n)
-        mis2 = _max_ind_pairs_of_f2(h, s2)
+        seed_vertex, chosen = random_independent_set_with_cross(tables, cross, rng)
+        s1, s2 = extract_s1_s2(chosen, n, order)
         improved = associated_independent_set(AssociatedSetInput(
-            n=n, s1=s1, s2=s2, mis_h_minus_s2=mis2))
-        ok_ind = is_independent(tg.graph, tg.indices_of(improved))
+            n=n, s1=s1, s2=s2, mis_h_minus_s2=_max_ind_rows_of_f2(h, s2)))
         results.append(LemmaTrial(
-            start_size=len(pairs), improved_size=len(improved),
-            independent=ok_ind, seed_pair=token_pairs[indices[0]]))
+            start_size=chosen.bit_count(), improved_size=improved.bit_count(),
+            independent=is_independent(tg.graph, improved),
+            seed_pair=tg.pairs[seed_vertex]))
     return LemmaReport(n=n, h_spec=h_spec, trials=tuple(results))

@@ -89,14 +89,15 @@ def row_record(row: RowResult, include_witness: bool = False) -> dict:
             "exceptional": row.formula.exceptional,
             "formula_id": row.formula.formula_id,
         }
-    if row.construction_size is not None:
+    if row.construction is not None:
+        pairs = row.construction_pairs
         record["construction"] = {
-            "size": row.construction_size,
+            "size": len(pairs),
             "valid": row.construction_valid,
-            "digest": witness_digest(row.construction_pairs),
+            "digest": witness_digest(pairs),
         }
         if include_witness:
-            record["construction"]["witness"] = witness_strings(row.construction_pairs)
+            record["construction"]["witness"] = witness_strings(pairs)
     if row.solver is not None:
         record["solver"] = {
             "size": row.solver.size,

@@ -5,8 +5,15 @@ two subsets are adjacent exactly when their symmetric difference is an
 edge of G.  Token vertices are indexed in lexicographic order of their
 pairs, so witnesses and exported files are reproducible.  A set of token
 vertices is a bitmask over those indices, as every vertex set is
-(``graphs.members``): ``TokenGraph.indices_of`` maps base pairs to one,
-and ``JoinPartition``'s three sides are three.
+(``graphs.members``), and ``JoinPartition``'s three sides are three.
+
+Over base order N the index of {x,y}, x < y, is ``first[x] + y - x - 1``
+with ``first[x] = x(2N - x - 1)/2``: the pairs {x,y > x} are one run of
+indices.  So a set of pairs given as partner rows, one base mask per
+vertex, becomes its token mask by one shift per base vertex
+(``partner_rows_mask``); the constructions build their sets that way.
+``TokenGraph.indices_of`` maps a collection of pairs to a mask one pair
+at a time, for callers that hold pairs.
 """
 
 from __future__ import annotations
@@ -58,6 +65,21 @@ def _pair_tables(order: int) -> tuple[tuple[TokenPair, ...], tuple[tuple[int, ..
     for i, (a, b) in enumerate(pairs):
         through[a][b] = through[b][a] = i
     return pairs, tuple(map(tuple, through))
+
+
+def partner_rows_mask(rows) -> int:
+    """The token mask of the pairs that partner rows describe over base
+    order len(rows): {x,y}, x < y, is in it iff bit y of rows[x] is set.
+    Bits at or below x in rows[x] are ignored, so rows may list each pair
+    from both ends or from its lower end only; no bit may reach the order.
+    Row x contributes its pairs as one block, ``(rows[x] >> x + 1)``
+    shifted to ``first[x]``, the index of {x, x+1}."""
+    order = len(rows)
+    mask = first = 0
+    for x, row in enumerate(rows):
+        mask |= (row >> x + 1) << first
+        first += order - x - 1
+    return mask
 
 
 def build_f2(g: Graph) -> TokenGraph:

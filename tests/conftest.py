@@ -30,8 +30,8 @@ def _s2_not_independent(monkeypatch):
         bits = real_greedy(adj)
         return bits | adj[_lowest(bits)]
 
-    def extract(i, n):
-        s1, s2 = real_extract(i, n)
+    def extract(i, n, order):
+        s1, s2 = real_extract(i, n, order)
         return s1, s2 | built[-1].masks[n + _lowest(s2)] >> n
 
     monkeypatch.setattr(harness, "build_f2", build)
@@ -39,36 +39,46 @@ def _s2_not_independent(monkeypatch):
     monkeypatch.setattr(harness, "extract_s1_s2", extract)
 
 
+def _with_pairs(rows, *pairs):
+    """Partner rows with pairs added, each in both of its rows; rows is
+    left as it was."""
+    rows = list(rows)
+    for x, y in pairs:
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    return rows
+
+
 def _pair_touches_s2(monkeypatch):
     """F2(H - S2)'s set gains a pair {a,b} with a the lowest member of a
     nonempty S2; {u,a} of I_R and {a,b} differ by the join edge u-b."""
-    real = harness._max_ind_pairs_of_f2
+    real = harness._max_ind_rows_of_f2
 
     def faulty(h, removed):
-        pairs = real(h, removed)
+        rows = real(h, removed)
         if not removed:
-            return pairs
+            return rows
         a = _lowest(removed)
-        return pairs | {(0, a) if a else (0, 1)}
+        return _with_pairs(rows, (0, a) if a else (0, 1))
 
-    monkeypatch.setattr(harness, "_max_ind_pairs_of_f2", faulty)
+    monkeypatch.setattr(harness, "_max_ind_rows_of_f2", faulty)
 
 
 def _f2_set_not_independent(monkeypatch):
     """F2(H - S2)'s set gains {x,y} and {x,z} for an edge yz of H - S2 and
     a third vertex x of H - S2, wherever H - S2 has them."""
-    real = harness._max_ind_pairs_of_f2
+    real = harness._max_ind_rows_of_f2
 
     def faulty(h, removed):
-        pairs = real(h, removed)
+        rows = real(h, removed)
         survivors = [v for v in range(h.order) if not removed >> v & 1]
         for y, z in h.sorted_edges():
             x = next((v for v in survivors if v not in (y, z)), None)
             if y in survivors and z in survivors and x is not None:
-                return pairs | {tuple(sorted((x, y))), tuple(sorted((x, z)))}
-        return pairs
+                return _with_pairs(rows, (x, y), (x, z))
+        return rows
 
-    monkeypatch.setattr(harness, "_max_ind_pairs_of_f2", faulty)
+    monkeypatch.setattr(harness, "_max_ind_rows_of_f2", faulty)
 
 
 @pytest.fixture(params=[_s2_not_independent, _pair_touches_s2, _f2_set_not_independent],

@@ -75,9 +75,9 @@ def test_criterion_02_cycles():
         chosen = construction_pairs(spec, base)
         tg = build_f2(base)
         got = _solve_checked(base)
-        independent = is_independent(tg.graph, tg.indices_of(chosen))
-        if not (alpha_cycle(m) == len(chosen) == got and independent):
-            failures.append((m, alpha_cycle(m), len(chosen), got, independent))
+        independent = is_independent(tg.graph, chosen)
+        if not (alpha_cycle(m) == chosen.bit_count() == got and independent):
+            failures.append((m, alpha_cycle(m), chosen.bit_count(), got, independent))
     elapsed = time.perf_counter() - start
     _report(2, "cycles", failures, "m in [3,12], formula = construction = solver", elapsed)
     assert elapsed < 10.0
@@ -96,9 +96,9 @@ def test_criterion_03_path_unions():
             tg = build_f2(base)
             formula = alpha_path_union(parts)
             solver = _solve_checked(base)
-            independent = is_independent(tg.graph, tg.indices_of(chosen))
-            if not (formula == len(chosen) == solver and independent):
-                failures.append((parts, formula, len(chosen), solver, independent))
+            independent = is_independent(tg.graph, chosen)
+            if not (formula == chosen.bit_count() == solver and independent):
+                failures.append((parts, formula, chosen.bit_count(), solver, independent))
     elapsed = time.perf_counter() - start
     _report(3, "path-unions", failures,
             f"{rows} compositions of m in [2,12], formula = construction = solver",

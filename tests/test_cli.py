@@ -260,6 +260,20 @@ def test_sweep_report_bytes_are_pinned(capsys, name, argv, flags, suffix):
     assert mask_report(out) == (PINNED / f"{name}.{suffix}").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("sweep_fan_construction", ("sweep", "--family", "fan", "--n-range", "1..2",
+                                "--m-range", "1..4")),
+    ("sweep_path_union_construction", PATH_UNION_SWEEP),
+])
+def test_construction_only_json_reports_are_pinned(capsys, name, argv):
+    # with no solver cell, the row's construction witness and digest still
+    # come from the pair table of the token graph the row built
+    code, out, err = run_cli(capsys, *argv, "--methods", "formula,construction",
+                             "--format", "json", "--deterministic")
+    assert code == 0 and err == ""
+    assert out == (PINNED / f"{name}.json").read_text(encoding="utf-8")
+
+
 def test_sweep_summary_and_exit_code_for_aborts(capsys):
     code, out, _ = run_cli(capsys, *WHEEL_SWEEP, "--budget", "2")
     assert code == 3

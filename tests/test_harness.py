@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -22,6 +21,8 @@ from token_alpha.harness import (
 )
 from token_alpha.mis import greedy_independent_set, is_independent, max_independent_set
 from token_alpha.tokens import build_f2, join_partition
+
+from reference import independent_sets, pairs_of_rows
 
 
 def test_evaluate_row_fan_agrees():
@@ -55,11 +56,11 @@ def test_construction_matches_formula_across_join_families():
         base = generate(spec)
         if base.order < 2:
             continue
-        pairs = construction_pairs(spec, base)
+        chosen = construction_pairs(spec, base)
         expected = alpha_closed_form(spec).value
-        assert len(pairs) == expected, spec.label()
+        assert chosen.bit_count() == expected, spec.label()
         tg = build_f2(base)
-        assert is_independent(tg.graph, tg.indices_of(pairs)), spec.label()
+        assert is_independent(tg.graph, chosen), spec.label()
 
 
 @pytest.mark.parametrize("spec", [graphs.path(m) for m in range(2, 9)]
@@ -116,8 +117,8 @@ def test_disagree_verdict_when_methods_differ(monkeypatch):
 
 def test_disagree_verdict_when_construction_is_not_independent(monkeypatch):
     # Right size for F2(P4), but {0,1} and {0,2} are adjacent.
-    monkeypatch.setattr(harness, "construction_pairs",
-                        lambda spec, base: frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
+    wrong = build_f2(generate(graphs.path(4))).indices_of([(0, 1), (0, 2), (1, 3), (2, 3)])
+    monkeypatch.setattr(harness, "construction_pairs", lambda spec, base: wrong)
     row = evaluate_row(graphs.path(4))
     assert row.values == [4, 4, 4]
     assert row.construction_valid is False
@@ -260,11 +261,10 @@ def test_the_written_out_shuffle_is_the_stdlib_shuffle(length):
 def test_a_random_set_is_maximal_and_starts_at_its_cross_vertex(kind, n, m, seed):
     tg = build_f2(generate(graphs.FamilySpec(kind, n=n, m=m)))
     cross = members(join_partition(tg, n).r)
-    chosen = harness.random_independent_set_with_cross(
+    start, inside = harness.random_independent_set_with_cross(
         draw_tables(tg.graph), cross, random.Random(seed))
-    assert chosen[0] == random.Random(seed).choice(cross)
-    assert len(set(chosen)) == len(chosen)
-    inside = sum(1 << v for v in chosen)
+    assert start == random.Random(seed).choice(cross)
+    assert inside >> start & 1
     assert is_independent(tg.graph, inside)
     masks = tg.graph.masks
     for v in range(tg.graph.order):
@@ -296,20 +296,10 @@ def test_a_faulty_associated_set_fails_its_lemma_trials(construction_fault):
     assert not any(report.trials[i].independent for i in report.failures)
 
 
-def _independent_sets(h):
-    """Every independent set of h as a bitmask, the empty set included."""
-    masks = h.masks
-    for size in range(h.order + 1):
-        for chosen in itertools.combinations(range(h.order), size):
-            inside = sum(1 << v for v in chosen)
-            if not any(masks[v] & inside for v in chosen):
-                yield inside
-
-
 def _check_f2_minus_s2(h, s2):
     """The recipe's set for F2(h - s2) avoids s2, is independent there and
     is as large as the solver's maximum."""
-    pairs = harness._max_ind_pairs_of_f2(h, s2)
+    pairs = pairs_of_rows(harness._max_ind_rows_of_f2(h, s2))
     assert not any(s2 >> v & 1 for pair in pairs for v in pair), s2
     sub, kept = delete_vertices(h, s2)
     if sub.order < 2:
@@ -331,7 +321,7 @@ def test_construction_of_f2_minus_s2_is_maximum(kind, orders):
     # the solver for every independent S2 of small H
     for m in orders:
         h = generate(graphs.FamilySpec(kind, m=m))
-        for s2 in _independent_sets(h):
+        for s2 in independent_sets(h):
             _check_f2_minus_s2(h, s2)
 
 
@@ -347,7 +337,7 @@ def test_recipe_is_maximum_on_every_small_graph():
             continue
         graphs_seen += 1
         h = Graph.build(k, atlas.edges())
-        for s2 in _independent_sets(h):
+        for s2 in independent_sets(h):
             rest = atlas.subgraph(v for v in atlas if not s2 >> v & 1)
             left = rest.number_of_nodes()
             clique = rest.number_of_edges() == left * (left - 1) // 2
@@ -366,8 +356,8 @@ def test_recipe_walks_start_at_their_lower_end(h_spec, removed, walks):
     # the parity set of an even-length walk depends on its direction, so
     # construction witnesses stay fixed only if every walk starts low
     h = generate(h_spec)
-    pairs = harness._max_ind_pairs_of_f2(h, sum(1 << v for v in removed))
-    assert pairs == harness.path_union_independent_set(walks)
+    rows = harness._max_ind_rows_of_f2(h, sum(1 << v for v in removed))
+    assert rows == harness.path_union_independent_set(walks, h.order)
 
 
 @pytest.mark.parametrize("kind, first, alpha", [

@@ -8,7 +8,7 @@ from token_alpha import graphs
 from token_alpha.errors import ParameterError
 from token_alpha.graphs import Graph, generate, members
 from token_alpha.mis import is_independent, max_independent_set_exhaustive
-from token_alpha.tokens import build_f2, join_partition
+from token_alpha.tokens import _pair_tables, build_f2, join_partition, partner_rows_mask
 
 
 def test_f2_of_path_3():
@@ -125,6 +125,30 @@ def test_indices_of_maps_either_orientation_and_rejects_non_pairs():
     for bad in ((1, 1), (0, 4), (-1, 2), (2, -1)):
         with pytest.raises(ParameterError, match="is not a 2-subset"):
             tg.indices_of([bad])
+
+
+@pytest.mark.parametrize("order", range(2, 15))
+@given(st.data())
+@settings(max_examples=25)
+def test_partner_rows_mask_is_the_pair_table_indexing(order, data):
+    # row x's pairs {x,y > x} as one shifted block must land on the indices
+    # the pair table gives them, one bit per pair
+    rows = data.draw(st.lists(st.integers(0, (1 << order) - 1),
+                              min_size=order, max_size=order))
+    _, through = _pair_tables(order)
+    expected = 0
+    for x, row in enumerate(rows):
+        for y in members(row):
+            if y > x:
+                expected |= 1 << through[x][y]
+    assert partner_rows_mask(rows) == expected
+
+
+def test_partner_rows_mask_reads_each_pair_from_its_lower_row():
+    assert partner_rows_mask([0b110, 0b101, 0b011]) == 0b111   # both ends
+    assert partner_rows_mask([0b110, 0b100, 0]) == 0b111       # lower ends only
+    assert partner_rows_mask([0, 0b001, 0b011]) == 0           # upper ends only
+    assert partner_rows_mask([0] * 5) == 0
 
 
 def test_join_partition_rejects_bad_split():
