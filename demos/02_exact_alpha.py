@@ -1,19 +1,20 @@
-"""Exact maximum independent sets: the enumeration oracle vs branch and bound."""
-
-import random
+"""Exact maximum independent sets: branch and bound against the closed forms."""
 
 from token_alpha import graphs
-from token_alpha.graphs import Graph, generate, members
-from token_alpha.mis import max_independent_set, max_independent_set_exhaustive
+from token_alpha.formulas import alpha_closed_form
+from token_alpha.graphs import generate, members
+from token_alpha.mis import is_independent, max_independent_set
 from token_alpha.tokens import build_f2
 
-# Both solvers on the token graph of C5: alpha = floor(5 * 2 / 2) = 5.
-tg = build_f2(generate(graphs.cycle(5)))
-oracle = max_independent_set_exhaustive(tg.graph)
-fast = max_independent_set(tg.graph)
-print("F2(C5): exhaustive =", oracle.size, " branch-and-bound =", fast.size)
-print("oracle witness (lexicographically least):",
-      [tg.pairs[i] for i in members(oracle.witness)])
+# The solver on the token graph of C5, whose closed form is
+# floor(5 * floor(5/2) / 2) = 5.
+spec = graphs.cycle(5)
+tg = build_f2(generate(spec))
+result = max_independent_set(tg.graph)
+print("F2(C5): closed form =", alpha_closed_form(spec).value,
+      " branch-and-bound =", result.size)
+print("witness:", [tg.pairs[i] for i in members(result.witness)],
+      " independent:", is_independent(tg.graph, result.witness))
 
 # The branch-and-bound solver handles the 91-vertex token graph of a fan
 # in a few dozen nodes.  Each node covers its candidates with greedy
@@ -41,13 +42,11 @@ for spec in (graphs.complete(20), graphs.split(6, 18)):
     print(f"F2({spec.label()}): alpha = {result.size} "
           f"({tg.graph.order} vertices, {result.nodes_explored} nodes with orbit pruning)")
 
-# Random cross-check, the same experiment the acceptance suite runs at scale.
-rng = random.Random(1)
-agree = 0
-for _ in range(50):
-    n = rng.randint(2, 14)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-    g = Graph.build(n, edges)
-    agree += (max_independent_set(g).size
-              == max_independent_set_exhaustive(g).size)
-print(f"random graphs: {agree}/50 solver sizes agree with the oracle")
+# The cross-check the acceptance suite runs at scale: on every row of a
+# small grid of the four join families, the solver's alpha is the closed form.
+specs = [family(n, m) for family in (graphs.fan, graphs.wheel, graphs.split,
+                                     graphs.complete_bipartite)
+         for n in range(1, 4) for m in range(3, 8)]
+agree = sum(max_independent_set(build_f2(generate(spec))).size
+            == alpha_closed_form(spec).value for spec in specs)
+print(f"family rows: {agree}/{len(specs)} solver sizes agree with the closed form")

@@ -9,7 +9,7 @@ from token_alpha.constructions import (
     associated_independent_set,
     extract_s1_s2,
 )
-from token_alpha.graphs import delete_vertices, generate, members
+from token_alpha.graphs import Graph, generate, members
 from token_alpha.harness import (
     draw_tables,
     random_independent_set_with_cross,
@@ -34,9 +34,12 @@ for trial in range(5):
 
     # F2(H - S2) is solved here by the exact solver, an independent route;
     # run_lemma_trials takes the same maximum set from the construction.
-    # The associated set takes it as partner rows in C_m's labels: row x
-    # holds the partners of cycle vertex x.
-    sub, kept = delete_vertices(h, s2)
+    # H - S2 keeps the cycle vertices outside S2, renumbered 0..k-1 in
+    # order.  The associated set takes the solver's set as partner rows in
+    # C_m's labels: row x holds the partners of cycle vertex x.
+    kept = members((1 << m) - 1 & ~s2)
+    sub = Graph.build(len(kept), [(i, j) for j, y in enumerate(kept)
+                                  for i, x in enumerate(kept[:j]) if h.masks[x] >> y & 1])
     sub_tg = build_f2(sub)
     mis2 = [0] * m
     for i in members(max_independent_set(sub_tg.graph).witness):

@@ -13,10 +13,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-class CapacityError(ValueError):
-    """The exhaustive solver was asked for a graph above its hard cap."""
-
-
 class BudgetExceededError(RuntimeError):
     """The branch-and-bound solver hit its node budget before finishing."""
 

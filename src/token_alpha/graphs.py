@@ -1,8 +1,6 @@
 """Simple undirected graphs, the family generators, and graph operators.
 ``generate`` is the one place a family spec becomes a labelled graph: the
 joins through ``join``, everything else through ``Graph.build``.
-``delete_vertices`` and ``components`` have no caller in the package: they
-remain only as the tests' independent references.
 
 Vertices are always 0..order-1.  A graph is stored as its adjacency
 bitsets, one int per vertex, which is the form every reader of a graph
@@ -66,9 +64,6 @@ class Graph:
                 edges.append((u, u + low.bit_length()))
                 above ^= low
         return edges
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.masks[u] >> v & 1)
 
 
 def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -244,45 +239,3 @@ def join(g1: Graph, g2: Graph) -> Graph:
     return Graph(tuple(mask | all2 for mask in g1.masks)
                  + tuple(mask << shift | all1 for mask in g2.masks))
 
-
-def delete_vertices(g: Graph, removed: int) -> tuple[Graph, list[int]]:
-    """Induced subgraph on V(g) minus the bitmask removed, vertices
-    renumbered to 0..k-1.
-
-    Returns the subgraph together with the relabeling map: a list whose
-    i-th entry is the original label of new vertex i (relative order of
-    the surviving vertices is preserved).
-    """
-    if removed >> g.order:
-        raise ParameterError(f"deletion set not within a graph of order {g.order}")
-    kept = [v for v in range(g.order) if not removed >> v & 1]
-    new_index = {old: new for new, old in enumerate(kept)}
-    edges = [(new_index[u], new_index[v]) for u, v in g.sorted_edges()
-             if not (removed >> u | removed >> v) & 1]
-    return Graph.build(len(kept), edges), kept
-
-
-def components(g: Graph) -> list[tuple[int, ...]]:
-    """Connected components, each sorted, ordered by smallest member."""
-    masks = g.masks
-    seen = [False] * g.order
-    out = []
-    for start in range(g.order):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            nbrs = masks[v]
-            while nbrs:
-                low = nbrs & -nbrs
-                u = low.bit_length() - 1
-                nbrs ^= low
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        out.append(tuple(sorted(comp)))
-    return out

@@ -1,11 +1,8 @@
-"""Exact maximum independent set solvers.
-
-Two routes: a subset-enumeration oracle for small graphs (deterministic,
-lexicographically least witness) and a bitset branch-and-bound solver for
-the token graphs the harness actually verifies.  Their sizes agree on the
-overlapping domain; the test suite enforces that.  Both return their
-witness as a bitmask of the graph's vertices (``MisResult.witness``), the
-form ``is_independent`` checks and the search itself works in.
+"""The exact maximum independent set solver: a bitset branch and bound for
+the token graphs the harness verifies.  It returns its witness as a
+bitmask of the graph's vertices (``MisResult.witness``), the form
+``is_independent`` checks and the search itself works in.  The tests hold
+a subset-enumeration oracle for small graphs that it must agree with.
 
 The branch-and-bound solver is the independent-set form of the colour-
 ordered maximum-clique search (Tomita et al., MCS, WALCOM 2010; San Segundo
@@ -67,11 +64,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, CapacityError, ParameterError
+from .errors import BudgetExceededError, ParameterError
 from .graphs import Graph, members, twin_classes
 from .tokens import TokenGraph
-
-EXHAUSTIVE_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -99,40 +94,6 @@ def is_independent(g: Graph, s: int) -> bool:
             return False
         rest ^= low
     return True
-
-
-def max_independent_set_exhaustive(g: Graph) -> MisResult:
-    """Enumerate independent sets in include-first vertex order.
-
-    The first maximum-size set met in that order is the lexicographically
-    least one, so the witness is canonical.  Hard-capped at order 30;
-    larger graphs belong to max_independent_set.
-    """
-    n = g.order
-    if n > EXHAUSTIVE_CAP:
-        raise CapacityError(
-            f"order {n} exceeds the exhaustive cap of {EXHAUSTIVE_CAP}; "
-            "use max_independent_set instead")
-    adj = g.masks
-    best_size = -1
-    best_bits = 0
-    nodes = 0
-
-    def dfs(cand: int, size: int, chosen: int):
-        nonlocal best_size, best_bits, nodes
-        nodes += 1
-        if size + cand.bit_count() <= best_size:
-            return
-        if cand == 0:
-            best_size, best_bits = size, chosen
-            return
-        low = cand & -cand
-        v = low.bit_length() - 1
-        dfs(cand & ~(adj[v] | low), size + 1, chosen | low)
-        dfs(cand ^ low, size, chosen)
-
-    dfs((1 << n) - 1, 0, 0)
-    return MisResult(best_size, best_bits, nodes)
 
 
 def greedy_independent_set(adj: tuple[int, ...]) -> int:

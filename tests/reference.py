@@ -1,16 +1,26 @@
-"""Reference builders for the constructions, in the form the package used
-before it wrote token masks: frozensets of base-vertex pairs, built pair by
-pair and read from the lists of pairs they produce.  The tests compare the
-package's masks with ``indices_of`` of these sets, and convert between
-pairs, partner rows and masks with the helpers at the end.
+"""References the tests check the package against; none of them ships.
+
+- The constructions in the form the package used before it wrote token
+  masks: frozensets of base-vertex pairs, built pair by pair and read from
+  the lists of pairs they produce.  The tests compare the package's masks
+  with ``indices_of`` of these sets, and convert between pairs, partner
+  rows and masks with the helpers after them.
+- The solver reference: ``max_independent_set_exhaustive``, an
+  enumeration of independent sets for graphs of order at most
+  ``EXHAUSTIVE_CAP``, with a canonical witness.
+- The graph helpers ``delete_vertices`` and ``components``, with which the
+  tests read H - S2 and the parts of a graph independently of the
+  package's bitmask walks.
 """
 
 import itertools
 
 from token_alpha.errors import ParameterError
 from token_alpha.graphs import Graph, members
-from token_alpha.mis import greedy_independent_set
+from token_alpha.mis import MisResult, greedy_independent_set
 from token_alpha.tokens import build_f2
+
+EXHAUSTIVE_CAP = 30
 
 
 def _pair(a, b):
@@ -135,3 +145,80 @@ def mask_of_pairs(pairs, order):
 def pairs_of_mask(mask, order):
     """The pairs of a token mask over base order."""
     return frozenset(build_f2(Graph.build(order, [])).pairs[i] for i in members(mask))
+
+
+def max_independent_set_exhaustive(g):
+    """Enumerate independent sets in include-first vertex order.
+
+    The first maximum-size set met in that order is the lexicographically
+    least one, so the witness is canonical.  Hard-capped at order 30;
+    larger graphs belong to max_independent_set.
+    """
+    n = g.order
+    if n > EXHAUSTIVE_CAP:
+        raise ValueError(
+            f"order {n} exceeds the exhaustive cap of {EXHAUSTIVE_CAP}; "
+            "use max_independent_set instead")
+    adj = g.masks
+    best_size = -1
+    best_bits = 0
+    nodes = 0
+
+    def dfs(cand, size, chosen):
+        nonlocal best_size, best_bits, nodes
+        nodes += 1
+        if size + cand.bit_count() <= best_size:
+            return
+        if cand == 0:
+            best_size, best_bits = size, chosen
+            return
+        low = cand & -cand
+        v = low.bit_length() - 1
+        dfs(cand & ~(adj[v] | low), size + 1, chosen | low)
+        dfs(cand ^ low, size, chosen)
+
+    dfs((1 << n) - 1, 0, 0)
+    return MisResult(best_size, best_bits, nodes)
+
+
+def delete_vertices(g, removed):
+    """Induced subgraph on V(g) minus the bitmask removed, vertices
+    renumbered to 0..k-1.
+
+    Returns the subgraph together with the relabeling map: a list whose
+    i-th entry is the original label of new vertex i (relative order of
+    the surviving vertices is preserved).
+    """
+    if removed >> g.order:
+        raise ParameterError(f"deletion set not within a graph of order {g.order}")
+    kept = [v for v in range(g.order) if not removed >> v & 1]
+    new_index = {old: new for new, old in enumerate(kept)}
+    edges = [(new_index[u], new_index[v]) for u, v in g.sorted_edges()
+             if not (removed >> u | removed >> v) & 1]
+    return Graph.build(len(kept), edges), kept
+
+
+def components(g):
+    """Connected components, each sorted, ordered by smallest member."""
+    masks = g.masks
+    seen = [False] * g.order
+    out = []
+    for start in range(g.order):
+        if seen[start]:
+            continue
+        comp = []
+        stack = [start]
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            nbrs = masks[v]
+            while nbrs:
+                low = nbrs & -nbrs
+                u = low.bit_length() - 1
+                nbrs ^= low
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        out.append(tuple(sorted(comp)))
+    return out

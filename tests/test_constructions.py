@@ -14,17 +14,25 @@ from token_alpha.constructions import (
 )
 from token_alpha.errors import ParameterError
 from token_alpha.formulas import alpha_cycle, alpha_path_union
-from token_alpha.graphs import Graph, components, delete_vertices, generate, join, members
+from token_alpha.graphs import Graph, generate, join, members
 from token_alpha.harness import (
     construction_pairs,
     draw_tables,
     random_independent_set_with_cross,
 )
-from token_alpha.mis import is_independent, max_independent_set, max_independent_set_exhaustive
+from token_alpha.mis import is_independent, max_independent_set
 from token_alpha.tokens import build_f2, join_partition, partner_rows_mask
 
 import reference
-from reference import mask_of_pairs, pairs_of_mask, pairs_of_rows, rows_of_pairs
+from reference import (
+    components,
+    delete_vertices,
+    mask_of_pairs,
+    max_independent_set_exhaustive,
+    pairs_of_mask,
+    pairs_of_rows,
+    rows_of_pairs,
+)
 
 
 def associated_set_size(inp):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from token_alpha import graphs, harness
 from token_alpha.errors import ParameterError
 from token_alpha.formulas import AlphaFormulaResult, alpha_closed_form
-from token_alpha.graphs import Graph, delete_vertices, generate, members
+from token_alpha.graphs import Graph, generate, members
 from token_alpha.harness import (
     SweepConfig,
     VerdictTally,
@@ -22,7 +22,7 @@ from token_alpha.harness import (
 from token_alpha.mis import greedy_independent_set, is_independent, max_independent_set
 from token_alpha.tokens import build_f2, join_partition
 
-from reference import independent_sets, pairs_of_rows
+from reference import delete_vertices, independent_sets, pairs_of_rows
 
 
 def test_evaluate_row_fan_agrees():

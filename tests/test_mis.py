@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from token_alpha import graphs, mis
-from token_alpha.errors import BudgetExceededError, CapacityError, ParameterError
+from token_alpha.errors import BudgetExceededError, ParameterError
 from token_alpha.formulas import alpha_closed_form
 from token_alpha.graphs import Graph, generate, join, members
 from token_alpha.harness import SweepConfig, sweep_specs
-from token_alpha.mis import (
-    is_independent,
-    max_independent_set,
-    max_independent_set_exhaustive,
-)
+from token_alpha.mis import is_independent, max_independent_set
 from token_alpha.report import witness_digest
 from token_alpha.tokens import build_f2
+
+from reference import max_independent_set_exhaustive
 
 
 def random_graph(rng, n, p):
@@ -59,7 +57,7 @@ def test_exhaustive_witness_is_lexicographically_least():
 
 
 def test_exhaustive_cap():
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError, match="order 31 exceeds the exhaustive cap of 30"):
         max_independent_set_exhaustive(generate(graphs.empty(31)))
 
 
