@@ -18,7 +18,6 @@ from .fileio import parse_graph, read_text, render_graph
 from .graphs import FamilySpec
 from . import graphs
 from .harness import (
-    SweepConfig,
     VerdictTally,
     evaluate_graph_row,
     evaluate_row,
@@ -102,24 +101,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_report_flags(args) -> None:
-    if args.deterministic and args.format != "json":
-        raise ParameterError("--deterministic requires --format json; "
-                             "only JSON reports carry witness sets")
-
-
 def _report(rows, args, extra: dict | None = None) -> tuple[str, int]:
     """The rendered report and its exit code, both from one pass over rows."""
     tally = VerdictTally(rows)
     if args.format == "json":
-        text = render_json(tally, include_witness=args.deterministic, extra=extra)
+        text = render_json(tally, extra)
     else:
         text = render_tsv(tally)
     return text, tally.exit_code
 
 
 def _cmd_alpha(args) -> int:
-    _check_report_flags(args)
     if (args.input is None) == (args.family is None):
         raise ParameterError("alpha requires exactly one of --family or --input")
     if args.input is not None:
@@ -138,20 +130,17 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_report_flags(args)
-    config = SweepConfig(
-        family=_family_kind(args),
-        n_range=_parse_range(args.n_range) if args.n_range else None,
-        m_range=_parse_range(args.m_range) if args.m_range else None,
-        methods=_parse_methods(args.methods),
-        node_budget=_budget(args),
-    )
+    methods = _parse_methods(args.methods)
+    rows = run_sweep(_family_kind(args),
+                     _parse_range(args.n_range) if args.n_range else None,
+                     _parse_range(args.m_range) if args.m_range else None,
+                     methods, _budget(args))
     extra = {"config": {"family": args.family, "n_range": args.n_range,
-                        "m_range": args.m_range, "methods": list(config.methods),
+                        "m_range": args.m_range, "methods": list(methods),
                         "budget": args.budget}}
     # rows stream from evaluation into the renderer; the report is written
     # only once the sweep has finished, so a sweep that fails writes nothing
-    text, code = _report(run_sweep(config), args, extra)
+    text, code = _report(rows, args, extra)
     _emit(text, args.out)
     return code
 
@@ -198,9 +187,8 @@ def _add_row_flags(sub):
                      help="comma list from formula,construction,solver")
     sub.add_argument("--budget", type=int, default=None,
                      help="solver node budget; exceeding it aborts the row")
-    sub.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="include witness sets in JSON output (needs --format json)")
+    sub.add_argument("--format", choices=("tsv", "json"), default="tsv",
+                     help="json also writes each row's witness sets")
     sub.add_argument("--out", default=None, help="write the report to this path")
 
 

@@ -19,11 +19,12 @@ adjacency bitsets (paths, a clique or a whole cycle), not from a family
 name.  S1, S2 and the recipe's removed set are bitmasks, as the
 adjacency bitsets are.  Constructions, lemma-trial sets and solver
 witnesses are token masks; a row maps one to pairs, through its token
-graph's pair table, only when a report asks for the witness.
+graph's pair table, only when a JSON report writes its witness.
 
-A sweep is one pass: ``run_sweep`` yields each row as soon as it is
-evaluated, and ``VerdictTally`` counts verdicts as rows go by, so a
-report needs no row once it has rendered it.
+A sweep is one pass: ``run_sweep(family, n_range, m_range, methods,
+node_budget)`` yields each row as soon as it is evaluated, and
+``VerdictTally`` counts verdicts as rows go by, so a report needs no row
+once it has rendered it.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class RowResult:
         """A token mask as base-vertex pairs, in index order, which is
         lexicographic, read from the token graph's pair table
         (``token_pairs``, shared by every token graph of its order) only
-        when a report asks for a witness."""
+        when a JSON report writes a witness."""
         return tuple(self.token_pairs[i] for i in members(mask))
 
     @property
@@ -297,49 +298,42 @@ def compositions(total: int):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    family: str
-    n_range: tuple[int, int] | None = None
-    m_range: tuple[int, int] | None = None
-    methods: tuple[str, ...] = METHODS
-    node_budget: int | None = None
-
-    def __post_init__(self):
-        for label, rng in (("n", self.n_range), ("m", self.m_range)):
-            if rng is not None and rng[0] > rng[1]:
-                raise ParameterError(f"empty {label} range {rng[0]}..{rng[1]}")
-
-
-def sweep_specs(config: SweepConfig) -> Iterator[FamilySpec]:
-    """Family instances for a sweep, in deterministic lexicographic order.
-    The family and its ranges are checked at once; each instance is checked
-    against ``FAMILIES`` when the sweep reaches it and builds it.  Path
-    unions take the m range as totals and walk all their compositions."""
-    family = config.family
+def sweep_specs(family: str, n_range: tuple[int, int] | None = None,
+                m_range: tuple[int, int] | None = None) -> Iterator[FamilySpec]:
+    """Family instances for a sweep over the inclusive ranges, in
+    deterministic lexicographic order.  The family and its ranges are
+    checked at once; each instance is checked against ``FAMILIES`` when the
+    sweep reaches it and builds it.  Path unions take the m range as totals
+    and walk all their compositions."""
     if family not in FAMILIES:
         raise ParameterError(f"family {family!r} cannot be swept")
+    ranges = {"n": n_range, "m": m_range}
+    for label, rng in ranges.items():
+        if rng is not None and rng[0] > rng[1]:
+            raise ParameterError(f"empty {label} range {rng[0]}..{rng[1]}")
     params = FAMILIES[family]
     if "parts" in params:
-        if config.m_range is None:
+        if m_range is None:
             raise ParameterError(f"{family} sweep requires an m range of totals")
-        lo, hi = config.m_range
+        lo, hi = m_range
         if lo < 1:
             raise ParameterError(f"{family} sweep requires totals >= 1, got m range {lo}..{hi}")
         return (FamilySpec(family, parts=parts)
                 for total in range(lo, hi + 1) for parts in compositions(total))
-    ranges = {"n": config.n_range, "m": config.m_range}
     if any(ranges[p] is None for p in params):
         raise ParameterError(f"{family} sweep requires a range for {' and '.join(params)}")
     grid = itertools.product(*(range(ranges[p][0], ranges[p][1] + 1) for p in params))
     return (FamilySpec(family, **dict(zip(params, values))) for values in grid)
 
 
-def run_sweep(config: SweepConfig) -> Iterator[RowResult]:
+def run_sweep(family: str, n_range: tuple[int, int] | None = None,
+              m_range: tuple[int, int] | None = None, methods=METHODS,
+              node_budget: int | None = None) -> Iterator[RowResult]:
     """The sweep's rows, each yielded once it is evaluated; nothing here
-    keeps a row after yielding it."""
-    return (evaluate_row(s, config.methods, config.node_budget)
-            for s in sweep_specs(config))
+    keeps a row after yielding it.  ``sweep_specs`` checks the family and
+    ranges before the first row is asked for."""
+    return (evaluate_row(s, methods, node_budget)
+            for s in sweep_specs(family, n_range, m_range))
 
 
 # ---------------------------------------------------------------------------

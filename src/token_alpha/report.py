@@ -1,11 +1,13 @@
 """Report rendering for harness rows: fixed-column TSV and a richer JSON
-form.  Witness sets appear only in JSON and only when the caller asks for
-deterministic output; sizes, node counts and verdicts are always present.
+form.  Only JSON carries witness sets, the construction's and the
+solver's, as sorted pair strings: each row's certificate in checkable
+form.  Sizes, node counts and verdicts are in both.
 
 Both renderers read their rows once, from any iterable, and keep only what
 they write: a TSV line or a JSON record per row, plus the verdict tally
-that the summary is written from.  A caller that passes a ``VerdictTally``
-reads the exit code from the same counts.
+that the summary is written from.  A JSON record holds its row's
+witnesses, so a JSON sweep's memory grows with its grid.  A caller that
+passes a ``VerdictTally`` reads the exit code from the same counts.
 
 ``hashlib`` is imported inside ``witness_digest``, not here: it maps
 OpenSSL's libcrypto (~3.4 MB of resident memory), which only reports that
@@ -65,12 +67,14 @@ def render_tsv(rows) -> str:
     lines = ["\t".join(TSV_COLUMNS)]
     lines += ["\t".join(_row_cells(row)) for row in tally]
     counts = tally.counts
+    # the summary line carries the final newline, so the report is joined
+    # once, with no second copy of it made to append one
     lines.append(f"# agree={counts['AGREE']} disagree={counts['DISAGREE']} "
-                 f"aborted={counts['ABORTED']}")
-    return "\n".join(lines) + "\n"
+                 f"aborted={counts['ABORTED']}\n")
+    return "\n".join(lines)
 
 
-def row_record(row: RowResult, include_witness: bool = False) -> dict:
+def row_record(row: RowResult) -> dict:
     spec = row.spec
     record = {
         "family": spec.kind if spec is not None else row.label,
@@ -95,23 +99,21 @@ def row_record(row: RowResult, include_witness: bool = False) -> dict:
             "size": len(pairs),
             "valid": row.construction_valid,
             "digest": witness_digest(pairs),
+            "witness": witness_strings(pairs),
         }
-        if include_witness:
-            record["construction"]["witness"] = witness_strings(pairs)
     if row.solver is not None:
         record["solver"] = {
             "size": row.solver.size,
             "nodes": row.solver.nodes_explored,
             "millis": row.solver_millis,
+            "witness": witness_strings(row.solver_witness_pairs),
         }
-        if include_witness:
-            record["solver"]["witness"] = witness_strings(row.solver_witness_pairs)
     return record
 
 
-def render_json(rows, include_witness: bool = False, extra: dict | None = None) -> str:
+def render_json(rows, extra: dict | None = None) -> str:
     tally = tallied(rows)
-    records = [row_record(r, include_witness) for r in tally]
+    records = [row_record(r) for r in tally]
     counts = tally.counts
     doc = {
         "rows": records,

@@ -79,13 +79,14 @@ def test_alpha_json_format(capsys):
     row = doc["rows"][0]
     assert row["formula"]["value"] == 5
     assert row["solver"]["size"] == 5
-    assert "witness" not in row["solver"]
+    assert len(row["solver"]["witness"]) == 5
+    assert len(row["construction"]["witness"]) == row["construction"]["size"] == 5
     assert doc["summary"] == {"agree": 1, "disagree": 0, "aborted": 0}
 
 
 def test_alpha_json_deterministic_includes_witness(capsys):
     code, out, _ = run_cli(capsys, "alpha", "--family", "path", "--m", "4",
-                           "--format", "json", "--deterministic")
+                           "--format", "json")
     assert code == 0
     doc = json.loads(out)
     witness = doc["rows"][0]["solver"]["witness"]
@@ -249,7 +250,7 @@ PINNED_SWEEPS = [
 
 @pytest.mark.parametrize("name, argv", PINNED_SWEEPS)
 @pytest.mark.parametrize("flags, suffix", [((), "tsv"),
-                                           (("--format", "json", "--deterministic"), "json")])
+                                           (("--format", "json"), "json")])
 def test_sweep_report_bytes_are_pinned(capsys, name, argv, flags, suffix):
     # the files hold the reports, with millis masked, as the code wrote them
     # before sweeps streamed their rows (wheel, path union) and before the
@@ -269,7 +270,7 @@ def test_construction_only_json_reports_are_pinned(capsys, name, argv):
     # with no solver cell, the row's construction witness and digest still
     # come from the pair table of the token graph the row built
     code, out, err = run_cli(capsys, *argv, "--methods", "formula,construction",
-                             "--format", "json", "--deterministic")
+                             "--format", "json")
     assert code == 0 and err == ""
     assert out == (PINNED / f"{name}.json").read_text(encoding="utf-8")
 
@@ -313,20 +314,6 @@ def test_sweep_that_fails_part_way_writes_nothing(capsys, monkeypatch, tmp_path,
     assert code == 2
     assert out == "" and err == "error: third row\n"
     assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("argv", [
-    ("alpha", "--family", "fan", "--n", "2", "--m", "3"),
-    ("alpha", "--family", "fan", "--n", "2", "--m", "3", "--format", "tsv"),
-    ("sweep", "--family", "fan", "--n-range", "2..2", "--m-range", "3..3"),
-])
-def test_deterministic_without_json_is_a_usage_error(capsys, argv):
-    # TSV never carries witnesses, so the flag would do nothing there
-    code, out, err = run_cli(capsys, *argv, "--deterministic")
-    assert code == 2
-    assert out == ""
-    assert err == ("error: --deterministic requires --format json; "
-                   "only JSON reports carry witness sets\n")
 
 
 def test_sweep_rejects_parameters_alpha_rejects(capsys):
@@ -445,6 +432,20 @@ def test_lemma_check_has_no_budget_flag(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("alpha", "--family", "fan", "--n", "2", "--m", "3", "--format", "json"),
+    ("sweep", "--family", "fan", "--n-range", "2..2", "--m-range", "3..3", "--format", "json"),
+])
+def test_json_reports_have_no_witness_flag(capsys, argv):
+    # JSON always carries the witnesses, so argparse rejects --deterministic
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--deterministic"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --deterministic" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ("alpha", "--family", "fan", "--n", "2", "--m", "4"),
     ("sweep", "--family", "fan", "--n-range", "1..2", "--m-range", "2..3"),
 ])
@@ -516,7 +517,7 @@ def test_export_token_graph(capsys):
 
 def test_alpha_witnesses_are_independent_in_the_exported_graph(capsys):
     code, out, _ = run_cli(capsys, "alpha", "--family", "path-union", "--parts", "2,1,1",
-                           "--format", "json", "--deterministic")
+                           "--format", "json")
     assert code == 0
     row = json.loads(out)["rows"][0]
     code, exported, _ = run_cli(capsys, "export", "--family", "path-union",
@@ -526,6 +527,25 @@ def test_alpha_witnesses_are_independent_in_the_exported_graph(capsys):
     for method in ("construction", "solver"):
         pairs = [tuple(map(int, w.strip("{}").split(","))) for w in row[method]["witness"]]
         assert is_independent(tg.graph, tg.indices_of(pairs)), method
+
+
+def test_file_row_json_carries_the_family_rows_solver_witness(capsys, tmp_path):
+    target = tmp_path / "wheel.txt"
+    family = ("--family", "wheel", "--n", "2", "--m", "5")
+    code, _, _ = run_cli(capsys, "export", *family, "--out", str(target))
+    assert code == 0
+    code, out, err = run_cli(capsys, "alpha", "--input", str(target), "--format", "json")
+    assert code == 0 and err == ""
+    row = json.loads(out)["rows"][0]
+    assert row["label"] == "file:wheel.txt" and row["construction"] is None
+    witness = row["solver"]["witness"]
+    assert len(set(witness)) == len(witness) == row["solver"]["size"]
+    tg = build_f2(parse_graph(target.read_text(encoding="utf-8")))
+    pairs = [tuple(map(int, w.strip("{}").split(","))) for w in witness]
+    assert is_independent(tg.graph, tg.indices_of(pairs))
+    code, out, _ = run_cli(capsys, "alpha", *family, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["solver"]["witness"] == witness
 
 
 def test_missing_file_is_io_error(capsys):

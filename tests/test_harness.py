@@ -8,7 +8,6 @@ from token_alpha.errors import ParameterError
 from token_alpha.formulas import AlphaFormulaResult, alpha_closed_form
 from token_alpha.graphs import Graph, generate, members
 from token_alpha.harness import (
-    SweepConfig,
     VerdictTally,
     compositions,
     construction_pairs,
@@ -169,42 +168,42 @@ def test_compositions_are_lexicographic():
 
 
 def test_sweep_specs_order_and_counts():
-    config = SweepConfig(family="fan", n_range=(1, 2), m_range=(2, 4))
-    specs = list(sweep_specs(config))
+    specs = list(sweep_specs("fan", (1, 2), (2, 4)))
     assert [(s.n, s.m) for s in specs] == [
         (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)]
-    config = SweepConfig(family="path_union", m_range=(2, 4))
-    specs = list(sweep_specs(config))
+    specs = list(sweep_specs("path_union", m_range=(2, 4)))
     assert [s.parts for s in specs][:4] == [(1, 1), (2,), (1, 1, 1), (1, 2)]
     assert len(specs) == 2 + 4 + 8
 
 
 def test_sweep_rejects_empty_range():
-    with pytest.raises(ParameterError):
-        SweepConfig(family="fan", n_range=(3, 1), m_range=(2, 4))
+    # both raise when called, before a row is asked for
+    for sweep in (sweep_specs, run_sweep):
+        with pytest.raises(ParameterError, match=r"^empty n range 3\.\.1$"):
+            sweep("fan", (3, 1), (2, 4))
+        with pytest.raises(ParameterError, match=r"^empty m range 4\.\.2$"):
+            sweep("path_union", m_range=(4, 2))
 
 
 def test_sweep_specs_check_the_config_at_once_and_each_spec_when_reached():
     with pytest.raises(ParameterError, match="requires a range for n"):
-        sweep_specs(SweepConfig(family="fan", m_range=(2, 4)))
-    specs = sweep_specs(SweepConfig(family="wheel", n_range=(1, 1), m_range=(3, 3)))
+        sweep_specs("fan", m_range=(2, 4))
+    specs = sweep_specs("wheel", (1, 1), (3, 3))
     assert next(specs).label() == graphs.wheel(1, 3).label()
-    specs = sweep_specs(SweepConfig(family="wheel", n_range=(0, 1), m_range=(3, 3)))
+    specs = sweep_specs("wheel", (0, 1), (3, 3))
     with pytest.raises(ParameterError, match="n >= 1"):
         next(specs)
 
 
 def test_sweep_runs_and_counts():
-    tally = VerdictTally(run_sweep(SweepConfig(family="wheel", n_range=(1, 2), m_range=(3, 5),
-                                               methods=("formula", "solver"))))
+    tally = VerdictTally(run_sweep("wheel", (1, 2), (3, 5), methods=("formula", "solver")))
     assert len(list(tally)) == 6
     assert tally.counts == {"AGREE": 6, "DISAGREE": 0, "ABORTED": 0}
     assert tally.exit_code == 0
 
 
 def test_sweep_exit_code_for_aborts():
-    tally = VerdictTally(run_sweep(SweepConfig(family="fan", n_range=(4, 4), m_range=(6, 6),
-                                               methods=("solver",), node_budget=1)))
+    tally = VerdictTally(run_sweep("fan", (4, 4), (6, 6), methods=("solver",), node_budget=1))
     assert len(list(tally)) == 1
     assert tally.counts["ABORTED"] == 1
     assert tally.exit_code == 3

@@ -11,7 +11,7 @@ from token_alpha import graphs, mis
 from token_alpha.errors import BudgetExceededError, ParameterError
 from token_alpha.formulas import alpha_closed_form
 from token_alpha.graphs import Graph, generate, join, members
-from token_alpha.harness import SweepConfig, sweep_specs
+from token_alpha.harness import sweep_specs
 from token_alpha.mis import is_independent, max_independent_set
 from token_alpha.report import witness_digest
 from token_alpha.tokens import build_f2
@@ -242,7 +242,7 @@ def test_search_tree_sizes_are_pinned(family, n_range, m_range, nodes):
     # total nodes_explored over a sweep's token graphs: any change to the
     # fold order, the renumbering, the clique cover or the branching order
     # moves it
-    specs = sweep_specs(SweepConfig(family, n_range, m_range))
+    specs = sweep_specs(family, n_range, m_range)
     total = sum(max_independent_set(build_f2(generate(spec)).graph).nodes_explored
                 for spec in specs)
     assert total == nodes
@@ -252,7 +252,7 @@ FOLD_SPECS = [spec for family, n_range, m_range in [
     ("fan", (1, 6), (2, 12)), ("wheel", (1, 6), (3, 12)), ("path_union", None, (2, 10)),
     ("complete_bipartite", (1, 6), (1, 8)), ("split", (1, 5), (1, 10)),
     ("complete", None, (2, 14)),
-] for spec in sweep_specs(SweepConfig(family, n_range, m_range))] + [
+] for spec in sweep_specs(family, n_range, m_range)] + [
     graphs.wheel(8, 23), graphs.fan(10, 19), graphs.wheel(1, 23)]
 
 
@@ -437,7 +437,7 @@ def test_symmetric_search_tree_sizes_are_pinned(family, n_range, m_range, nodes)
     # shrink the path-union trees, whose twin classes the root's folds touch.
     # Path unions are the only rows here whose residual splits into
     # components: searched whole, they took 1 458 nodes on both routes
-    specs = sweep_specs(SweepConfig(family, n_range, m_range))
+    specs = sweep_specs(family, n_range, m_range)
     assert sum(solve_with_orbits(spec).nodes_explored for spec in specs) == nodes
 
 

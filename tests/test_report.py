@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from token_alpha import graphs, harness
-from token_alpha.harness import SweepConfig, VerdictTally, run_sweep
+from token_alpha.harness import VerdictTally, run_sweep
 from token_alpha.report import render_json, render_tsv
 
 
@@ -29,19 +30,28 @@ def _watch_rows(monkeypatch):
     return alive
 
 
-@pytest.mark.parametrize("render", [render_tsv, lambda rows: render_json(rows, True)],
-                         ids=["tsv", "json"])
+@pytest.mark.parametrize("render", [render_tsv, render_json], ids=["tsv", "json"])
 def test_a_sweep_holds_at_most_two_rows(monkeypatch, render):
     # while a row is evaluated, only the one before it may still be alive:
     # nothing between evaluation and the renderer keeps rows
     alive = _watch_rows(monkeypatch)
-    tally = VerdictTally(run_sweep(SweepConfig(family="path_union", m_range=(2, 6))))
+    tally = VerdictTally(run_sweep("path_union", m_range=(2, 6)))
     text = render(tally)
     assert len(alive) == 2 + 4 + 8 + 16 + 32
     assert max(alive) <= 2
     assert tally.counts == {"AGREE": 62, "DISAGREE": 0, "ABORTED": 0}
     assert tally.exit_code == 0
     assert "agree=62" in text or json.loads(text)["summary"]["agree"] == 62
+
+
+def test_json_records_carry_the_witnesses_their_digests_hash():
+    rows = [harness.evaluate_row(spec) for spec in (graphs.fan(2, 4), graphs.path_union((2, 1)))]
+    for record in json.loads(render_json(rows))["rows"]:
+        construction, solver = record["construction"], record["solver"]
+        assert len(construction["witness"]) == construction["size"]
+        assert len(solver["witness"]) == solver["size"]
+        digest = hashlib.sha256(json.dumps(construction["witness"]).encode()).hexdigest()
+        assert construction["digest"] == digest[:12]
 
 
 @pytest.mark.parametrize("render", [render_tsv, render_json], ids=["tsv", "json"])
@@ -79,7 +89,7 @@ run("export", "--family", "wheel", "--n", "2", "--m", "5", "--out", graph_file)
 run("import", graph_file)
 lean = digest_modules()
 doc = json.loads(run("sweep", "--family", "wheel", "--n-range", "1..2", "--m-range", "3..5",
-                     "--format", "json", "--deterministic"))
+                     "--format", "json"))
 print(json.dumps({"lean": lean, "after_json": digest_modules(),
                   "digests": [row["construction"]["digest"] for row in doc["rows"]]}))
 """
