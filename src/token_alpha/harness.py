@@ -18,8 +18,8 @@ lemma trials, takes its maximum set of an F2(H - S2) from one recipe,
 adjacency bitsets (paths, a clique or a whole cycle), not from a family
 name.  S1, S2 and the recipe's removed set are bitmasks, as the
 adjacency bitsets are.  Constructions, lemma-trial sets and solver
-witnesses are token masks; a row maps one to pairs, through its token
-graph's pair table, only when a JSON report writes its witness.
+witnesses are token masks, and a row keeps them so: it carries its token
+graph's pair table, which ``report`` reads to write a JSON witness.
 
 A sweep is one pass: ``run_sweep(family, n_range, m_range, methods,
 node_budget)`` yields each row as soon as it is evaluated, and
@@ -138,6 +138,9 @@ def base_graph_for(spec: FamilySpec) -> Graph:
 
 @dataclass(frozen=True)
 class RowResult:
+    """One row's method results.  The construction and the solver's witness
+    are token masks over ``token_pairs``, the token graph's pair table."""
+
     label: str
     spec: FamilySpec | None = None
     formula: AlphaFormulaResult | None = None
@@ -152,21 +155,6 @@ class RowResult:
     @property
     def construction_size(self) -> int | None:
         return None if self.construction is None else self.construction.bit_count()
-
-    def _pairs_of(self, mask: int) -> tuple[TokenPair, ...]:
-        """A token mask as base-vertex pairs, in index order, which is
-        lexicographic, read from the token graph's pair table
-        (``token_pairs``, shared by every token graph of its order) only
-        when a JSON report writes a witness."""
-        return tuple(self.token_pairs[i] for i in members(mask))
-
-    @property
-    def construction_pairs(self) -> tuple[TokenPair, ...] | None:
-        return None if self.construction is None else self._pairs_of(self.construction)
-
-    @property
-    def solver_witness_pairs(self) -> tuple[TokenPair, ...] | None:
-        return None if self.solver is None else self._pairs_of(self.solver.witness)
 
     @property
     def values(self) -> list[int]:
@@ -304,7 +292,8 @@ def sweep_specs(family: str, n_range: tuple[int, int] | None = None,
     deterministic lexicographic order.  The family and its ranges are
     checked at once; each instance is checked against ``FAMILIES`` when the
     sweep reaches it and builds it.  Path unions take the m range as totals
-    and walk all their compositions."""
+    from 2, the least order with a token graph, and walk all their
+    compositions."""
     if family not in FAMILIES:
         raise ParameterError(f"family {family!r} cannot be swept")
     ranges = {"n": n_range, "m": m_range}
@@ -316,8 +305,8 @@ def sweep_specs(family: str, n_range: tuple[int, int] | None = None,
         if m_range is None:
             raise ParameterError(f"{family} sweep requires an m range of totals")
         lo, hi = m_range
-        if lo < 1:
-            raise ParameterError(f"{family} sweep requires totals >= 1, got m range {lo}..{hi}")
+        if lo < 2:
+            raise ParameterError(f"{family} sweep requires totals >= 2, got m range {lo}..{hi}")
         return (FamilySpec(family, parts=parts)
                 for total in range(lo, hi + 1) for parts in compositions(total))
     if any(ranges[p] is None for p in params):
@@ -354,8 +343,6 @@ class LemmaTrial:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    n: int
-    h_spec: FamilySpec
     trials: tuple[LemmaTrial, ...]
 
     @property
@@ -458,4 +445,4 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
             start_size=chosen.bit_count(), improved_size=improved.bit_count(),
             independent=is_independent(tg.graph, improved),
             seed_pair=tg.pairs[seed_vertex]))
-    return LemmaReport(n=n, h_spec=h_spec, trials=tuple(results))
+    return LemmaReport(trials=tuple(results))

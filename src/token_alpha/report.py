@@ -1,7 +1,9 @@
 """Report rendering for harness rows: fixed-column TSV and a richer JSON
 form.  Only JSON carries witness sets, the construction's and the
-solver's, as sorted pair strings: each row's certificate in checkable
-form.  Sizes, node counts and verdicts are in both.
+solver's, as "{a,b}" pair strings: each row's certificate in checkable
+form.  Sizes, node counts and verdicts are in both.  A row holds its
+witnesses as token masks; ``witness_strings`` turns each into pairs once,
+and the construction's digest hashes that same list.
 
 Both renderers read their rows once, from any iterable, and keep only what
 they write: a TSV line or a JSON record per row, plus the verdict tally
@@ -18,22 +20,25 @@ from __future__ import annotations
 
 import json
 
+from .graphs import members
 from .harness import RowResult, tallied
 
 TSV_COLUMNS = ("family", "n", "m", "parts", "formula", "exceptional",
                "construction", "solver", "nodes", "millis", "verdict")
 
 
-def witness_strings(pairs) -> list[str]:
-    """Canonical serialization of a set of token pairs: sorted "{a,b}" strings."""
-    return [f"{{{a},{b}}}" for a, b in sorted(pairs)]
+def witness_strings(pairs, mask: int) -> list[str]:
+    """Canonical serialization of a token mask: the "{a,b}" strings of
+    ``pairs[i]`` for its members i, in index order, which is lexicographic
+    pair order, so the list is sorted as it is read."""
+    return [f"{{{a},{b}}}" for a, b in (pairs[i] for i in members(mask))]
 
 
-def witness_digest(pairs) -> str:
+def witness_digest(strings: list[str]) -> str:
+    """The first 12 hex digits of the SHA-256 of a witness list's JSON."""
     import hashlib
 
-    blob = json.dumps(witness_strings(pairs)).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return hashlib.sha256(json.dumps(strings).encode()).hexdigest()[:12]
 
 
 def _cell(value) -> str:
@@ -94,19 +99,19 @@ def row_record(row: RowResult) -> dict:
             "formula_id": row.formula.formula_id,
         }
     if row.construction is not None:
-        pairs = row.construction_pairs
+        witness = witness_strings(row.token_pairs, row.construction)
         record["construction"] = {
-            "size": len(pairs),
+            "size": len(witness),
             "valid": row.construction_valid,
-            "digest": witness_digest(pairs),
-            "witness": witness_strings(pairs),
+            "digest": witness_digest(witness),
+            "witness": witness,
         }
     if row.solver is not None:
         record["solver"] = {
             "size": row.solver.size,
             "nodes": row.solver.nodes_explored,
             "millis": row.solver_millis,
-            "witness": witness_strings(row.solver_witness_pairs),
+            "witness": witness_strings(row.token_pairs, row.solver.witness),
         }
     return record
 

@@ -11,7 +11,8 @@ Over base order N the index of {x,y}, x < y, is ``first[x] + y - x - 1``
 with ``first[x] = x(2N - x - 1)/2``: the pairs {x,y > x} are one run of
 indices.  So a set of pairs given as partner rows, one base mask per
 vertex, becomes its token mask by one shift per base vertex
-(``partner_rows_mask``); the constructions build their sets that way.
+(``partner_rows_mask``); the constructions and ``join_partition``
+build their sets that way.
 ``TokenGraph.indices_of`` maps a collection of pairs to a mask one pair
 at a time, for callers that hold pairs.
 """
@@ -116,19 +117,19 @@ class JoinPartition:
 
 
 def join_partition(tg: TokenGraph, split: int) -> JoinPartition:
-    """Partition token vertices of a join base graph, G1 = vertices below split."""
+    """Partition token vertices of a join base graph, G1 = vertices below
+    split.  Each side is the ``partner_rows_mask`` of one row per base
+    vertex: G1's mask on G1's rows for b1, G2's on G2's rows for b2, and
+    G2's on G1's rows for r."""
     n = tg.base.order
     if not 0 < split < n:
         raise ParameterError(f"split must satisfy 0 < split < {n}, got {split}")
-    b1 = b2 = r = 0
-    for i, (a, b) in enumerate(tg.pairs):
-        if b < split:
-            b1 |= 1 << i
-        elif a >= split:
-            b2 |= 1 << i
-        else:
-            r |= 1 << i
-    return JoinPartition(b1, b2, r)
+    g1 = (1 << split) - 1
+    g2 = (1 << n) - 1 ^ g1
+    none1, none2 = [0] * split, [0] * (n - split)
+    return JoinPartition(b1=partner_rows_mask([g1] * split + none2),
+                         b2=partner_rows_mask(none1 + [g2] * (n - split)),
+                         r=partner_rows_mask([g2] * split + none2))
 
 
 def render_token_graph(tg: TokenGraph) -> str:

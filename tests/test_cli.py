@@ -370,6 +370,15 @@ def test_sweep_path_union_rejects_totals_below_one(capsys, m_range):
     assert f"m range {m_range}" in err
 
 
+def test_sweep_path_union_rejects_a_total_of_one(capsys):
+    # path_union(1) has order 1 and no token graph, so a sweep from total 1
+    # is refused before its first row
+    code, out, err = run_cli(capsys, "sweep", "--family", "path-union", "--m-range", "1..4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: path_union sweep requires totals >= 2, got m range 1..4\n"
+
+
 def test_lemma_check_cli(capsys):
     code, out, _ = run_cli(capsys, "lemma-check", "--n", "3", "--family", "path",
                            "--m", "4", "--trials", "200", "--seed", "12")

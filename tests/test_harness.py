@@ -193,6 +193,10 @@ def test_sweep_specs_check_the_config_at_once_and_each_spec_when_reached():
     specs = sweep_specs("wheel", (0, 1), (3, 3))
     with pytest.raises(ParameterError, match="n >= 1"):
         next(specs)
+    # a path-union total of 1 is path_union(1), of order 1: no row, so the
+    # totals are checked up front, not at the first row
+    with pytest.raises(ParameterError, match=r"requires totals >= 2, got m range 1\.\.4$"):
+        sweep_specs("path_union", m_range=(1, 4))
 
 
 def test_sweep_runs_and_counts():

@@ -13,7 +13,7 @@ from token_alpha.formulas import alpha_closed_form
 from token_alpha.graphs import Graph, generate, join, members
 from token_alpha.harness import sweep_specs
 from token_alpha.mis import is_independent, max_independent_set
-from token_alpha.report import witness_digest
+from token_alpha.report import witness_digest, witness_strings
 from token_alpha.tokens import build_f2
 
 from reference import max_independent_set_exhaustive
@@ -170,7 +170,7 @@ def test_split_5_14_solves_without_a_budget():
     assert res.nodes_explored == 16_612
     assert res.witness.bit_count() == 17
     assert is_independent(tg.graph, res.witness)
-    assert witness_digest(tg.pairs[i] for i in members(res.witness)) == "9e739c30105d"
+    assert witness_digest(witness_strings(tg.pairs, res.witness)) == "9e739c30105d"
 
 
 def test_folds_can_lift_size_above_the_incumbent():
@@ -421,7 +421,7 @@ def test_symmetric_search_trees_are_pinned(spec, budget, alpha, nodes, digest):
     assert is_independent(tg.graph, res.witness)
     assert res.size == alpha == alpha_closed_form(spec).value
     assert res.nodes_explored == nodes
-    assert witness_digest(tg.pairs[i] for i in members(res.witness)) == digest
+    assert witness_digest(witness_strings(tg.pairs, res.witness)) == digest
 
 
 @pytest.mark.parametrize("family,n_range,m_range,nodes", [

@@ -1,8 +1,9 @@
-"""Cross-checks of the branch-and-bound solver through networkx.  Above the
-exhaustive oracle's cap: alpha(G) is the clique number of the complement
-of G, which networkx's max_weight_clique computes by an unrelated
-algorithm.  Below it: the token graph of every graph in networkx's atlas
-of order 2..7, against the oracle."""
+"""Cross-checks of the branch-and-bound solver through networkx and scipy.
+Above the exhaustive oracle's cap: alpha(G) is the clique number of the
+complement of G, which networkx's max_weight_clique computes by an
+unrelated algorithm, and the optimum of the edge formulation's integer
+program, which scipy's milp (HiGHS) solves.  Below it: the token graph of
+every graph in networkx's atlas of order 2..7, against the oracle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,9 +42,9 @@ def test_family_token_graphs_match_networkx(spec):
 
 
 @st.composite
-def base_graphs(draw):
-    # orders 7..12 give token graphs of 21..66 vertices
-    n = draw(st.integers(7, 12))
+def base_graphs(draw, lo=7, hi=12):
+    # orders 7..12 give token graphs of 21..66 vertices, 8..14 of 28..91
+    n = draw(st.integers(lo, hi))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph.build(n, [p for p in pairs if draw(st.booleans())])
 
@@ -65,3 +66,45 @@ def test_every_atlas_graph_of_order_2_to_7_matches_the_oracle():
             assert res.size == alpha, sorted(h.edges())
             assert is_independent(tg.graph, res.witness)
             assert res.witness.bit_count() == res.size
+
+
+def milp_independent_set(g: Graph) -> tuple[int, int]:
+    """The edge formulation of alpha(g) solved by scipy's milp: a binary x_v
+    per vertex, x_u + x_v <= 1 per edge, maximise the sum of x.  Returns
+    the optimum it states and the set x picks, as a bitmask."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    edges = g.sorted_edges()
+    rows = [e for e in range(len(edges)) for _ in range(2)]
+    cols = [v for edge in edges for v in edge]
+    a = sparse.csr_array(([1] * len(cols), (rows, cols)), shape=(len(edges), g.order))
+    res = optimize.milp([-1] * g.order, integrality=[1] * g.order,
+                        bounds=optimize.Bounds(0, 1),
+                        constraints=optimize.LinearConstraint(a, ub=1))
+    assert res.success, res.message
+    chosen = sum(1 << v for v, x in enumerate(res.x) if x > 0.5)
+    return round(-res.fun), chosen
+
+
+def check_against_milp(tg):
+    size, chosen = milp_independent_set(tg.graph)
+    assert is_independent(tg.graph, chosen)
+    assert chosen.bit_count() == size
+    assert max_independent_set(tg).size == size
+    return size
+
+
+@pytest.mark.parametrize("spec, alpha", [
+    (graphs.cycle(41), 410), (graphs.wheel(1, 27), 175), (graphs.fan(6, 14), 64),
+    (graphs.split(5, 14), 17), (graphs.complete(20), 10),
+], ids=lambda value: value.label() if isinstance(value, graphs.FamilySpec) else str(value))
+def test_family_token_graphs_match_milp(spec, alpha):
+    tg = build_f2(generate(spec))
+    assert tg.graph.order > EXHAUSTIVE_CAP
+    assert check_against_milp(tg) == alpha
+
+
+@given(base_graphs(8, 14))
+@settings(max_examples=25, deadline=None)
+def test_random_token_graphs_match_milp(base):
+    check_against_milp(build_f2(base))

@@ -8,10 +8,13 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from token_alpha import graphs, harness
+from token_alpha.graphs import generate, members
 from token_alpha.harness import VerdictTally, run_sweep
-from token_alpha.report import render_json, render_tsv
+from token_alpha.report import render_json, render_tsv, witness_strings
+from token_alpha.tokens import build_f2
 
 
 def _watch_rows(monkeypatch):
@@ -52,6 +55,23 @@ def test_json_records_carry_the_witnesses_their_digests_hash():
         assert len(solver["witness"]) == solver["size"]
         digest = hashlib.sha256(json.dumps(construction["witness"]).encode()).hexdigest()
         assert construction["digest"] == digest[:12]
+
+
+@st.composite
+def pair_tables_and_masks(draw):
+    order = draw(st.integers(2, 12))
+    pairs = build_f2(generate(graphs.empty(order))).pairs
+    return pairs, draw(st.integers(0, (1 << len(pairs)) - 1))
+
+
+@given(pair_tables_and_masks())
+@settings(max_examples=200, deadline=None)
+def test_witness_strings_come_out_in_sorted_pair_order(table_and_mask):
+    # token indices follow lexicographic pair order, so reading a mask's
+    # members in index order gives the sorted list with no sort
+    pairs, mask = table_and_mask
+    expected = [f"{{{a},{b}}}" for a, b in sorted(pairs[i] for i in members(mask))]
+    assert witness_strings(pairs, mask) == expected
 
 
 @pytest.mark.parametrize("render", [render_tsv, render_json], ids=["tsv", "json"])
