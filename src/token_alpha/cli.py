@@ -2,8 +2,10 @@
 
 Subcommands: alpha (one verification row), sweep (parameter grids),
 lemma-check (random improvement-lemma trials), export and import (graph
-files).  Exit codes: 0 all rows agree, 1 any disagreement or failed
-lemma trial, 2 usage or IO error, 3 node-budget aborts only.
+files).  Exit codes, from ``harness.VerdictTally``: 0 all rows agree, 1
+any disagreement or failed lemma trial, 2 usage or IO error, 3
+node-budget aborts only.  A file row (``alpha --input``) has the solver
+only, so it takes no --methods.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .fileio import parse_graph, read_text, render_graph
 from .graphs import FamilySpec
 from . import graphs
 from .harness import (
+    METHODS,
     VerdictTally,
     evaluate_graph_row,
     evaluate_row,
@@ -81,10 +84,10 @@ def _budget(args) -> int | None:
     return args.budget
 
 
-def _parse_methods(text: str) -> tuple[str, ...]:
-    """The comma list's names; ``harness.evaluate_row`` rejects unknown or
-    missing methods."""
-    return tuple(m.strip() for m in text.split(",") if m.strip())
+def _parse_methods(text: str | None) -> tuple[str, ...]:
+    """The comma list's names, or every method when --methods is not given;
+    ``harness.evaluate_row`` rejects unknown or missing methods."""
+    return METHODS if text is None else tuple(m.strip() for m in text.split(",") if m.strip())
 
 
 def _family_spec(args) -> FamilySpec:
@@ -115,12 +118,12 @@ def _cmd_alpha(args) -> int:
     if (args.input is None) == (args.family is None):
         raise ParameterError("alpha requires exactly one of --family or --input")
     if args.input is not None:
-        for flag in ("n", "m", "parts"):
+        for flag in ("n", "m", "parts", "methods"):
             if getattr(args, flag) is not None:
                 raise ParameterError(f"--input does not take --{flag}")
         base = parse_graph(read_text(args.input))
         row = evaluate_graph_row(f"file:{os.path.basename(args.input)}", base,
-                                 _parse_methods(args.methods), node_budget=_budget(args))
+                                 node_budget=_budget(args))
     else:
         spec = _family_spec(args)
         row = evaluate_row(spec, _parse_methods(args.methods), node_budget=_budget(args))
@@ -151,18 +154,16 @@ def _cmd_lemma_check(args) -> int:
             f"lemma-check H family must be one of {', '.join(_LEMMA_H_FAMILIES)}")
     h_spec = FamilySpec(args.family, m=args.m)
     report = run_lemma_trials(args.n, h_spec, args.trials, args.seed)
-    lines = []
-    for index in report.failures:
-        trial = report.trials[index]
-        lines.append(f"FAIL trial={index} seed={args.seed} start={trial.start_size} "
-                     f"improved={trial.improved_size} independent={trial.independent} "
-                     f"seed_pair={{{trial.seed_pair[0]},{trial.seed_pair[1]}}}")
-    ok = len(report.trials) - len(report.failures)
+    tally = VerdictTally(report.trials)
+    lines = [f"FAIL trial={index} seed={args.seed} start={trial.start_size} "
+             f"improved={trial.improved_size} independent={trial.independent} "
+             f"seed_pair={{{trial.seed_pair[0]},{trial.seed_pair[1]}}}"
+             for index, trial in enumerate(tally) if trial.verdict == "DISAGREE"]
     lines.append(f"lemma-check n={args.n} H={args.family}(m={args.m}) "
-                 f"trials={len(report.trials)} ok={ok} "
+                 f"trials={len(report.trials)} ok={tally.counts['AGREE']} "
                  f"min_margin={report.min_margin} mean_margin={report.mean_margin:.3f}")
     _emit("\n".join(lines) + "\n", args.out)
-    return 1 if report.failures else 0
+    return tally.exit_code
 
 
 def _cmd_export(args) -> int:
@@ -183,8 +184,8 @@ def _cmd_import(args) -> int:
 
 
 def _add_row_flags(sub):
-    sub.add_argument("--methods", default="formula,construction,solver",
-                     help="comma list from formula,construction,solver")
+    sub.add_argument("--methods", default=None,
+                     help=f"comma list from {','.join(METHODS)}")
     sub.add_argument("--budget", type=int, default=None,
                      help="solver node budget; exceeding it aborts the row")
     sub.add_argument("--format", choices=("tsv", "json"), default="tsv",

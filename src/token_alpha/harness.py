@@ -21,10 +21,12 @@ adjacency bitsets are.  Constructions, lemma-trial sets and solver
 witnesses are token masks, and a row keeps them so: it carries its token
 graph's pair table, which ``report`` reads to write a JSON witness.
 
-A sweep is one pass: ``run_sweep(family, n_range, m_range, methods,
-node_budget)`` yields each row as soon as it is evaluated, and
-``VerdictTally`` counts verdicts as rows go by, so a report needs no row
-once it has rendered it.
+A family row (``evaluate_row``) and a file row (``evaluate_graph_row``,
+the solver only) share one body, ``_row``.  A sweep is one pass:
+``run_sweep(family, n_range, m_range, methods, node_budget)`` yields each
+row as soon as it is evaluated, and ``VerdictTally`` counts the verdicts
+of rows, or of lemma trials, as they go by, so a report needs no row once
+it has rendered it.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ class RowResult:
 
 
 class VerdictTally:
-    """The rows of one report, read once, with each verdict counted as its
-    row goes by: the one place verdicts become counts and an exit code.
+    """The rows of one report, or the trials of a lemma check, read once,
+    with each verdict counted as its row goes by: the one place verdicts
+    become counts and an exit code.
     It keeps no row, so a renderer fed from a sweep holds one at a time;
     ``tallied`` lets the renderer and its caller share the same tally."""
 
@@ -191,7 +194,7 @@ class VerdictTally:
     def __iter__(self):
         return self
 
-    def __next__(self) -> RowResult:
+    def __next__(self):
         row = next(self._rows)
         self.counts[row.verdict] += 1
         return row
@@ -232,17 +235,13 @@ def _checked_methods(methods) -> tuple[str, ...]:
     return methods
 
 
-def evaluate_row(spec: FamilySpec, methods=METHODS,
-                 node_budget: int | None = None) -> RowResult:
-    """Run the requested methods on one family instance and compare.
-    A base graph of order below 2 has no token graph, so no method has a
-    value for it and the row is rejected, whatever the methods."""
-    methods = _checked_methods(methods)
-
-    base = base_graph_for(spec)
+def _row(label: str, spec: FamilySpec | None, base: Graph, methods: tuple[str, ...],
+         node_budget: int | None) -> RowResult:
+    """The one row body: checked methods on base, spec's graph or a file's
+    (no spec).  Below order 2 there is no token graph, so the row is rejected."""
     if base.order < 2:
         raise ParameterError(
-            f"{spec.label()} has order {base.order}; no token graph exists below order 2")
+            f"{label} has order {base.order}; no token graph exists below order 2")
     tg = build_f2(base) if "solver" in methods or "construction" in methods else None
 
     formula = alpha_closed_form(spec) if "formula" in methods else None
@@ -253,23 +252,20 @@ def evaluate_row(spec: FamilySpec, methods=METHODS,
         valid = is_independent(tg.graph, witness)
 
     solved = _solve(tg, node_budget) if "solver" in methods else {}
-    return RowResult(spec.label(), spec, formula, witness, valid,
+    return RowResult(label, spec, formula, witness, valid,
                      token_pairs=tg.pairs if tg else None, **solved)
 
 
-def evaluate_graph_row(label: str, base: Graph, methods=("solver",),
-                       node_budget: int | None = None) -> RowResult:
-    """Solver-only row for an imported base graph: alpha of its token graph.
-    The methods are checked as a family row's are, and must include the
-    solver, the only method such a row has."""
+def evaluate_row(spec: FamilySpec, methods=METHODS,
+                 node_budget: int | None = None) -> RowResult:
+    """Run the requested methods on one family instance and compare."""
     methods = _checked_methods(methods)
-    if "solver" not in methods:
-        raise ParameterError(f"{label} has only the solver method; "
-                             f"got {','.join(methods)}")
-    if base.order < 2:
-        raise ParameterError(f"{label} has order {base.order}; no token graph exists")
-    tg = build_f2(base)
-    return RowResult(label, token_pairs=tg.pairs, **_solve(tg, node_budget))
+    return _row(spec.label(), spec, base_graph_for(spec), methods, node_budget)
+
+
+def evaluate_graph_row(label: str, base: Graph, node_budget: int | None = None) -> RowResult:
+    """Solver row, the only method it has, for an imported base graph."""
+    return _row(label, None, base, ("solver",), node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +333,9 @@ class LemmaTrial:
     seed_pair: TokenPair
 
     @property
-    def ok(self) -> bool:
-        return self.independent and self.improved_size >= self.start_size
+    def verdict(self) -> str:
+        ok = self.independent and self.improved_size >= self.start_size
+        return "AGREE" if ok else "DISAGREE"
 
 
 @dataclass(frozen=True)
@@ -347,7 +344,7 @@ class LemmaReport:
 
     @property
     def failures(self) -> list[int]:
-        return [i for i, t in enumerate(self.trials) if not t.ok]
+        return [i for i, t in enumerate(self.trials) if t.verdict != "AGREE"]
 
     @property
     def min_margin(self) -> int:

@@ -6,9 +6,9 @@ witnesses as token masks; ``witness_strings`` turns each into pairs once,
 and the construction's digest hashes that same list.
 
 Both renderers read their rows once, from any iterable, and keep only what
-they write: a TSV line or a JSON record per row, plus the verdict tally
-that the summary is written from.  A JSON record holds its row's
-witnesses, so a JSON sweep's memory grows with its grid.  A caller that
+they write: a TSV line or a JSON record's text per row, plus the verdict
+tally that the summary is written from.  A record's text holds its row's
+witnesses, so a JSON sweep's memory grows with its output.  A caller that
 passes a ``VerdictTally`` reads the exit code from the same counts.
 
 ``hashlib`` is imported inside ``witness_digest``, not here: it maps
@@ -117,14 +117,15 @@ def row_record(row: RowResult) -> dict:
 
 
 def render_json(rows, extra: dict | None = None) -> str:
+    """``json.dumps(doc, indent=2)`` and a newline, doc holding the rows'
+    records, summary and extra; each record is made text as its row goes
+    by, indented to its place (a JSON string holds no raw newline)."""
     tally = tallied(rows)
-    records = [row_record(r) for r in tally]
+    texts = ["    " + json.dumps(row_record(r), indent=2).replace("\n", "\n    ")
+             for r in tally]
     counts = tally.counts
-    doc = {
-        "rows": records,
-        "summary": {"agree": counts["AGREE"], "disagree": counts["DISAGREE"],
-                    "aborted": counts["ABORTED"]},
-    }
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, indent=2) + "\n"
+    rest = {"summary": {"agree": counts["AGREE"], "disagree": counts["DISAGREE"],
+                        "aborted": counts["ABORTED"]}, **(extra or {})}
+    array = "[\n" + ",\n".join(texts) + "\n  ]" if texts else "[]"
+    # rest's text, less its opening brace, closes the document
+    return f'{{\n  "rows": {array},\n{json.dumps(rest, indent=2)[2:]}\n'

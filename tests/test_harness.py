@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from token_alpha import graphs, harness
+from token_alpha import cli, graphs, harness
 from token_alpha.errors import ParameterError
 from token_alpha.formulas import AlphaFormulaResult, alpha_closed_form
 from token_alpha.graphs import Graph, generate, members
@@ -18,7 +18,12 @@ from token_alpha.harness import (
     run_sweep,
     sweep_specs,
 )
-from token_alpha.mis import greedy_independent_set, is_independent, max_independent_set
+from token_alpha.mis import (
+    MisResult,
+    greedy_independent_set,
+    is_independent,
+    max_independent_set,
+)
 from token_alpha.tokens import build_f2, join_partition
 
 from reference import delete_vertices, independent_sets, pairs_of_rows
@@ -142,15 +147,6 @@ def test_evaluate_graph_row():
     row = evaluate_graph_row("file:c5", generate(graphs.cycle(5)))
     assert row.solver.size == 5
     assert row.label == "file:c5"
-
-
-@pytest.mark.parametrize("methods", [("formula",), ("bogus", "solver"), ()])
-def test_evaluate_graph_row_checks_its_methods(methods):
-    # a file row has only the solver; other names are checked as a family row's are
-    with pytest.raises(ParameterError):
-        evaluate_graph_row("file:c5", generate(graphs.cycle(5)), methods)
-    assert evaluate_graph_row("file:c5", generate(graphs.cycle(5)),
-                              ("formula", "solver")).solver.size == 5
 
 
 def test_rows_prune_by_twin_orbits():
@@ -393,3 +389,81 @@ def test_solver_abort_keeps_the_construction():
     tally = VerdictTally([row])
     assert list(tally) == [row]
     assert tally.exit_code == 3
+
+
+def test_specs_that_generate_the_same_graph_agree():
+    # split(n,3) = wheel(n,3), complete(m+1) = split(1,m), fan(n,1) =
+    # split(n,1) = complete_bipartite(n,1), ...: one graph, so one alpha
+    # from each closed form and one construction size, with no solver.
+    # The masks may differ, as join and one-graph rows take different routes
+    specs = [graphs.FamilySpec(kind, n=n, m=m)
+             for kind in ("fan", "wheel", "split", "complete_bipartite")
+             for n in range(1, 9) for m in range(graphs.FAMILIES[kind]["m"], 11)]
+    specs += [graphs.FamilySpec(kind, m=m) for kind in ("path", "cycle", "empty", "complete")
+              for m in range(max(2, graphs.FAMILIES[kind]["m"]), 13)]
+    specs += [graphs.path_union(parts)
+              for total in range(2, 9) for parts in harness.compositions(total)]
+    by_graph = {}
+    for spec in specs:
+        by_graph.setdefault(generate(spec).masks, []).append(spec)
+    groups = [group for group in by_graph.values() if len(group) > 1]
+    assert (len(specs), len(groups)) == (601, 44)
+    for group in groups:
+        base = generate(group[0])
+        assert len({alpha_closed_form(spec).value for spec in group}) == 1, group
+        assert len({construction_pairs(spec, base).bit_count() for spec in group}) == 1, group
+
+
+_CONSTRUCTIONS = {"none": (None, None), "valid": (0b1111, True), "invalid": (0b1111, False)}
+
+
+@pytest.mark.parametrize("aborted, construction, formula, verdict, exit_code", [
+    (False, "none", 4, "AGREE", 0),
+    (False, "none", 5, "DISAGREE", 1),
+    (False, "valid", 4, "AGREE", 0),
+    (False, "valid", 5, "DISAGREE", 1),
+    (False, "invalid", 4, "DISAGREE", 1),
+    (False, "invalid", 5, "DISAGREE", 1),
+    (True, "none", 4, "ABORTED", 3),
+    (True, "none", 5, "ABORTED", 3),
+    (True, "valid", 4, "ABORTED", 3),
+    (True, "valid", 5, "ABORTED", 3),
+    (True, "invalid", 4, "ABORTED", 3),
+    (True, "invalid", 5, "ABORTED", 3),
+])
+def test_verdict_and_exit_code_table(aborted, construction, formula, verdict, exit_code):
+    # the construction and an unaborted solver find 4; formula 5 differs
+    witness, valid = _CONSTRUCTIONS[construction]
+    row = harness.RowResult("t", graphs.fan(2, 3), AlphaFormulaResult(formula, False, "t"),
+                            witness, valid, solver=None if aborted else MisResult(4, 0b1111, 1),
+                            aborted=aborted)
+    assert row.verdict == verdict
+    tally = VerdictTally([row])
+    assert list(tally) == [row]
+    assert tally.exit_code == exit_code
+    # beside an aborted row, a disagreement still outranks the abort
+    tally = VerdictTally([row, harness.RowResult("b", aborted=True)])
+    list(tally)
+    assert tally.exit_code == (1 if verdict == "DISAGREE" else 3)
+
+
+@pytest.mark.parametrize("independent, start, improved, verdict", [
+    (True, 4, 4, "AGREE"), (True, 4, 5, "AGREE"),
+    (True, 4, 3, "DISAGREE"), (False, 4, 5, "DISAGREE"),
+])
+def test_lemma_trial_verdicts(independent, start, improved, verdict):
+    trial = harness.LemmaTrial(start, improved, independent, (0, 1))
+    assert trial.verdict == verdict
+    tally = VerdictTally([trial])
+    list(tally)
+    assert tally.exit_code == (0 if verdict == "AGREE" else 1)
+
+
+def test_lemma_check_exits_1_under_each_fault(capsys, construction_fault):
+    # the exit code is the trials' tally's, as a report's is its rows'
+    assert cli.main(["lemma-check", "--n", "3", "--family", "path", "--m", "8",
+                     "--trials", "20", "--seed", "1"]) == 1
+    report = run_lemma_trials(3, graphs.path(8), trials=20, seed=1)
+    tally = VerdictTally(report.trials)
+    assert [i for i, t in enumerate(tally) if t.verdict == "DISAGREE"] == report.failures
+    assert tally.exit_code == 1

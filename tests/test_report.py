@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from token_alpha import graphs, harness
 from token_alpha.graphs import generate, members
 from token_alpha.harness import VerdictTally, run_sweep
-from token_alpha.report import render_json, render_tsv, witness_strings
+from token_alpha.report import render_json, render_tsv, row_record, witness_strings
 from token_alpha.tokens import build_f2
 
 
@@ -78,6 +78,23 @@ def test_witness_strings_come_out_in_sorted_pair_order(table_and_mask):
 def test_renderers_read_any_iterable_once(render):
     rows = [harness.evaluate_row(graphs.fan(2, m)) for m in (2, 3)]
     assert render(iter(rows)) == render(rows) == render(tuple(rows))
+
+
+@pytest.mark.parametrize("specs", [(), (graphs.fan(2, 3),),
+                                   (graphs.path_union((2, 1)), graphs.fan(4, 6))],
+                         ids=["empty", "one", "two"])
+@pytest.mark.parametrize("extra", [None, {"config": {"family": "fan", "methods": ["solver"]}}],
+                         ids=["bare", "config"])
+def test_json_report_is_the_indent_2_dump_of_its_document(specs, extra):
+    # each record is written as its row goes by, yet the bytes are those of
+    # one json.dumps over the whole document, the empty rows array included;
+    # fan(4,6) aborts at budget 1, so its row has no solver record
+    rows = [harness.evaluate_row(spec, node_budget=1) for spec in specs]
+    tally = VerdictTally(rows)
+    doc = {"rows": [row_record(row) for row in tally], "summary": {
+        "agree": tally.counts["AGREE"], "disagree": tally.counts["DISAGREE"],
+        "aborted": tally.counts["ABORTED"]}, **(extra or {})}
+    assert render_json(rows, extra) == json.dumps(doc, indent=2) + "\n"
 
 
 _LEAN_IMPORT_SCRIPT = r"""
