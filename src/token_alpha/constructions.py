@@ -21,7 +21,7 @@ vertex u, bit v of S2 is H vertex v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .tokens import partner_rows_mask
@@ -88,8 +88,7 @@ def cycle_independent_set(m: int) -> list[int]:
     return rows
 
 
-@dataclass(frozen=True)
-class AssociatedSetInput:
+class AssociatedSetInput(NamedTuple):
     """Inputs for the associated set of E_n + H.
 
     s1 is a bitmask over the E_n side 0..n-1, s2 a bitmask over H's own

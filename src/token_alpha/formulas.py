@@ -10,15 +10,14 @@ token graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .graphs import FamilySpec
 
 
-@dataclass(frozen=True)
-class AlphaFormulaResult:
+class AlphaFormulaResult(NamedTuple):
     value: int
     exceptional: bool
     formula_id: str

@@ -13,13 +13,12 @@ after construction and safe to share.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph on vertices 0..order-1, stored as its
     adjacency bitsets: bit v of ``masks[u]`` is set iff uv is an edge.
 
@@ -113,8 +112,14 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _SpecFields(NamedTuple):
+    kind: str
+    n: int | None = None
+    m: int | None = None
+    parts: tuple[int, ...] | None = None
+
+
+class FamilySpec(_SpecFields):
     """Symbolic description of one graph-family instance.
 
     Exactly the parameters ``FAMILIES`` lists for ``kind`` are set, none
@@ -123,30 +128,29 @@ class FamilySpec:
     outside its family's range exists.
     """
 
-    kind: str
-    n: int | None = None
-    m: int | None = None
-    parts: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in FAMILIES:
-            raise ParameterError(f"unknown family kind {self.kind!r}")
-        params = FAMILIES[self.kind]
-        for name in ("n", "m", "parts"):
-            if (getattr(self, name) is None) == (name in params):
+    def __new__(cls, kind: str, n: int | None = None, m: int | None = None, parts=None):
+        if kind not in FAMILIES:
+            raise ParameterError(f"unknown family kind {kind!r}")
+        params = FAMILIES[kind]
+        given = {"n": n, "m": m, "parts": parts}
+        for name, value in given.items():
+            if (value is None) == (name in params):
                 need = "requires" if name in params else "takes no"
-                raise ParameterError(f"{self.kind} spec {need} {name}")
-        if self.parts is not None:
-            object.__setattr__(self, "parts", tuple(self.parts))
-            if not self.parts:
+                raise ParameterError(f"{kind} spec {need} {name}")
+        if parts is not None:
+            parts = tuple(parts)
+            if not parts:
                 raise ParameterError("path_union requires at least one part")
         for name, least in params.items():
-            values = self.parts if name == "parts" else (getattr(self, name),)
-            for i, value in enumerate(values):
+            for i, value in enumerate(parts if name == "parts" else (given[name],)):
                 if value < least:
                     label = f"parts[{i}]" if name == "parts" else name
-                    raise ParameterError(
-                        f"{self.kind} requires {label} >= {least}, got {value}")
+                    raise ParameterError(f"{kind} requires {label} >= {least}, got {value}")
+        return super().__new__(cls, kind, n, m, parts)
+
+    _make = classmethod(lambda cls, values: cls(*values))   # checked; _replace calls it
 
     def label(self) -> str:
         if self.kind == "path_union":

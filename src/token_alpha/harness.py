@@ -35,7 +35,7 @@ import itertools
 import random
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .constructions import (
     AssociatedSetInput,
@@ -138,21 +138,23 @@ def base_graph_for(spec: FamilySpec) -> Graph:
 # Row evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RowResult:
     """One row's method results.  The construction and the solver's witness
-    are token masks over ``token_pairs``, the token graph's pair table."""
+    are token masks over ``token_pairs``, the token graph's pair table.  A
+    slot class, not a tuple: memory tests weakly reference rows."""
 
-    label: str
-    spec: FamilySpec | None = None
-    formula: AlphaFormulaResult | None = None
-    construction: int | None = None
-    construction_valid: bool | None = None
-    solver: MisResult | None = None
-    token_pairs: tuple[TokenPair, ...] | None = field(default=None, repr=False,
-                                                      compare=False)
-    solver_millis: int | None = None
-    aborted: bool = False
+    __slots__ = ("label", "spec", "formula", "construction", "construction_valid",
+                 "solver", "token_pairs", "solver_millis", "aborted", "__weakref__")
+
+    def __init__(self, label: str, spec: FamilySpec | None = None,
+                 formula: AlphaFormulaResult | None = None, construction: int | None = None,
+                 construction_valid: bool | None = None, solver: MisResult | None = None,
+                 token_pairs: tuple[TokenPair, ...] | None = None,
+                 solver_millis: int | None = None, aborted: bool = False):
+        self.label, self.spec, self.formula = label, spec, formula
+        self.construction, self.construction_valid = construction, construction_valid
+        self.solver, self.token_pairs = solver, token_pairs
+        self.solver_millis, self.aborted = solver_millis, aborted
 
     @property
     def construction_size(self) -> int | None:
@@ -325,8 +327,7 @@ def run_sweep(family: str, n_range: tuple[int, int] | None = None,
 # Improvement-lemma trials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaTrial:
+class LemmaTrial(NamedTuple):
     start_size: int
     improved_size: int
     independent: bool
@@ -338,8 +339,7 @@ class LemmaTrial:
         return "AGREE" if ok else "DISAGREE"
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     trials: tuple[LemmaTrial, ...]
 
     @property
@@ -355,8 +355,7 @@ class LemmaReport:
         return sum(t.improved_size - t.start_size for t in self.trials) / len(self.trials)
 
 
-@dataclass(frozen=True)
-class DrawTables:
+class DrawTables(NamedTuple):
     """What ``random_independent_set_with_cross`` reads of one graph, built
     once per graph by ``draw_tables``: each vertex's closed neighbourhood
     ``closed[v] = masks[v] | 1 << v``, its own bit ``bits[v] = 1 << v``,

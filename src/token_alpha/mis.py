@@ -62,15 +62,14 @@ one too, so split(5,14) solves in 6 nodes instead of 16 612.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, ParameterError
 from .graphs import Graph, members, twin_classes
 from .tokens import TokenGraph
 
 
-@dataclass(frozen=True)
-class MisResult:
+class MisResult(NamedTuple):
     size: int
     witness: int
     nodes_explored: int

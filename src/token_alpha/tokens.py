@@ -5,7 +5,7 @@ two subsets are adjacent exactly when their symmetric difference is an
 edge of G.  Token vertices are indexed in lexicographic order of their
 pairs, so witnesses and exported files are reproducible.  A set of token
 vertices is a bitmask over those indices, as every vertex set is
-(``graphs.members``), and ``JoinPartition``'s three sides are three.
+(``graphs.members``); so is each of ``JoinPartition``'s three sides.
 
 Over base order N the index of {x,y}, x < y, is ``first[x] + y - x - 1``
 with ``first[x] = x(2N - x - 1)/2``: the pairs {x,y > x} are one run of
@@ -20,8 +20,8 @@ at a time, for callers that hold pairs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .fileio import render_graph
@@ -30,17 +30,17 @@ from .graphs import Graph
 TokenPair = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class TokenGraph:
     """F2-style token graph plus its pair <-> index tables: ``pairs[i]`` is
-    the pair of token vertex i, and ``through[x][w]`` is the index of
-    {x,w} (-1 at w = x).  Both tables are shared by all token graphs of one
-    base order."""
+    the pair of token vertex i, and ``through[x][w]`` is the index of {x,w}
+    (-1 at w = x).  Both tables are shared by all token graphs of one base
+    order.  A slot class, not a tuple: memory tests weakly reference it."""
 
-    base: Graph
-    graph: Graph
-    pairs: tuple[TokenPair, ...]
-    through: tuple[tuple[int, ...], ...]
+    __slots__ = ("base", "graph", "pairs", "through", "__weakref__")
+
+    def __init__(self, base: Graph, graph: Graph, pairs: tuple[TokenPair, ...],
+                 through: tuple[tuple[int, ...], ...]):
+        self.base, self.graph, self.pairs, self.through = base, graph, pairs, through
 
     def indices_of(self, pair_set) -> int:
         """The bitmask of the token vertices of a collection of base-vertex
@@ -105,8 +105,7 @@ def build_f2(g: Graph) -> TokenGraph:
     return TokenGraph(base=g, graph=Graph(tuple(masks)), pairs=pairs, through=through)
 
 
-@dataclass(frozen=True)
-class JoinPartition:
+class JoinPartition(NamedTuple):
     """Token vertices split by side when the base graph is a join G1 + G2,
     as bitmasks: both elements in G1 (b1), both in G2 (b2), or one in each
     (r)."""

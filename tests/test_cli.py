@@ -413,6 +413,9 @@ def test_lemma_check_rejects_empty_side(capsys):
     # S2 runs that wrap round the cycle
     (("--n", "3", "--family", "cycle", "--m", "7", "--trials", "400", "--seed", "5"),
      "lemma-check n=3 H=cycle(m=7) trials=400 ok=400 min_margin=0 mean_margin=1.995\n"),
+    # one E_n vertex: S1 is that vertex in every trial
+    (("--n", "1", "--family", "cycle", "--m", "6", "--trials", "200", "--seed", "5"),
+     "lemma-check n=1 H=cycle(m=6) trials=200 ok=200 min_margin=0 mean_margin=0.630\n"),
 ])
 def test_lemma_check_stdout_is_pinned(capsys, argv, stdout):
     code, out, _ = run_cli(capsys, "lemma-check", *argv)

@@ -109,6 +109,9 @@ def test_least_family_parameters_are_accepted(spec, order):
     ("cycle requires m >= 3, got 2", lambda: graphs.cycle(2)),
     ("path_union requires parts[1] >= 1, got 0", lambda: graphs.path_union([3, 0, 2])),
     ("path_union requires at least one part", lambda: FamilySpec("path_union", parts=[])),
+    # the tuple methods that build a spec run the same check
+    ("fan requires m >= 1, got 0", lambda: graphs.fan(2, 3)._replace(m=0)),
+    ("fan spec requires n", lambda: FamilySpec._make(("fan", None, 3, None))),
 ])
 def test_out_of_range_messages_name_the_parameter(message, build):
     with pytest.raises(ParameterError, match=re.escape(message) + "$"):
@@ -121,6 +124,8 @@ def test_path_union_parts_are_stored_as_a_tuple():
     assert spec == graphs.path_union((2, 1))
     assert hash(spec) == hash(graphs.path_union((2, 1)))
     assert {spec: 1}[graphs.path_union([2, 1])] == 1
+    with pytest.raises(AttributeError):
+        spec.m = 5
 
 
 @pytest.mark.parametrize("kwargs,field", [

@@ -304,7 +304,7 @@ def test_fans_and_wheels_past_the_old_reach(spec, budget, alpha):
 
 def test_zero_order_graph():
     res = max_independent_set(Graph.build(0, []))
-    assert res.size == 0
+    assert (res.size, res.witness, res.nodes_explored) == (0, 0, 0)
 
 
 @st.composite
@@ -562,6 +562,15 @@ def test_budget_edge_counts_the_nodes_of_every_component(route):
     with pytest.raises(BudgetExceededError) as err:
         max_independent_set(g, node_budget=full.nodes_explored - 1)
     assert err.value.nodes_explored == full.nodes_explored
+
+
+@pytest.mark.parametrize("route", ["token", "plain"])
+def test_a_zero_budget_aborts_at_the_root(route):
+    # the root is node 1, so a budget below it aborts there
+    tg = build_f2(generate(graphs.wheel(2, 5)))
+    with pytest.raises(BudgetExceededError) as err:
+        max_independent_set(tg if route == "token" else tg.graph, node_budget=0)
+    assert err.value.nodes_explored == 1
 
 
 BLOCK_SIZES = {"cycle": (3, 5), "path": (2, 4), "clique": (2, 4), "isolated": (1, 1)}

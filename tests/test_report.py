@@ -146,3 +146,27 @@ def test_only_json_reports_load_the_digest_stack(tmp_path):
     assert "hashlib" in result["after_json"]
     assert len(result["digests"]) == 6
     assert all(re.fullmatch(r"[0-9a-f]{12}", d) for d in result["digests"])
+
+
+_RECORD_IMPORT_SCRIPT = r"""
+import io, sys
+from contextlib import redirect_stdout
+
+from token_alpha import cli
+
+with redirect_stdout(io.StringIO()):
+    code = cli.main(["sweep", "--family", "wheel", "--n-range", "1..3", "--m-range", "3..8"])
+assert code == 0, code
+print(" ".join(sorted({"dataclasses", "inspect", "ast", "dis"} & set(sys.modules))))
+"""
+
+
+def test_a_tsv_sweep_loads_no_dataclasses_stack():
+    # the package's records are tuples or slot classes, so no run pays for
+    # dataclasses and the inspect, ast and dis modules it imports
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-S", "-c", _RECORD_IMPORT_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
