@@ -96,25 +96,14 @@ def _family_spec(args) -> FamilySpec:
                                for p in graphs.FAMILIES[kind]})
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _report(rows, args, extra: dict | None = None) -> tuple[str, int]:
     """The rendered report and its exit code, both from one pass over rows."""
     tally = VerdictTally(rows)
-    if args.format == "json":
-        text = render_json(tally, extra)
-    else:
-        text = render_tsv(tally)
+    text = render_json(tally, extra) if args.format == "json" else render_tsv(tally)
     return text, tally.exit_code
 
 
-def _cmd_alpha(args) -> int:
+def _cmd_alpha(args) -> tuple[str, int]:
     if (args.input is None) == (args.family is None):
         raise ParameterError("alpha requires exactly one of --family or --input")
     if args.input is not None:
@@ -127,12 +116,10 @@ def _cmd_alpha(args) -> int:
     else:
         spec = _family_spec(args)
         row = evaluate_row(spec, _parse_methods(args.methods), node_budget=_budget(args))
-    text, code = _report([row], args)
-    _emit(text, args.out)
-    return code
+    return _report([row], args)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[str, int]:
     methods = _parse_methods(args.methods)
     rows = run_sweep(_family_kind(args),
                      _parse_range(args.n_range) if args.n_range else None,
@@ -141,14 +128,11 @@ def _cmd_sweep(args) -> int:
     extra = {"config": {"family": args.family, "n_range": args.n_range,
                         "m_range": args.m_range, "methods": list(methods),
                         "budget": args.budget}}
-    # rows stream from evaluation into the renderer; the report is written
-    # only once the sweep has finished, so a sweep that fails writes nothing
-    text, code = _report(rows, args, extra)
-    _emit(text, args.out)
-    return code
+    # rows stream from evaluation into the renderer
+    return _report(rows, args, extra)
 
 
-def _cmd_lemma_check(args) -> int:
+def _cmd_lemma_check(args) -> tuple[str, int]:
     if args.family not in _LEMMA_H_FAMILIES:
         raise ParameterError(
             f"lemma-check H family must be one of {', '.join(_LEMMA_H_FAMILIES)}")
@@ -162,25 +146,19 @@ def _cmd_lemma_check(args) -> int:
     lines.append(f"lemma-check n={args.n} H={args.family}(m={args.m}) "
                  f"trials={len(report.trials)} ok={tally.counts['AGREE']} "
                  f"min_margin={report.min_margin} mean_margin={report.mean_margin:.3f}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return tally.exit_code
+    return "\n".join(lines) + "\n", tally.exit_code
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> tuple[str, int]:
     spec = _family_spec(args)
     base = graphs.generate(spec)
     if args.token:
-        text = render_token_graph(build_f2(base))
-    else:
-        text = render_graph(base, comments=[spec.label()])
-    _emit(text, args.out)
-    return 0
+        return render_token_graph(build_f2(base)), 0
+    return render_graph(base, comments=[spec.label()]), 0
 
 
-def _cmd_import(args) -> int:
-    g = parse_graph(read_text(args.path))
-    _emit(render_graph(g), args.out)
-    return 0
+def _cmd_import(args) -> tuple[str, int]:
+    return render_graph(parse_graph(read_text(args.path))), 0
 
 
 def _add_row_flags(sub):
@@ -251,10 +229,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only writer of a command's output.  A handler
+    returns its whole text before anything is written, so a command that
+    fails, a sweep part-way included, writes nothing and creates no file."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        text, code = args.handler(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ParameterError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

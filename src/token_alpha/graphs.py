@@ -54,15 +54,10 @@ class Graph(NamedTuple):
         return sum(mask.bit_count() for mask in self.masks) // 2
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        """The edges as (low, high) tuples, in increasing order."""
-        edges = []
-        for u, mask in enumerate(self.masks):
-            above = mask >> (u + 1)
-            while above:
-                low = above & -above
-                edges.append((u, u + low.bit_length()))
-                above ^= low
-        return edges
+        """The edges as (low, high) tuples, in increasing order: each u
+        with its neighbours above u."""
+        return [(u, v) for u, mask in enumerate(self.masks)
+                for v in members(mask >> u + 1 << u + 1)]
 
 
 def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:

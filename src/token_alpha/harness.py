@@ -185,9 +185,9 @@ class RowResult:
 class VerdictTally:
     """The rows of one report, or the trials of a lemma check, read once,
     with each verdict counted as its row goes by: the one place verdicts
-    become counts and an exit code.
-    It keeps no row, so a renderer fed from a sweep holds one at a time;
-    ``tallied`` lets the renderer and its caller share the same tally."""
+    become counts and an exit code.  It keeps no row, so a renderer fed
+    from a sweep holds one at a time.  A tally over a tally counts in
+    both, so a renderer's own tally and its caller's read the same rows."""
 
     def __init__(self, rows):
         self._rows = iter(rows)
@@ -207,11 +207,6 @@ class VerdictTally:
         if self.counts["DISAGREE"]:
             return 1
         return 3 if self.counts["ABORTED"] else 0
-
-
-def tallied(rows) -> VerdictTally:
-    """rows itself when it is already a tally, else a new tally over it."""
-    return rows if isinstance(rows, VerdictTally) else VerdictTally(rows)
 
 
 def _solve(tg: TokenGraph, node_budget: int | None) -> dict:

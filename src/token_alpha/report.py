@@ -7,9 +7,11 @@ and the construction's digest hashes that same list.
 
 Both renderers read their rows once, from any iterable, and keep only what
 they write: a TSV line or a JSON record's text per row, plus the verdict
-tally that the summary is written from.  A record's text holds its row's
-witnesses, so a JSON sweep's memory grows with its output.  A caller that
-passes a ``VerdictTally`` reads the exit code from the same counts.
+tally that the summary is written from: each wraps its rows in its own
+``VerdictTally``.  A tally passed in as the rows still counts each row as
+it goes through, so its caller reads the exit code from it.  A record's
+text holds its row's witnesses, so a JSON sweep's memory grows with its
+output.
 
 ``hashlib`` is imported inside ``witness_digest``, not here: it maps
 OpenSSL's libcrypto (~3.4 MB of resident memory), which only reports that
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 
 from .graphs import members
-from .harness import RowResult, tallied
+from .harness import RowResult, VerdictTally
 
 TSV_COLUMNS = ("family", "n", "m", "parts", "formula", "exceptional",
                "construction", "solver", "nodes", "millis", "verdict")
@@ -68,7 +70,7 @@ def _row_cells(row: RowResult) -> list[str]:
 
 
 def render_tsv(rows) -> str:
-    tally = tallied(rows)
+    tally = VerdictTally(rows)
     lines = ["\t".join(TSV_COLUMNS)]
     lines += ["\t".join(_row_cells(row)) for row in tally]
     counts = tally.counts
@@ -120,7 +122,7 @@ def render_json(rows, extra: dict | None = None) -> str:
     """``json.dumps(doc, indent=2)`` and a newline, doc holding the rows'
     records, summary and extra; each record is made text as its row goes
     by, indented to its place (a JSON string holds no raw newline)."""
-    tally = tallied(rows)
+    tally = VerdictTally(rows)
     texts = ["    " + json.dumps(row_record(r), indent=2).replace("\n", "\n    ")
              for r in tally]
     counts = tally.counts

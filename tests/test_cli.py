@@ -401,6 +401,34 @@ def test_lemma_check_rejects_empty_side(capsys):
     assert err.startswith("error: ") and "n >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("alpha", "--family", "wheel", "--n", "2", "--m", "5"),
+    ("sweep", "--family", "path", "--m-range", "2..4"),
+    ("lemma-check", "--n", "2", "--family", "path", "--m", "3", "--trials", "5"),
+    ("export", "--family", "wheel", "--n", "2", "--m", "5"),
+    ("import", "graph.txt"),
+], ids=["alpha", "sweep", "lemma-check", "export", "import"])
+def test_out_into_a_missing_directory_writes_nothing(capsys, monkeypatch, tmp_path, argv):
+    # main is the one writer: the open fails after the command has run, so
+    # nothing reaches stdout and no file or directory is made
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.txt").write_text("p 3 2\ne 0 1\ne 1 2\n")
+    code, out, err = run_cli(capsys, *argv, "--out", "missing/r.txt")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.txt"]
+
+
+def test_lemma_check_that_fails_writes_no_file(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "lemma-check", "--n", "0", "--family", "path",
+                             "--m", "4", "--out", "r.txt")
+    assert code == 2
+    assert out == "" and err == "error: lemma-check requires n >= 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, stdout", [
     (("--n", "6", "--family", "path", "--m", "14", "--trials", "300", "--seed", "5"),
      "lemma-check n=6 H=path(m=14) trials=300 ok=300 min_margin=0 mean_margin=8.540\n"),

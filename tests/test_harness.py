@@ -24,6 +24,7 @@ from token_alpha.mis import (
     is_independent,
     max_independent_set,
 )
+from token_alpha.report import render_json, render_tsv
 from token_alpha.tokens import build_f2, join_partition
 
 from reference import delete_vertices, independent_sets, pairs_of_rows
@@ -209,13 +210,20 @@ def test_sweep_exit_code_for_aborts():
     assert tally.exit_code == 3
 
 
-def test_tally_reads_its_rows_once_and_shares_itself():
-    rows = iter([evaluate_row(graphs.path(4)), evaluate_row(graphs.fan(4, 6), node_budget=1)])
-    tally = VerdictTally(rows)
-    assert harness.tallied(tally) is tally
+def test_tally_reads_its_rows_once_and_counts_what_a_renderer_reads():
+    rows = [evaluate_row(graphs.path(4)), evaluate_row(graphs.fan(4, 6), node_budget=1)]
+    tally = VerdictTally(iter(rows))
     assert [row.verdict for row in tally] == ["AGREE", "ABORTED"]
     assert list(tally) == []
     assert tally.counts == {"AGREE": 1, "DISAGREE": 0, "ABORTED": 1}
+    # a renderer wraps the tally it is given in its own, and the given tally
+    # still counts every row: cli._report reads its exit code from it
+    for render in (render_tsv, render_json):
+        tally = VerdictTally(iter(rows))
+        render(tally)
+        assert list(tally) == []
+        assert tally.counts == {"AGREE": 1, "DISAGREE": 0, "ABORTED": 1}
+        assert tally.exit_code == 3
 
 
 def test_lemma_trials_report():

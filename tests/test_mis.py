@@ -386,6 +386,31 @@ def test_is_independent_matches_the_edge_scan(case):
     assert is_independent(g, s) == by_edges
 
 
+@st.composite
+def graphs_with_masks_near_an_edge(draw):
+    """A graph with at least one edge, its edge list as drawn, and a random
+    mask that, half the time, holds both ends of one of those edges."""
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    s = draw(st.integers(0, (1 << n) - 1))
+    if draw(st.booleans()):
+        u, v = draw(st.sampled_from(edges))
+        s |= 1 << u | 1 << v
+    flipped = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    return Graph.build(n, flipped), sorted(edges), s
+
+
+@given(graphs_with_masks_near_an_edge())
+@settings(max_examples=200)
+def test_is_independent_is_the_edge_list_definition(case):
+    # the judge of every witness against the definition, on sets that are
+    # and are not independent; sorted_edges lists the edges g was built from
+    g, edges, s = case
+    assert g.sorted_edges() == edges
+    assert is_independent(g, s) == (not any(s >> u & 1 and s >> v & 1 for u, v in edges))
+
+
 # ---------------------------------------------------------------------------
 # Pruning by twin orbits: the solver is given the token graph it solves
 # ---------------------------------------------------------------------------
@@ -407,14 +432,17 @@ def solve_with_orbits(spec, node_budget=None):
     (graphs.cycle(29), None, 203, 217, "a2a277c0ee02"),
     (graphs.wheel(1, 23), None, 126, 790, "ae1201de270e"),
     (graphs.fan(10, 19), None, 136, 79, "0d67b05d7fc8"),
+    (graphs.wheel(4, 11), None, 33, 62, "912c61d0326d"),
 ], ids=["split(5,14)", "complete(16)", "complete(20)", "split(6,18)", "wheel(8,23)",
-        "cycle(29)", "wheel(1,23)", "fan(10,19)"])
+        "cycle(29)", "wheel(1,23)", "fan(10,19)", "wheel(4,11)"])
 def test_symmetric_search_trees_are_pinned(spec, budget, alpha, nodes, digest):
     # the plain search takes 16 612 nodes on split(5,14), 218 387 on
     # complete(16), 3 023 on wheel(8,23), and exceeds 100 000 on complete(20)
     # and 300 000 on split(6,18); the last three rows branch and fold
     # below the root, so the witness digest of the solver's pairs moves
-    # with any change to the fold order, the cover or the branching
+    # with any change to the fold order, the cover or the branching.
+    # wheel(4,11) pins _TwinOrbits.free: a group that also moved base
+    # vertex 0, which chosen pairs touch, searched 57 nodes, not 62
     tg = build_f2(generate(spec))
     res = max_independent_set(tg, node_budget=budget)
     assert res.witness.bit_count() == res.size
