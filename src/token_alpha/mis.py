@@ -286,14 +286,16 @@ def max_independent_set(g: Graph | TokenGraph,
     g is a plain graph or a token graph, whose ``.graph`` is then the g
     solved below, pruned by the twin orbits of its ``.base``.
 
-    Each search node first folds in degree-0/1 vertices, then builds a
-    greedy clique cover of the remaining candidates.  Walking the cover
-    from its highest-numbered clique down, it returns once the chosen
-    size plus the current clique number cannot beat the incumbent;
+    Each search node first folds in degree-0/1 vertices, returns when its
+    chosen size plus its candidate count cannot beat the incumbent, takes
+    its chosen set as the new incumbent when no candidate is left, and
+    otherwise builds a greedy clique cover of its candidates.  Walking the
+    cover from its highest-numbered clique down, it returns once the
+    chosen size plus the current clique number cannot beat the incumbent;
     otherwise it recurses on including the vertex and drops the vertex
     from the candidates.  Excluding a vertex is that drop, not a
     recursive call, so every level of recursion adds a vertex to the
-    chosen set and the depth is at most alpha + 1.
+    chosen set.
 
     The root folds every forced vertex of g in g's own labels.  The
     vertices left are renumbered by ascending degree among themselves
@@ -316,7 +318,8 @@ def max_independent_set(g: Graph | TokenGraph,
     component's search is the one it would get alone; a connected rest
     is one component, whose cover and incumbent are the root's, and its
     search tree is the one an unsplit search makes.  The components share
-    the root's numbering.  They are searched smallest first (ties to the
+    the root's numbering, and each is searched as an ordinary node with
+    no chosen vertex.  They are searched smallest first (ties to the
     lower vertex); the order changes neither the node total nor the
     witness, only where a budget too small for the whole search runs out:
     on the cheapest nodes, having finished the most components.  The
@@ -333,7 +336,7 @@ def max_independent_set(g: Graph | TokenGraph,
     already dropped.  A candidate loses degree only through removed candidates,
     so the lowest dirty vertex of degree <= 1 is the lowest forced vertex
     of the candidates, the one a full rescan after every fold would find,
-    and a node with an empty dirty mask skips the folds.
+    and a node with an empty dirty mask folds nothing.
 
     For a token graph, a node's group permutes, inside each twin class of
     the base graph, the members that no chosen pair touches: root-forced,
@@ -358,15 +361,16 @@ def max_independent_set(g: Graph | TokenGraph,
     in an ancestor's group, which contains the node's.  So a set of the
     node that holds an image of v is the image of one that holds v.
 
-    nodes_explored counts search nodes over all components; the root,
-    with its folds and its cover, is node 1, and each child the branch
-    loop creates is one more.  A child's node work (its folds, leaf,
-    bound and cover) runs in the loop that creates it, and only a child
-    that goes on branching recurses.  Raises BudgetExceededError once the
-    count would exceed node_budget.  The search recurses once per chosen
-    vertex, one frame per level, so for the solve the interpreter's
-    recursion limit is raised by one frame per renumbered vertex, and
-    restored however the solve ends.
+    nodes_explored counts search nodes over all components.  Node 1 is
+    the root: its folds, its cover, and the start of each component's
+    search, a node with no chosen vertex that adds no count.  Each child
+    is counted by the branch loop that creates it, which raises
+    BudgetExceededError once the count would exceed node_budget.  Every
+    node folds, bounds and covers on entry.  The search takes one frame
+    per level, a component's start and then one per chosen vertex, so its
+    depth is at most alpha + 2; for the solve the interpreter's recursion
+    limit is raised by one frame per renumbered vertex, and restored
+    however the solve ends.
     """
     token = None
     if isinstance(g, TokenGraph):
@@ -384,22 +388,31 @@ def max_independent_set(g: Graph | TokenGraph,
     orbits = None if token is None else _TwinOrbits(token, forced, order)
     cand = (1 << len(order)) - 1
     greedy = greedy_independent_set(adj)
-    count, cliques = _cover(adj, cand, 0)
     best_size = best_bits = 0
     nodes = 1
 
-    def branch(cand: int, chosen: int, size: int, count: int, cliques: list[int]):
-        # Branch in the reverse of the cover's order; cliques holds the
-        # cover's highest-numbered cliques, the last numbered count.  The
-        # candidates left when a vertex of clique k comes up lie in
-        # cliques 1..k.  A child's
-        # vertex has a lower degree than here only if it neighbours a
-        # candidate of N(v) or a vertex this loop has dropped (gone).
-        # With orbits, dropping v drops v's orbit under the node's group
-        # (free, found at the node's first orbit drop) and the cliques
-        # lose what it removed.  Once size + k cannot beat the incumbent
-        # the node branches no more, so no orbit is worth dropping.
+    def branch(cand: int, chosen: int, dirty: int):
+        # One search node: fold, bound, leaf, cover, then branch in the
+        # reverse of the cover's order.  The candidates left when a vertex of
+        # clique k comes up lie in cliques 1..k.  A child's vertex has a lower
+        # degree than here only if it neighbours a candidate of N(v) or a
+        # vertex this loop has dropped (gone).  With orbits, dropping v drops
+        # v's orbit under the node's group (free, found at the node's first
+        # orbit drop) and the cliques lose what it removed.  Once size + k
+        # cannot beat the incumbent the node branches no more, so no orbit is
+        # worth dropping.
         nonlocal best_size, best_bits, nodes
+        cand, chosen = _fold(adj, cand, dirty, chosen)
+        size = chosen.bit_count()
+        # `<=`, not `<`: with `<` an equal-size leaf replaces the incumbent's
+        # witness, which only the pinned wheel JSON of
+        # test_cli.py::test_sweep_report_bytes_are_pinned sees
+        if size + cand.bit_count() <= best_size:
+            return
+        if not cand:
+            best_size, best_bits = size, chosen
+            return
+        count, cliques = _cover(adj, cand, best_size - size)
         gone = 0
         free = None
         for k, clique in zip(range(count, 0, -1), reversed(cliques)):
@@ -410,26 +423,11 @@ def max_independent_set(g: Graph | TokenGraph,
                 v = clique.bit_length() - 1
                 bit = 1 << v
                 clique ^= bit
-                # the child that includes v: one search node, whose folds,
-                # leaf, bound and cover run here
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
                     raise BudgetExceededError(nodes)
-                child, grown = cand & ~(adj[v] | bit), chosen | bit
-                dirty = child & (gone | _union(adj, adj[v] & cand))
-                if dirty:
-                    child, grown = _fold(adj, child, dirty, grown)
-                grown_size = grown.bit_count()
-                if child == 0:
-                    if grown_size > best_size:
-                        best_size, best_bits = grown_size, grown
-                elif grown_size + child.bit_count() > best_size:
-                    # Cliques numbered best_size - grown_size or below can
-                    # never be branched on, so only the higher ones are kept
-                    # (all of them when the folds lifted grown_size above the
-                    # incumbent).
-                    branch(child, grown, grown_size,
-                           *_cover(adj, child, best_size - grown_size))
+                child = cand & ~(adj[v] | bit)
+                branch(child, chosen | bit, child & (gone | _union(adj, adj[v] & cand)))
                 cand ^= bit
                 gone |= adj[v]
                 if orbits is None or size + k <= best_size or not orbits.moves(v):
@@ -442,22 +440,19 @@ def max_independent_set(g: Graph | TokenGraph,
                     clique &= cand
                     gone |= _union(adj, twins)
 
-    # each level of the search is one frame and adds a vertex to the
-    # chosen set, so a dive may need len(order) frames above the caller's,
-    # past the default limit of 1 000 on the deepest dives
+    # each level of the search below a component's start is one frame and
+    # adds a vertex to the chosen set, so a dive may need len(order) frames
+    # above the caller's, past the default limit of 1 000 on the deepest dives
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + len(order) + 50)
     found = greedy
     try:
-        if count > greedy.bit_count():
+        if _cover(adj, cand, len(order))[0] > greedy.bit_count():
             found = 0
             for part in sorted(_components(adj, cand), key=int.bit_count):
-                # each clique lies in one component, so the cliques that
-                # meet part, in the order built, are part's own cover
-                own = [clique for clique in cliques if clique & part]
                 best_bits = greedy & part
                 best_size = best_bits.bit_count()
-                branch(part, 0, 0, len(own), own[best_size:])
+                branch(part, 0, 0)
                 found |= best_bits
     finally:
         sys.setrecursionlimit(limit)

@@ -525,6 +525,28 @@ def test_family_flags_the_family_does_not_take_are_usage_errors(capsys, argv, fl
     assert err == f"error: --family {argv[2]} does not take {flag}\n"
 
 
+@pytest.mark.parametrize("parts, message", [
+    ((), "--family path-union requires --parts A,B,..."),
+    (("--parts", "2,x"), "cannot parse --parts '2,x'"),
+], ids=["missing", "not-integers"])
+def test_path_union_parts_errors_are_usage_errors(capsys, parts, message):
+    code, out, err = run_cli(capsys, "alpha", "--family", "path-union", *parts)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_single_value_range_is_that_value_alone(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--family", "fan", "--n-range", "2",
+                           "--m-range", "5")
+    assert code == 0
+    code, spelled_out, _ = run_cli(capsys, "sweep", "--family", "fan", "--n-range", "2..2",
+                                   "--m-range", "5..5")
+    assert code == 0
+    assert mask_millis(out) == mask_millis(spelled_out)
+    assert len(out.splitlines()) == 3
+
+
 def test_lemma_check_rejects_unknown_h(capsys):
     code, _, err = run_cli(capsys, "lemma-check", "--n", "2", "--family", "wheel",
                            "--m", "3")

@@ -62,6 +62,23 @@ def test_endpoint_errors_use_the_files_own_numbering(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text,message", [
+    ("p 3 0\np 3 0\n", "line 2: duplicate p line"),
+    ("p 3 x\n", "line 1: non-integer counts in p line: 'p 3 x'"),
+    ("p 3 -1\n", "line 1: negative counts in p line"),
+    ("p 3 1\ne 0 1 2\n", "line 2: malformed e line: 'e 0 1 2'"),
+])
+def test_header_and_edge_line_errors_name_their_fault(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("word", ["edge", "edges", "col"])
+def test_every_dimacs_header_word_is_read_one_indexed(word):
+    assert parse_graph(f"p {word} 4 3\ne 1 2\ne 2 3\ne 3 4\n") == generate(graphs.path(4))
+
+
 def test_file_round_trip(tmp_path):
     g = generate(graphs.wheel(2, 4))
     target = tmp_path / "wheel.txt"

@@ -112,6 +112,7 @@ def test_least_family_parameters_are_accepted(spec, order):
     # the tuple methods that build a spec run the same check
     ("fan requires m >= 1, got 0", lambda: graphs.fan(2, 3)._replace(m=0)),
     ("fan spec requires n", lambda: FamilySpec._make(("fan", None, 3, None))),
+    ("unknown family kind 'moebius'", lambda: FamilySpec("moebius", m=4)),
 ])
 def test_out_of_range_messages_name_the_parameter(message, build):
     with pytest.raises(ParameterError, match=re.escape(message) + "$"):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +195,18 @@ def test_sweep_specs_check_the_config_at_once_and_each_spec_when_reached():
     # totals are checked up front, not at the first row
     with pytest.raises(ParameterError, match=r"requires totals >= 2, got m range 1\.\.4$"):
         sweep_specs("path_union", m_range=(1, 4))
+
+
+@pytest.mark.parametrize("message, call", [
+    ("unknown method 'bogus'; choose from formula,construction,solver",
+     lambda: evaluate_row(graphs.path(3), ("formula", "bogus"))),
+    ("at least one method is required", lambda: evaluate_row(graphs.path(3), ())),
+    ("family 'moebius' cannot be swept", lambda: sweep_specs("moebius", m_range=(2, 3))),
+    ("path_union sweep requires an m range of totals", lambda: sweep_specs("path_union")),
+], ids=["unknown-method", "no-method", "unknown-family", "path-union-without-totals"])
+def test_bad_methods_and_sweep_configs_are_rejected_by_name(message, call):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_sweep_runs_and_counts():
