@@ -82,9 +82,10 @@ def members(mask: int) -> list[int]:
     ascending order."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        v = mask.bit_length() - 1
+        out.append(v)
+        mask ^= 1 << v
+    out.reverse()
     return out
 
 

@@ -123,7 +123,7 @@ def construction_pairs(spec: FamilySpec, base: Graph) -> int:
     h = Graph(tuple(mask >> n for mask in base.masks[n:]))
     side = associated_independent_set(AssociatedSetInput(
         n=n, s1=0, s2=0, mis_h_minus_s2=_max_ind_rows_of_f2(h, 0)))
-    s2 = greedy_independent_set(h.masks)
+    s2 = greedy_independent_set(h.masks, (1 << h.order) - 1)
     cross = associated_independent_set(AssociatedSetInput(
         n=n, s1=(1 << n) - 1, s2=s2, mis_h_minus_s2=_max_ind_rows_of_f2(h, s2)))
     return cross if cross.bit_count() > side.bit_count() else side

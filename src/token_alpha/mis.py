@@ -20,13 +20,19 @@ Iwata, TCS 2016): only a vertex whose degree may have dropped since it was
 last seen at degree >= 2 is checked again, so a node does not rescan every
 candidate after each fold.
 
-The search runs in ascending-degree order, as colour-ordered clique solvers
-set their initial order once before the search.  The root folds in the
-input's own labels; the vertices left are renumbered by degree among
-themselves and the rest of the search runs on that copy, so the witness is
-mapped back to the input's labels.  Folding first means only what the
-folds leave is renumbered: about a third of the vertices of the token
-graphs of path unions.
+The root folds in the input's own labels and then tries to prove its
+answer there, with a greedy independent set and a greedy clique cover of
+the vertices left, both built in label order.  An independent set meets
+each clique at most once, so when the cover has as many cliques as the set
+has members, that set is maximum and the solve ends at node 1 with nothing
+renumbered.  The lexicographic labels of a token graph often carry such a
+proof: those of every path union of total order 2..14 do.
+
+Otherwise the search runs in ascending-degree order, as colour-ordered
+clique solvers set their initial order once before the search: the
+vertices left are renumbered by degree among themselves and the rest of
+the search runs on that copy, so the witness is mapped back to the input's
+labels.
 
 A root that branches searches each connected component of what its folds
 leave on its own, as branch-and-reduce solvers do (Akiba and Iwata, TCS
@@ -93,30 +99,29 @@ def is_independent(g: Graph, s: int) -> bool:
     return True
 
 
-def greedy_independent_set(adj: tuple[int, ...]) -> int:
-    """Greedy maximal independent set of the graph with these adjacency
-    bitsets, taking the vertices in label order; returns its bitmask.  The
-    solver's incumbent is this set of its renumbered graph, lowest degree
-    first."""
+def greedy_independent_set(adj: tuple[int, ...], cand: int) -> int:
+    """Greedy maximal independent set of the subgraph that the bitmask cand
+    induces in the graph with these adjacency bitsets, taking its vertices
+    in label order; returns its bitmask.  The solver's root takes this set
+    of what its folds leave, in the input's labels and then, if that does
+    not prove it maximum, in the degree order it searches in."""
     chosen = 0
-    blocked = 0
-    for v, mask in enumerate(adj):
-        bit = 1 << v
-        if not blocked & bit:
-            chosen |= bit
-            blocked |= mask | bit
+    while cand:
+        low = cand & -cand
+        chosen |= low
+        cand &= ~(adj[low.bit_length() - 1] | low)
     return chosen
 
 
 def _union(masks: list[int] | tuple[int, ...], bits: int) -> int:
     """The union of masks[x] over the members x of bits.  It peels bits
-    itself: listing them through ``members`` at every search node made the
-    fan and wheel sweeps 5-7 % slower."""
+    from the top, as ``members`` does, but builds no list: a union needs
+    neither the list nor its order, and it runs at every search node."""
     out = 0
     while bits:
-        low = bits & -bits
-        bits ^= low
-        out |= masks[low.bit_length() - 1]
+        v = bits.bit_length() - 1
+        bits ^= 1 << v
+        out |= masks[v]
     return out
 
 
@@ -297,29 +302,34 @@ def max_independent_set(g: Graph | TokenGraph,
     recursive call, so every level of recursion adds a vertex to the
     chosen set.
 
-    The root folds every forced vertex of g in g's own labels.  The
-    vertices left are renumbered by ascending degree among themselves
-    (ties to the lower label), and the search runs on their induced
-    subgraph in that numbering, where the incumbent is a greedy maximal
-    independent set taken in vertex order.  The cover then grows its
-    cliques from low-degree vertices and branches on high-degree ones
-    first.
+    The root folds every forced vertex of g in g's own labels.  In those
+    labels it then takes a greedy maximal independent set of the vertices
+    left, in label order, and a greedy clique cover of them.  The folds
+    are exact and the cover's clique count bounds alpha of what they
+    leave, so when the count equals the set's size, the forced vertices
+    plus that set are a maximum set: the solve ends at node 1, with no
+    renumbering, orbit table, components or recursion limit.
 
-    The root's cover decides whether the root branches.  When its clique
-    count does not exceed the incumbent, the greedy set is maximum and
-    the solve ends at node 1.  Otherwise the root splits the vertices
-    left into the connected components of their induced subgraph and
-    branches within each component on its own, from the greedy incumbent
-    restricted to it.  A maximum set of a disconnected graph is the union
-    of a maximum set of each component, so every node below covers,
-    bounds and branches over its component's candidates only, against
-    that component's incumbent.  No clique of the root's cover spans two
-    components and the greedy set never blocks across one, so a
-    component's search is the one it would get alone; a connected rest
-    is one component, whose cover and incumbent are the root's, and its
-    search tree is the one an unsplit search makes.  The components share
-    the root's numbering, and each is searched as an ordinary node with
-    no chosen vertex.  They are searched smallest first (ties to the
+    Otherwise the vertices left are renumbered by ascending degree among
+    themselves (ties to the lower label), and the search runs on their
+    induced subgraph in that numbering, where the incumbent is a greedy
+    maximal independent set taken in vertex order.  The cover then grows
+    its cliques from low-degree vertices and branches on high-degree ones
+    first.  The root splits the vertices left into the connected
+    components of their induced subgraph and branches within each
+    component on its own, from the greedy incumbent restricted to it.  A
+    maximum set of a disconnected graph is the union of a maximum set of
+    each component, so every node below covers, bounds and branches over
+    its component's candidates only, against that component's incumbent.
+    No clique of a cover of the whole rest spans two components and the
+    greedy set never blocks across one, so a component's search is the
+    one it would get alone; a connected rest is one component, whose
+    search tree is the one an unsplit search makes.  A component whose
+    cover has no more cliques than its incumbent has members returns
+    without counting a node, so a root whose degree-order cover proves
+    its greedy set still ends at node 1, with that set.  The components
+    share the root's numbering, and each is searched as an ordinary node
+    with no chosen vertex.  They are searched smallest first (ties to the
     lower vertex); the order changes neither the node total nor the
     witness, only where a budget too small for the whole search runs out:
     on the cheapest nodes, having finished the most components.  The
@@ -362,7 +372,7 @@ def max_independent_set(g: Graph | TokenGraph,
     node that holds an image of v is the image of one that holds v.
 
     nodes_explored counts search nodes over all components.  Node 1 is
-    the root: its folds, its cover, and the start of each component's
+    the root: its folds, its certificate, and the start of each component's
     search, a node with no chosen vertex that adds no count.  Each child
     is counted by the branch loop that creates it, which raises
     BudgetExceededError once the count would exceed node_budget.  Every
@@ -384,10 +394,14 @@ def max_independent_set(g: Graph | TokenGraph,
     masks = g.masks
     everything = (1 << n) - 1
     rest, forced = _fold(masks, everything, everything, 0)
+    greedy = greedy_independent_set(masks, rest)
+    if _cover(masks, rest, n)[0] == greedy.bit_count():
+        witness = forced | greedy
+        return MisResult(witness.bit_count(), witness, 1)
     order, adj = _renumber(masks, rest)
     orbits = None if token is None else _TwinOrbits(token, forced, order)
     cand = (1 << len(order)) - 1
-    greedy = greedy_independent_set(adj)
+    greedy = greedy_independent_set(adj, cand)
     best_size = best_bits = 0
     nodes = 1
 
@@ -445,15 +459,13 @@ def max_independent_set(g: Graph | TokenGraph,
     # above the caller's, past the default limit of 1 000 on the deepest dives
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + len(order) + 50)
-    found = greedy
+    found = 0
     try:
-        if _cover(adj, cand, len(order))[0] > greedy.bit_count():
-            found = 0
-            for part in sorted(_components(adj, cand), key=int.bit_count):
-                best_bits = greedy & part
-                best_size = best_bits.bit_count()
-                branch(part, 0, 0)
-                found |= best_bits
+        for part in sorted(_components(adj, cand), key=int.bit_count):
+            best_bits = greedy & part
+            best_size = best_bits.bit_count()
+            branch(part, 0, 0)
+            found |= best_bits
     finally:
         sys.setrecursionlimit(limit)
         # branch reaches itself through its closure; breaking that cycle

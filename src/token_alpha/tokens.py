@@ -56,6 +56,13 @@ class TokenGraph:
         return mask
 
 
+# The most token vertices build_f2 makes, C(order, 2) for a base order of
+# at most 1 414.  Its pair tables take ~137 bytes a token vertex before any
+# edge (CPython 3.11, 64-bit), so the cap holds them to ~140 MB; a 10-byte
+# file such as "p 20000 0" would otherwise ask for ~27 GB.
+TOKEN_VERTEX_CAP = 1_000_000
+
+
 @lru_cache(maxsize=32)
 def _pair_tables(order: int) -> tuple[tuple[TokenPair, ...], tuple[tuple[int, ...], ...]]:
     """The 2-subsets of 0..order-1 in lexicographic order, and for each
@@ -91,10 +98,16 @@ def build_f2(g: Graph) -> TokenGraph:
     base edge ab gives one token edge per third vertex w, read as the
     w-th entries of ``through[a]`` and ``through[b]`` and written straight
     into the token graph's adjacency bitsets, so the token graph has
-    exactly (|V|-2)*|E| edges.
+    exactly (|V|-2)*|E| edges.  A base order whose token graph would
+    exceed ``TOKEN_VERTEX_CAP`` vertices is rejected before any table is
+    built.
     """
     if g.order < 2:
         raise ParameterError(f"token graph requires base order >= 2, got {g.order}")
+    size = g.order * (g.order - 1) // 2
+    if size > TOKEN_VERTEX_CAP:
+        raise ParameterError(f"token graph of base order {g.order} would have {size} "
+                             f"vertices, above the cap of {TOKEN_VERTEX_CAP}")
     pairs, through = _pair_tables(g.order)
     masks = [0] * len(pairs)
     for a, b in g.sorted_edges():

@@ -26,8 +26,8 @@ def _s2_not_independent(monkeypatch):
         built.append(base)
         return real_build(base)
 
-    def greedy(adj):
-        bits = real_greedy(adj)
+    def greedy(adj, cand):
+        bits = real_greedy(adj, cand)
         return bits | adj[_lowest(bits)]
 
     def extract(i, n, order):

@@ -108,7 +108,7 @@ def construction_pairs(spec, base):
         return max_ind_pairs_of_f2(base, 0)
     h = Graph(tuple(mask >> n for mask in base.masks[n:]))
     side = associated_pairs(n, 0, 0, max_ind_pairs_of_f2(h, 0))
-    s2 = greedy_independent_set(h.masks)
+    s2 = greedy_independent_set(h.masks, (1 << h.order) - 1)
     cross = associated_pairs(n, (1 << n) - 1, s2, max_ind_pairs_of_f2(h, s2))
     return cross if len(cross) > len(side) else side
 

@@ -160,6 +160,40 @@ def test_alpha_on_a_file_below_order_2_is_a_usage_error(capsys, tmp_path, order)
                    "no token graph exists below order 2\n")
 
 
+TOO_WIDE = ("error: token graph of base order {} would have {} vertices, "
+            "above the cap of 1000000\n")
+
+
+def test_a_tiny_file_of_a_huge_order_exits_2_at_once(tmp_path):
+    # "p 100000 0" asks for ~5e9 token vertices, ~680 GB of pair tables; it
+    # is refused before any is built, so the run fits an address space of
+    # 1 GB and ends well within the timeout
+    wide = tmp_path / "wide.txt"
+    wide.write_text("p 100000 0\n")
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from token_alpha.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, "alpha", "--input", str(wide)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == TOO_WIDE.format(100_000, 4_999_950_000)
+
+
+def test_a_family_row_of_a_huge_order_exits_2(capsys):
+    code, out, err = run_cli(capsys, "alpha", "--family", "empty", "--m", "20000")
+    assert (code, out) == (2, "")
+    assert err == TOO_WIDE.format(20_000, 199_990_000)
+
+
+def test_an_edgeless_file_below_the_cap_still_solves(capsys, tmp_path):
+    # 124 750 token vertices, every one folded at the root
+    wide = tmp_path / "e500.txt"
+    wide.write_text("p 500 0\n")
+    code, out, _ = run_cli(capsys, "alpha", "--input", str(wide))
+    assert code == 0
+    assert out.splitlines()[1].split("\t")[7:9] == ["124750", "1"]
+
+
 @pytest.mark.parametrize("command", ["alpha --input", "import"])
 def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, command):
     # a malformed file, not a disagreement: exit 2 with the line of the byte

@@ -389,7 +389,7 @@ def test_greedy_set_of_every_join_h_is_maximum(kind, first, alpha):
     # as its S2; one short of alpha(H) would surface only as DISAGREE rows
     for m in range(first, 41):
         h = generate(graphs.FamilySpec(kind, m=m))
-        s2 = greedy_independent_set(h.masks)
+        s2 = greedy_independent_set(h.masks, (1 << h.order) - 1)
         assert is_independent(h, s2), (kind, m)
         assert s2.bit_count() == alpha(m), (kind, m)
 

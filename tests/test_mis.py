@@ -233,7 +233,7 @@ def test_a_child_folds_its_lowest_forced_vertex_first(order, edges, witness):
 @pytest.mark.parametrize("family,n_range,m_range,nodes", [
     pytest.param("fan", (1, 6), (2, 10), 304, id="fan"),
     pytest.param("wheel", (1, 6), (3, 10), 790, id="wheel"),
-    pytest.param("path_union", None, (2, 10), 1_365, id="path_union"),
+    pytest.param("path_union", None, (2, 10), 1_022, id="path_union"),
     pytest.param("complete_bipartite", (1, 6), (1, 8), 73, id="complete_bipartite"),
     pytest.param("split", (1, 5), (1, 10), 4_860, id="split"),
     pytest.param("complete", None, (2, 14), 36_573, id="complete"),
@@ -455,16 +455,14 @@ def test_symmetric_search_trees_are_pinned(spec, budget, alpha, nodes, digest):
 @pytest.mark.parametrize("family,n_range,m_range,nodes", [
     pytest.param("fan", (1, 6), (2, 10), 301, id="fan"),
     pytest.param("wheel", (1, 6), (3, 10), 721, id="wheel"),
-    pytest.param("path_union", None, (2, 10), 1_365, id="path_union"),
+    pytest.param("path_union", None, (2, 10), 1_022, id="path_union"),
     pytest.param("complete_bipartite", (1, 6), (1, 8), 73, id="complete_bipartite"),
     pytest.param("split", (1, 5), (1, 10), 118, id="split"),
     pytest.param("complete", None, (2, 14), 43, id="complete"),
 ])
 def test_symmetric_search_tree_sizes_are_pinned(family, n_range, m_range, nodes):
-    # the same sweeps as test_search_tree_sizes_are_pinned; orbits never
-    # shrink the path-union trees, whose twin classes the root's folds touch.
-    # Path unions are the only rows here whose residual splits into
-    # components: searched whole, they took 1 458 nodes on both routes
+    # the same sweeps as test_search_tree_sizes_are_pinned; each of the
+    # 1 022 path-union rows closes at its root, on both routes
     specs = sweep_specs(family, n_range, m_range)
     assert sum(solve_with_orbits(spec).nodes_explored for spec in specs) == nodes
 
@@ -641,3 +639,59 @@ def test_disjoint_unions_match_networkx_on_both_routes(base):
         assert res.size == alpha
         assert res.witness.bit_count() == res.size
         assert is_independent(tg.graph, res.witness)
+
+
+# ---------------------------------------------------------------------------
+# The root's certificate: a greedy set and a clique cover of one size, both
+# in the input's labels, close the solve before any renumbering
+# ---------------------------------------------------------------------------
+
+def count_renumberings(monkeypatch):
+    """Patches mis._renumber to count its calls; a root the certificate
+    closes never renumbers."""
+    real = mis._renumber
+    calls = [0]
+
+    def counted(adj, cand):
+        calls[0] += 1
+        return real(adj, cand)
+
+    monkeypatch.setattr(mis, "_renumber", counted)
+    return calls
+
+
+@pytest.mark.parametrize("route", ["token", "plain"])
+def test_every_path_union_row_closes_at_the_root_in_its_own_labels(monkeypatch, route):
+    # F2 of a path union: the greedy set of its lexicographic labels is as
+    # large as their greedy clique cover, on all 1 022 rows of totals 2..10
+    calls = count_renumberings(monkeypatch)
+    rows = 0
+    for spec in sweep_specs("path_union", None, (2, 10)):
+        tg = build_f2(generate(spec))
+        res = max_independent_set(tg if route == "token" else tg.graph)
+        assert res.nodes_explored == 1, spec
+        assert res.size == alpha_closed_form(spec).value, spec
+        assert is_independent(tg.graph, res.witness)
+        rows += 1
+    assert (rows, calls[0]) == (1_022, 0)
+
+
+def test_a_root_closed_by_its_certificate_is_maximum_on_every_atlas_graph(monkeypatch):
+    # the cover bounds alpha of what the folds leave, so a greedy set of its
+    # size is maximum; rows where the certificate fails are searched instead
+    nx = pytest.importorskip("networkx")
+    calls = count_renumberings(monkeypatch)
+    closed = searched = 0
+    for h in nx.graph_atlas_g()[1:]:   # every graph but the null graph, which has no root
+        g = Graph.build(h.number_of_nodes(), h.edges())
+        before = calls[0]
+        res = max_independent_set(g)
+        assert res.size == max_independent_set_exhaustive(g).size, sorted(h.edges())
+        assert res.witness.bit_count() == res.size
+        assert is_independent(g, res.witness)
+        if calls[0] == before:
+            closed += 1
+            assert res.nodes_explored == 1
+        else:
+            searched += 1
+    assert (closed, searched) == (909, 343)

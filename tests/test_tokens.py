@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from token_alpha import graphs
+from token_alpha import graphs, tokens
 from token_alpha.errors import ParameterError
 from token_alpha.graphs import Graph, generate, members
 from token_alpha.mis import is_independent
@@ -38,6 +38,17 @@ def test_f2_of_k4():
 def test_f2_requires_two_vertices():
     with pytest.raises(ParameterError):
         build_f2(Graph.build(1, []))
+
+
+def test_token_graphs_above_the_cap_are_refused_before_any_table(monkeypatch):
+    # the cap bounds C(order, 2): at a cap of 6, order 4 (6 pairs) builds
+    # and order 5 (10 pairs) is refused without a call for its tables
+    monkeypatch.setattr(tokens, "TOKEN_VERTEX_CAP", 6)
+    assert build_f2(Graph.build(4, [])).graph.order == 6
+    monkeypatch.setattr(tokens, "_pair_tables", None)
+    with pytest.raises(ParameterError, match="base order 5 would have 10 vertices, "
+                                             "above the cap of 6"):
+        build_f2(Graph.build(5, []))
 
 
 @st.composite
