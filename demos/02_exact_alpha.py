@@ -31,12 +31,13 @@ for n, m in ((6, 8), (6, 18)):
 
 # Passed the token graph rather than its .graph, the solver also prunes by
 # the base graph's symmetries.  The vertices of K_m are interchangeable,
-# and so are those of E_n in a join E_n + K_m.  Once the search has
-# explored the sets holding a pair, it drops every pair that such a
-# permutation (fixing the pairs already chosen) maps it to.  The plain
-# search on .graph is still open on F2(K_20) after 100 000 nodes and on
-# split(6,18) after 300 000.
-for spec in (graphs.complete(20), graphs.split(6, 18)):
+# and so are those of E_n in a join E_n + K_m; a cycle, or a wheel's rim,
+# can be rotated and reflected.  Once the search has explored the sets
+# holding a pair, it drops every pair that such a permutation (fixing the
+# pairs already chosen) maps it to.  The plain search on .graph is still
+# open on F2(K_20) after 100 000 nodes and on split(6,18) after 300 000,
+# and takes 217 nodes on cycle(29).
+for spec in (graphs.complete(20), graphs.split(6, 18), graphs.cycle(29)):
     tg = build_f2(generate(spec))
     result = max_independent_set(tg)
     print(f"F2({spec.label()}): alpha = {result.size} "

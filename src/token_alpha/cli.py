@@ -28,7 +28,7 @@ from .harness import (
     run_sweep,
 )
 from .report import render_json, render_tsv
-from .tokens import build_f2, render_token_graph
+from .tokens import build_f2, check_token_cap, render_token_graph
 
 _LEMMA_H_FAMILIES = tuple(sorted(graphs.JOIN_H_KIND.values()))
 
@@ -151,10 +151,10 @@ def _cmd_lemma_check(args) -> tuple[str, int]:
 
 def _cmd_export(args) -> tuple[str, int]:
     spec = _family_spec(args)
-    base = graphs.generate(spec)
-    if args.token:
-        return render_token_graph(build_f2(base)), 0
-    return render_graph(base, comments=[spec.label()]), 0
+    if not args.token:
+        return render_graph(graphs.generate(spec), comments=[spec.label()]), 0
+    check_token_cap(spec.order)   # before K_m's C(m, 2) edges are built
+    return render_token_graph(build_f2(graphs.generate(spec))), 0
 
 
 def _cmd_import(args) -> tuple[str, int]:

@@ -77,6 +77,61 @@ def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(c) for c in by_hood.values() if len(c) > 1))
 
 
+def cycle_or_path_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Generators of the rotations and reflections of g's cycle or path
+    side, each a permutation p of g's vertices (v goes to p[v]).
+
+    The side is what is left once every vertex adjacent to all vertices
+    outside its own twin class is removed: the C_m of a wheel E_n + C_m,
+    the P_m of a fan E_n + P_m, all of a cycle or a path.  A removed vertex
+    is adjacent to the whole side, and twins are removed together, so any
+    automorphism of the side, fixing every removed vertex, is one of g.
+    When the side is one cycle c_0 .. c_{k-1}, walked from its lowest
+    vertex towards the lower of that vertex's neighbours, the generators
+    are the rotation c_i -> c_{i+1} and the reflection c_i -> c_{-i}
+    (indices mod k), which generate its dihedral group; when it is one
+    path, walked from its lower end, the one generator is its reversal.
+    Any other side, none included, gives no generator.  Every permutation
+    is checked as an automorphism of g before it is returned.
+    """
+    everything = (1 << g.order) - 1
+    class_of = [1 << v for v in range(g.order)]
+    for twins in twin_classes(g):
+        mask = sum(1 << x for x in twins)
+        for x in twins:
+            class_of[x] = mask
+    side = 0
+    for v, mask in enumerate(g.masks):
+        if everything & ~(mask | class_of[v]):
+            side |= 1 << v
+    if not side:
+        return ()
+    degree = {v: (g.masks[v] & side).bit_count() for v in members(side)}
+    ends = [v for v, d in degree.items() if d < 2]
+    if max(degree.values()) > 2 or len(ends) not in (0, 2):
+        return ()
+    walk = [ends[0] if ends else min(degree)]
+    left = side ^ 1 << walk[0]
+    while step := g.masks[walk[-1]] & left:
+        walk.append((step & -step).bit_length() - 1)
+        left ^= 1 << walk[-1]
+    if left:
+        return ()   # the side is not connected
+    k = len(walk)
+    if ends:
+        moves = [dict(zip(walk, reversed(walk)))]
+    else:
+        moves = [{walk[i]: walk[(i + 1) % k] for i in range(k)},
+                 {walk[i]: walk[-i] for i in range(k)}]
+    out = []
+    for move in moves:
+        p = tuple(move.get(v, v) for v in range(g.order))
+        if all(sum(1 << p[x] for x in members(mask)) == g.masks[p[v]]
+               for v, mask in enumerate(g.masks)):
+            out.append(p)
+    return tuple(out)
+
+
 def members(mask: int) -> list[int]:
     """The members of a vertex-set bitmask, which is non-negative, in
     ascending order."""
@@ -147,6 +202,13 @@ class FamilySpec(_SpecFields):
         return super().__new__(cls, kind, n, m, parts)
 
     _make = classmethod(lambda cls, values: cls(*values))   # checked; _replace calls it
+
+    @property
+    def order(self) -> int:
+        """The order of the graph ``generate`` builds for this spec."""
+        if self.kind == "path_union":
+            return sum(self.parts)
+        return self.m + (self.n or 0)
 
     def label(self) -> str:
         if self.kind == "path_union":

@@ -48,7 +48,8 @@ from .errors import BudgetExceededError, ParameterError
 from .formulas import AlphaFormulaResult, alpha_closed_form
 from .graphs import FAMILIES, FamilySpec, Graph, generate, join, members
 from .mis import MisResult, greedy_independent_set, is_independent, max_independent_set
-from .tokens import TokenGraph, TokenPair, build_f2, join_partition, partner_rows_mask
+from .tokens import (TokenGraph, TokenPair, build_f2, check_token_cap, join_partition,
+                     partner_rows_mask)
 
 METHODS = ("formula", "construction", "solver")
 VERDICTS = ("AGREE", "DISAGREE", "ABORTED")
@@ -211,7 +212,7 @@ class VerdictTally:
 
 def _solve(tg: TokenGraph, node_budget: int | None) -> dict:
     """Timed exact solve of the token graph, as the RowResult solver fields.
-    The search prunes by the base graph's twin orbits.  A budget overrun
+    The search prunes by the base graph's symmetries.  A budget overrun
     leaves the solver empty and marks the row aborted."""
     start = time.perf_counter()
     try:
@@ -255,8 +256,12 @@ def _row(label: str, spec: FamilySpec | None, base: Graph, methods: tuple[str, .
 
 def evaluate_row(spec: FamilySpec, methods=METHODS,
                  node_budget: int | None = None) -> RowResult:
-    """Run the requested methods on one family instance and compare."""
+    """Run the requested methods on one family instance and compare.  A
+    row that needs a token graph is refused from the spec's order, before
+    the base graph is built, when that graph would exceed the cap."""
     methods = _checked_methods(methods)
+    if "solver" in methods or "construction" in methods:
+        check_token_cap(spec.order)
     return _row(spec.label(), spec, base_graph_for(spec), methods, node_budget)
 
 
@@ -420,6 +425,7 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
         raise ParameterError(f"lemma-check requires n >= 1, got {n}")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    check_token_cap(n + h_spec.order)
     h = generate(h_spec)
     tg = build_f2(join(Graph.build(n, []), h))
     order = tg.base.order

@@ -47,22 +47,33 @@ nodes; split, it finishes in 6 706.
 Given the token graph it solves, the search also prunes by isomorphism
 (Margot, Pruning by isomorphism in branch-and-cut, Math. Program. 2002;
 Ostrowski, Linderoth, Rossi and Smriglio, Orbital branching, Math.
-Program. 2011).  Permuting the members of a twin class of the base graph,
-vertices with equal open or equal closed neighbourhoods, is an
-automorphism of the base graph and so of its token graph, acting on
-pairs.  A node's group is the product of the symmetric groups on the twin
-classes, each restricted to the base vertices that no chosen pair
-touches, so it fixes every chosen pair.  Once the child that includes v
-has returned, the node drops v's whole orbit under its group from the
-candidates: a set of the node that holds an image of v is the image of
-one that holds v, which the child has searched.  The invariant that makes
-this sound is that a node's candidates are invariant under its group.
-Every removal is either N[p] for a chosen pair p, which an automorphism
-fixing p's endpoints preserves, or a whole orbit under an ancestor's
-group, which contains the node's; below a split root, the orbit met
+Program. 2011).  An automorphism of the base graph is one of its token
+graph, acting on pairs, and the search uses two kinds.  Permuting the
+members of a twin class, vertices with equal open or equal closed
+neighbourhoods, is one.  So is any rotation or reflection of the base
+graph's cycle or path side, what is left once every vertex adjacent to
+all vertices outside its twin class is removed: the C_m of a wheel
+E_n + C_m, the P_m of a fan, all of a cycle (``graphs.
+cycle_or_path_generators`` returns the side's generators, each checked as
+an automorphism).  A node's group is the product of the symmetric groups
+on the twin classes, each restricted to the base vertices that no chosen
+pair touches, joined by the side's generators while no chosen pair
+touches a vertex they move; the root's forced pairs count as chosen.
+Each generator then fixes every touched base vertex, so the group fixes
+every chosen pair.  Once the child that includes v has returned, the
+node drops v's whole orbit under its group from the candidates: a set of
+the node that holds an image of v is the image of one that holds v,
+which the child has searched.  The invariant that makes this sound is
+that a node's candidates are invariant under its group.  Every removal
+is either N[p] for a chosen pair p, which an automorphism fixing p's
+endpoints preserves, or a whole orbit under an ancestor's group, which
+contains the node's: the touched vertices only grow down the tree, so a
+class's free members only shrink and the side's generators, once they
+leave the group, never rejoin it.  Below a split root, the orbit is met
 with the node's component (``max_independent_set`` shows why that is
 sound).  The join families E_n + H have E_n as a twin class, and K_m is
-one too, so split(5,14) solves in 6 nodes instead of 16 612.
+one too, so split(5,14) solves in 6 nodes instead of 16 612; the
+dihedral group of C_41 takes cycle(41) from 3 447 nodes to 960.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, ParameterError
-from .graphs import Graph, members, twin_classes
+from .graphs import Graph, cycle_or_path_generators, members, twin_classes
 from .tokens import TokenGraph
 
 
@@ -161,27 +172,35 @@ def _renumber(adj: tuple[int, ...], cand: int) -> tuple[list[int], tuple[int, ..
     return order, tuple([_union(bit, adj[v] & cand) for v in order])
 
 
-class _TwinOrbits:
+class _Orbits:
     """Orbits of the search's renumbered vertices, pairs {a,b} of a base
-    graph, under the product of the symmetric groups on its twin classes,
-    each restricted to the members no chosen pair touches.
+    graph, under a node's group.  The group permutes, inside each twin
+    class, the members that no chosen pair touches, and it rotates and
+    reflects the base graph's cycle or path side
+    (``graphs.cycle_or_path_generators``) while no chosen pair touches a
+    vertex those generators move, the side of this class.  The root's
+    forced pairs count as chosen at every node.
 
-    ``moves(v)`` tells whether an endpoint of v lies in a class of which
-    the root's forced pairs leave two or more members untouched; only then
-    can v's orbit be more than v.  ``free(chosen)`` gives a node's group as
-    the base vertices it moves: the untouched members of every such class
-    keeping two or more.  ``orbit(v, free)`` is v's orbit under that group.
-    The tables are built on the first call to ``moves``: each base vertex's
-    class and the renumbered vertices on it (``inc``), and each renumbered
-    vertex's two endpoints as one mask (``ends``), from which ``free``
-    reads the base vertices a chosen set touches.
+    ``moves(v)`` tells whether an endpoint of v is a base vertex the root's
+    group moves: a member of a class of which the forced pairs leave two or
+    more untouched, or of a side they leave untouched.  Only then can v's
+    orbit be more than v.  ``free(chosen)`` gives a node's group as the
+    base vertices it moves: the untouched members of every such class
+    keeping two or more, and the whole side while it is untouched.
+    ``orbit(v, free)`` is v's orbit under that group: the closure of v under
+    the twin orbits and the side's generators.  The tables are built on the
+    first call to ``moves``: each base vertex's class, or the vertex alone
+    outside one, and the renumbered vertices on it (``inc``), and each
+    renumbered vertex's two endpoints as one mask (``ends``), from which
+    ``free`` reads the base vertices a chosen set touches.  The generators'
+    maps of the renumbered vertices wait for the first orbit that uses them.
     """
 
     def __init__(self, token: TokenGraph, forced: int, order: list[int]):
         self._token = token
         self._forced = forced
         self._order = order
-        self._class_of = None
+        self._moved = None
 
     def _build(self) -> None:
         base, pairs = self._token.base, self._token.pairs
@@ -190,18 +209,28 @@ class _TwinOrbits:
             a, b = pairs[t]
             fixed |= 1 << a | 1 << b
         self._fixed = fixed
-        self._class_of = class_of = [0] * base.order
+        self._class_of = class_of = [1 << x for x in range(base.order)]
         self._classes = []
+        moved = 0
         for twins in twin_classes(base):
             mask = sum(1 << x for x in twins)
             left = mask & ~fixed
             if left & (left - 1):
                 self._classes.append(mask)
+                moved |= mask
                 for x in twins:
                     class_of[x] = mask
+        gens = cycle_or_path_generators(base)
+        side = 0  # the base vertices the generators move: the side, bar an odd path's middle
+        for p in gens:
+            side |= sum(1 << x for x, y in enumerate(p) if x != y)
+        if side & fixed:
+            gens, side = (), 0
+        self._gens, self._side, self._maps = gens, side, None
+        self._moved = moved | side
         self._inc = inc = [0] * base.order  # renumbered vertices on each base vertex
         self._ends = ends = []  # each renumbered vertex's endpoints, as one mask
-        if self._classes:
+        if self._moved:
             for i, t in enumerate(self._order):
                 a, b = pairs[t]
                 inc[a] |= 1 << i
@@ -209,12 +238,12 @@ class _TwinOrbits:
                 ends.append(1 << a | 1 << b)
 
     def moves(self, v: int) -> int:
-        """Nonzero iff an endpoint of renumbered vertex v lies in a class
-        that keeps two members off the root's forced pairs."""
-        if self._class_of is None:
+        """Nonzero iff an endpoint of renumbered vertex v is a base vertex
+        that the root's group moves."""
+        if self._moved is None:
             self._build()
         a, b = self._token.pairs[self._order[v]]
-        return self._class_of[a] | self._class_of[b]
+        return (self._moved >> a | self._moved >> b) & 1
 
     def free(self, chosen: int) -> int:
         """The base vertices that the group of a node with this chosen set
@@ -225,12 +254,14 @@ class _TwinOrbits:
             left = mask & ~touched
             if left & (left - 1):
                 free |= left
+        if not touched & self._side:
+            free |= self._side
         return free
 
-    def orbit(self, v: int, free: int) -> int:
-        """The orbit of renumbered vertex v under the group that moves the
-        base vertices in free, as a mask of renumbered vertices: each
-        endpoint of v in free ranges over the free members of its class."""
+    def _twin_orbit(self, v: int, free: int) -> int:
+        """The orbit of renumbered vertex v under the twin classes' part of
+        the group that moves free: each endpoint of v in free ranges over
+        the free members of its class."""
         a, b = self._token.pairs[self._order[v]]
         ra = self._class_of[a] & free if free >> a & 1 else 1 << a
         rb = self._class_of[b] & free if free >> b & 1 else 1 << b
@@ -245,6 +276,33 @@ class _TwinOrbits:
             inside |= on & seen
             seen |= on
         return inside
+
+    def orbit(self, v: int, free: int) -> int:
+        """The orbit of renumbered vertex v under the group that moves the
+        base vertices in free, as a mask of renumbered vertices: v's twin
+        orbit, closed under the side's generators when free holds the
+        side.  The generators fix the root's forced pairs, so they map the
+        renumbered vertices onto themselves."""
+        out = self._twin_orbit(v, free)
+        side = self._side
+        if not side or side & ~free:
+            return out
+        if self._maps is None:
+            pairs, through = self._token.pairs, self._token.through
+            at = dict(zip(self._order, range(len(self._order))))
+            ends = [pairs[t] for t in self._order]
+            self._maps = [[at[through[p[a]][p[b]]] for a, b in ends] for p in self._gens]
+        todo = out
+        while todo:
+            x = todo.bit_length() - 1
+            todo ^= 1 << x
+            for image in self._maps:
+                y = image[x]
+                if not out >> y & 1:
+                    more = self._twin_orbit(y, free)
+                    out |= more
+                    todo |= more
+        return out
 
 
 def _cover(adj: tuple[int, ...], cand: int, floor: int) -> tuple[int, list[int]]:
@@ -289,7 +347,8 @@ def max_independent_set(g: Graph | TokenGraph,
     """Exact colour-ordered branch and bound over adjacency bitsets.
 
     g is a plain graph or a token graph, whose ``.graph`` is then the g
-    solved below, pruned by the twin orbits of its ``.base``.
+    solved below, pruned by the orbits of its ``.base``'s twin classes and
+    cycle or path side.
 
     Each search node first folds in degree-0/1 vertices, returns when its
     chosen size plus its candidate count cannot beat the incumbent, takes
@@ -350,14 +409,20 @@ def max_independent_set(g: Graph | TokenGraph,
 
     For a token graph, a node's group permutes, inside each twin class of
     the base graph, the members that no chosen pair touches: root-forced,
-    folded or branched in the node's component.  After the child that
-    includes v returns, the loop drops v's whole orbit under that group
-    within the component, skips the loop vertices the drop removed, and
-    adds the neighbours of every dropped vertex to gone, which keeps the
-    folds' dirty mask exact.  The orbit of {a,b} replaces each endpoint
-    that lies in a class and is untouched by any untouched member of that
-    class.  The set-up waits for the first drop after which the loop goes
-    on branching, so a solve that never gets there builds nothing.
+    folded or branched in the node's component.  While no such pair
+    touches a base vertex that the rotations and reflections of the base
+    graph's cycle or path side move, the group holds those too.  After the
+    child that includes v returns, the loop drops v's whole orbit under
+    that group within the component, skips the loop vertices the drop
+    removed, and adds the neighbours of every dropped vertex to gone,
+    which keeps the folds' dirty mask exact.
+    The orbit of {a,b} is the closure of {a,b} under the twin orbits, which
+    replace each endpoint that lies in a class and is untouched by any
+    untouched member of that class, and under the side's generators when
+    they are in the group.  The set-up waits for the first drop after which
+    the loop goes on branching, so a solve that never gets there builds
+    nothing, and the generators' maps wait for the first orbit that uses
+    them.
 
     Splitting keeps this sound, though the group fixes no pair chosen in
     another component.  The group fixes the root's forced pairs, so it
@@ -399,7 +464,7 @@ def max_independent_set(g: Graph | TokenGraph,
         witness = forced | greedy
         return MisResult(witness.bit_count(), witness, 1)
     order, adj = _renumber(masks, rest)
-    orbits = None if token is None else _TwinOrbits(token, forced, order)
+    orbits = None if token is None else _Orbits(token, forced, order)
     cand = (1 << len(order)) - 1
     greedy = greedy_independent_set(adj, cand)
     best_size = best_bits = 0
@@ -419,8 +484,8 @@ def max_independent_set(g: Graph | TokenGraph,
         cand, chosen = _fold(adj, cand, dirty, chosen)
         size = chosen.bit_count()
         # `<=`, not `<`: with `<` an equal-size leaf replaces the incumbent's
-        # witness, which only the pinned wheel JSON of
-        # test_cli.py::test_sweep_report_bytes_are_pinned sees
+        # witness, which only the pinned wheel and cycle JSON of
+        # test_cli.py::test_sweep_report_bytes_are_pinned see
         if size + cand.bit_count() <= best_size:
             return
         if not cand:

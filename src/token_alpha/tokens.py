@@ -63,6 +63,17 @@ class TokenGraph:
 TOKEN_VERTEX_CAP = 1_000_000
 
 
+def check_token_cap(order: int) -> None:
+    """Reject a base order whose token graph would exceed
+    ``TOKEN_VERTEX_CAP`` vertices.  ``build_f2`` checks every graph it is
+    given; a caller holding a family spec checks the spec's order before
+    its graph is built, which for K_m alone takes C(m, 2) edge steps."""
+    size = order * (order - 1) // 2
+    if size > TOKEN_VERTEX_CAP:
+        raise ParameterError(f"token graph of base order {order} would have {size} "
+                             f"vertices, above the cap of {TOKEN_VERTEX_CAP}")
+
+
 @lru_cache(maxsize=32)
 def _pair_tables(order: int) -> tuple[tuple[TokenPair, ...], tuple[tuple[int, ...], ...]]:
     """The 2-subsets of 0..order-1 in lexicographic order, and for each
@@ -104,10 +115,7 @@ def build_f2(g: Graph) -> TokenGraph:
     """
     if g.order < 2:
         raise ParameterError(f"token graph requires base order >= 2, got {g.order}")
-    size = g.order * (g.order - 1) // 2
-    if size > TOKEN_VERTEX_CAP:
-        raise ParameterError(f"token graph of base order {g.order} would have {size} "
-                             f"vertices, above the cap of {TOKEN_VERTEX_CAP}")
+    check_token_cap(g.order)
     pairs, through = _pair_tables(g.order)
     masks = [0] * len(pairs)
     for a, b in g.sorted_edges():

@@ -11,9 +11,15 @@
 - The graph helpers ``delete_vertices`` and ``components``, with which the
   tests read H - S2 and the parts of a graph independently of the
   package's bitmask walks.
+- Base graphs the tests share: the benchmark's sparse graph
+  (``SPARSE_ORDER``, ``SPARSE_EDGES``), and ``planted_sides``, a hypothesis
+  strategy for a cycle or path joined to twin classes, whose symmetries
+  the tests know in advance.
 """
 
 import itertools
+
+from hypothesis import strategies as st
 
 from token_alpha.errors import ParameterError
 from token_alpha.graphs import Graph, members
@@ -222,3 +228,36 @@ def components(g):
                     stack.append(u)
         out.append(tuple(sorted(comp)))
     return out
+
+
+# the sparse base graph of the benchmark's frontier rows, in its checked-in
+# labels: order 40, 30 edges, alpha of its token graph 393
+SPARSE_ORDER = 40
+SPARSE_EDGES = [
+    (0, 19), (1, 16), (1, 25), (2, 16), (3, 14), (4, 5), (5, 35), (5, 38), (6, 11), (6, 25),
+    (9, 30), (10, 19), (10, 28), (11, 15), (12, 17), (12, 26), (13, 16), (14, 19), (15, 19),
+    (15, 32), (17, 23), (17, 30), (18, 23), (18, 27), (18, 35), (18, 36), (19, 32), (21, 24),
+    (27, 38), (33, 34),
+]
+
+
+@st.composite
+def planted_sides(draw, longest, most_classes, largest_class):
+    """A cycle of 5..longest or a path of 4..longest vertices joined to up
+    to most_classes classes of 1..largest_class true or false twins, each
+    class adjacent to every vertex outside it, with the labels shuffled.
+    Draws (cyclic, graph, the side's labels in walk order)."""
+    cyclic = draw(st.booleans())
+    k = draw(st.integers(5 if cyclic else 4, longest))
+    classes = draw(st.lists(st.tuples(st.integers(1, largest_class), st.booleans()),
+                            max_size=most_classes))
+    kind = [None] * k   # each vertex's class, None on the side
+    for c, (size, _) in enumerate(classes):
+        kind += [c] * size
+    labels = draw(st.permutations(range(len(kind))))
+    edges = [(i, i + 1) for i in range(k - 1)] + ([(k - 1, 0)] if cyclic else [])
+    for u, v in itertools.combinations(range(len(kind)), 2):
+        if kind[v] is not None and (kind[u] != kind[v] or classes[kind[u]][1]):
+            edges.append((u, v))
+    return (cyclic, Graph.build(len(kind), [(labels[u], labels[v]) for u, v in edges]),
+            [labels[i] for i in range(k)])

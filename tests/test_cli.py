@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,22 @@ def test_a_family_row_of_a_huge_order_exits_2(capsys):
     code, out, err = run_cli(capsys, "alpha", "--family", "empty", "--m", "20000")
     assert (code, out) == (2, "")
     assert err == TOO_WIDE.format(20_000, 199_990_000)
+
+
+@pytest.mark.parametrize("argv, order", [
+    (("alpha", "--family", "complete", "--m", "20000"), 20_000),
+    (("sweep", "--family", "split", "--n-range", "2..2", "--m-range", "20000..20000"), 20_002),
+    (("export", "--family", "complete", "--m", "20000", "--token"), 20_000),
+    (("lemma-check", "--n", "3", "--family", "complete", "--m", "20000"), 20_003),
+], ids=["alpha", "sweep", "export", "lemma-check"])
+def test_a_huge_family_spec_is_refused_before_its_graph_is_built(capsys, argv, order):
+    # K_20000 alone has ~2e8 edges, and building it edge by edge before the
+    # token graph's cap refused it took ~40 s; the spec's order is checked first
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == TOO_WIDE.format(order, order * (order - 1) // 2)
 
 
 def test_an_edgeless_file_below_the_cap_still_solves(capsys, tmp_path):

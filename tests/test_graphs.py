@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from token_alpha import graphs, harness
 from token_alpha.errors import ParameterError
-from token_alpha.graphs import FamilySpec, Graph, generate, join, members, twin_classes
+from token_alpha.graphs import (FamilySpec, Graph, cycle_or_path_generators, generate, join,
+                                members, twin_classes)
 from token_alpha.tokens import build_f2
 
-from reference import components, delete_vertices
+from reference import SPARSE_EDGES, SPARSE_ORDER, components, delete_vertices, planted_sides
 
 
 def odd_component_count(g):
@@ -374,3 +375,98 @@ def test_twin_classes_are_disjoint_and_every_transposition_is_an_automorphism(g)
         for v in range(u + 1, g.order):
             twins = masks[u] == masks[v] or masks[u] | 1 << u == masks[v] | 1 << v
             assert twins == any(u in c and v in c for c in classes)
+
+
+# ---------------------------------------------------------------------------
+# The cycle or path side: rotations and reflections beyond the twin classes
+# ---------------------------------------------------------------------------
+
+def is_automorphism(g, p):
+    return {tuple(sorted((p[a], p[b]))) for a, b in g.sorted_edges()} == edge_set(g)
+
+
+def generated_group(gens, order):
+    """Every permutation the generators compose to, identity included."""
+    group = {tuple(range(order))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for q in gens:
+            pq = tuple(q[p[v]] for v in range(order))
+            if pq not in group:
+                group.add(pq)
+                todo.append(pq)
+    return group
+
+
+@pytest.mark.parametrize("spec, count", [
+    (graphs.cycle(9), 2), (graphs.cycle(5), 2), (graphs.wheel(1, 5), 2), (graphs.wheel(3, 7), 2),
+    (graphs.path(8), 1), (graphs.path(4), 1), (graphs.fan(1, 4), 1), (graphs.fan(2, 6), 1),
+    (graphs.path_union((4, 5)), 0), (graphs.path_union((3, 1, 2)), 0), (graphs.split(3, 5), 0),
+    (graphs.split(1, 1), 0), (graphs.complete(5), 0), (graphs.complete_bipartite(2, 3), 0),
+    # C_4 and P_3 leave twins: the classes, not the generators, hold their symmetry
+    (graphs.wheel(2, 4), 0), (graphs.fan(2, 3), 0), (graphs.path(3), 0), (graphs.cycle(3), 0),
+], ids=lambda x: x.label() if isinstance(x, FamilySpec) else str(x))
+def test_the_generators_of_each_family(spec, count):
+    g = generate(spec)
+    gens = cycle_or_path_generators(g)
+    assert len(gens) == count
+    for p in gens:
+        assert sorted(p) == list(range(g.order)) and p != tuple(range(g.order))
+        assert is_automorphism(g, p)
+        # a join's E_n side is fixed: only the cycle or path moves
+        assert all(p[v] == v for v in range(spec.n or 0))
+
+
+def test_the_benchmark_sparse_graph_has_no_side_generator():
+    assert cycle_or_path_generators(Graph.build(SPARSE_ORDER, SPARSE_EDGES)) == ()
+
+
+def expected_generator_count(nx, h):
+    """Read with networkx: 2 when removing every vertex adjacent to all
+    vertices outside its twin class leaves one cycle, 1 when it leaves one
+    path of two or more vertices, else 0."""
+    def twins(u, v):
+        return set(h[u]) - {v} == set(h[v]) - {u}
+    removed = {v for v in h if all(h.has_edge(v, u) or twins(u, v) for u in h if u != v)}
+    side = h.subgraph(set(h) - removed)
+    if side.number_of_nodes() < 2 or not nx.is_connected(side):
+        return 0
+    degrees = sorted(d for _, d in side.degree())
+    if degrees[-1] > 2:
+        return 0
+    return 2 if degrees[0] == 2 else 1
+
+
+def test_every_generator_of_an_atlas_graph_is_an_automorphism():
+    nx = pytest.importorskip("networkx")
+    tally = [0, 0, 0]
+    for h in nx.graph_atlas_g():
+        g = Graph.build(h.number_of_nodes(), h.edges())
+        gens = cycle_or_path_generators(g)
+        assert len(gens) == expected_generator_count(nx, h), sorted(h.edges())
+        for p in gens:
+            assert sorted(p) == list(range(g.order)) and p != tuple(range(g.order))
+            assert is_automorphism(g, p), sorted(h.edges())
+        tally[len(gens)] += 1
+    # C_5..C_7, alone or joined; P_4..P_7, alone or joined
+    assert tally == [1_232, 14, 7]
+
+
+@given(planted_sides(9, 3, 3))
+@settings(max_examples=80, deadline=None)
+def test_a_planted_side_gives_exactly_its_rotations_and_reflections(case):
+    cyclic, g, walk = case
+    gens = cycle_or_path_generators(g)
+    assert len(gens) == (2 if cyclic else 1)
+    for p in gens:
+        assert is_automorphism(g, p)
+    k = len(walk)
+    if cyclic:
+        moves = [{walk[i]: walk[(j + s * i) % k] for i in range(k)}
+                 for j in range(k) for s in (1, -1)]
+    else:
+        moves = [{}, dict(zip(walk, reversed(walk)))]
+    expected = {tuple(move.get(v, v) for v in range(g.order)) for move in moves}
+    assert generated_group(gens, g.order) == expected
+

@@ -16,7 +16,7 @@ from token_alpha.mis import is_independent, max_independent_set
 from token_alpha.report import witness_digest, witness_strings
 from token_alpha.tokens import build_f2
 
-from reference import max_independent_set_exhaustive
+from reference import SPARSE_EDGES, SPARSE_ORDER, max_independent_set_exhaustive
 
 
 def random_graph(rng, n, p):
@@ -428,11 +428,11 @@ def solve_with_orbits(spec, node_budget=None):
     (graphs.complete(16), None, 8, 7, "f310e7a114a8"),
     (graphs.complete(20), 100_000, 10, 9, "4bf4420f2c5d"),
     (graphs.split(6, 18), None, 24, 8, "7a4ab537896b"),
-    (graphs.wheel(8, 23), None, 154, 333, "5f0fee242cb9"),
-    (graphs.cycle(29), None, 203, 217, "a2a277c0ee02"),
-    (graphs.wheel(1, 23), None, 126, 790, "ae1201de270e"),
-    (graphs.fan(10, 19), None, 136, 79, "0d67b05d7fc8"),
-    (graphs.wheel(4, 11), None, 33, 62, "912c61d0326d"),
+    (graphs.wheel(8, 23), None, 154, 145, "5f0fee242cb9"),
+    (graphs.cycle(29), None, 203, 63, "a2a277c0ee02"),
+    (graphs.wheel(1, 23), None, 126, 197, "ae1201de270e"),
+    (graphs.fan(10, 19), None, 136, 73, "0d67b05d7fc8"),
+    (graphs.wheel(4, 11), None, 33, 41, "912c61d0326d"),
 ], ids=["split(5,14)", "complete(16)", "complete(20)", "split(6,18)", "wheel(8,23)",
         "cycle(29)", "wheel(1,23)", "fan(10,19)", "wheel(4,11)"])
 def test_symmetric_search_trees_are_pinned(spec, budget, alpha, nodes, digest):
@@ -441,8 +441,8 @@ def test_symmetric_search_trees_are_pinned(spec, budget, alpha, nodes, digest):
     # and 300 000 on split(6,18); the last three rows branch and fold
     # below the root, so the witness digest of the solver's pairs moves
     # with any change to the fold order, the cover or the branching.
-    # wheel(4,11) pins _TwinOrbits.free: a group that also moved base
-    # vertex 0, which chosen pairs touch, searched 57 nodes, not 62
+    # wheel(4,11) pins _Orbits.free: a group that also moved base vertex
+    # 0, which chosen pairs touch, searched 37 nodes, not 41
     tg = build_f2(generate(spec))
     res = max_independent_set(tg, node_budget=budget)
     assert res.witness.bit_count() == res.size
@@ -453,8 +453,8 @@ def test_symmetric_search_trees_are_pinned(spec, budget, alpha, nodes, digest):
 
 
 @pytest.mark.parametrize("family,n_range,m_range,nodes", [
-    pytest.param("fan", (1, 6), (2, 10), 301, id="fan"),
-    pytest.param("wheel", (1, 6), (3, 10), 721, id="wheel"),
+    pytest.param("fan", (1, 6), (2, 10), 284, id="fan"),
+    pytest.param("wheel", (1, 6), (3, 10), 338, id="wheel"),
     pytest.param("path_union", None, (2, 10), 1_022, id="path_union"),
     pytest.param("complete_bipartite", (1, 6), (1, 8), 73, id="complete_bipartite"),
     pytest.param("split", (1, 5), (1, 10), 118, id="split"),
@@ -468,13 +468,46 @@ def test_symmetric_search_tree_sizes_are_pinned(family, n_range, m_range, nodes)
 
 
 def test_orbits_without_twins_leave_the_search_tree_alone():
-    for spec in (graphs.cycle(9), graphs.path(8), graphs.path_union((4, 5))):
-        tg = build_f2(generate(spec))
-        assert graphs.twin_classes(tg.base) == ()
+    # neither base has a twin class or a side that is one cycle or path, so
+    # the group is trivial: F2(C5 + C7) branches below its root, and the
+    # path union closes at it
+    for base in (cycle_union(5, 7), generate(graphs.path_union((4, 5)))):
+        tg = build_f2(base)
+        assert graphs.twin_classes(base) == () == graphs.cycle_or_path_generators(base)
         plain = max_independent_set(tg.graph)
         pruned = max_independent_set(tg)
         assert (pruned.size, pruned.nodes_explored, pruned.witness) == (
             plain.size, plain.nodes_explored, plain.witness)
+
+
+@pytest.mark.parametrize("spec,plain_nodes,nodes", [
+    (graphs.cycle(9), 3, 2), (graphs.cycle(15), 16, 7), (graphs.wheel(1, 11), 19, 11),
+], ids=["cycle(9)", "cycle(15)", "wheel(1,11)"])
+def test_a_cycle_side_shrinks_the_search_tree_but_not_alpha(spec, plain_nodes, nodes):
+    # none of these bases has a twin class, so every orbit drop comes from
+    # the cycle's rotations and reflections
+    tg = build_f2(generate(spec))
+    assert graphs.twin_classes(tg.base) == ()
+    assert len(graphs.cycle_or_path_generators(tg.base)) == 2
+    plain = max_independent_set(tg.graph)
+    pruned = max_independent_set(tg)
+    assert (plain.nodes_explored, pruned.nodes_explored) == (plain_nodes, nodes)
+    assert pruned.size == plain.size == alpha_closed_form(spec).value
+    assert pruned.witness.bit_count() == pruned.size
+    assert is_independent(tg.graph, pruned.witness)
+
+
+def test_a_side_that_a_forced_pair_touches_leaves_the_group():
+    # F2(P_8)'s root folds {0,1}, a vertex of degree 1; a group that moved
+    # the path would not fix that pair, so the reversal must stay out of it
+    tg = build_f2(generate(graphs.path(8)))
+    forced = 1 << tg.through[0][1]
+    order = [t for t in range(tg.graph.order) if not forced >> t & 1]
+    side = (1 << 8) - 1
+    for fixed, free in ((0, side), (forced, 0)):
+        orbits = mis._Orbits(tg, fixed, order)
+        assert any(orbits.moves(i) for i in range(len(order))) == bool(free)
+        assert orbits.free(0) == free
 
 
 def networkx_alpha(g):
@@ -542,17 +575,6 @@ def test_a_solve_frees_the_token_graph_without_the_garbage_collector(budget):
 # ---------------------------------------------------------------------------
 # Disconnected residuals: the root searches each component on its own
 # ---------------------------------------------------------------------------
-
-# the sparse base graph of the benchmark's frontier rows, in its checked-in
-# labels: order 40, 30 edges, alpha of its token graph 393
-SPARSE_ORDER = 40
-SPARSE_EDGES = [
-    (0, 19), (1, 16), (1, 25), (2, 16), (3, 14), (4, 5), (5, 35), (5, 38), (6, 11), (6, 25),
-    (9, 30), (10, 19), (10, 28), (11, 15), (12, 17), (12, 26), (13, 16), (14, 19), (15, 19),
-    (15, 32), (17, 23), (17, 30), (18, 23), (18, 27), (18, 35), (18, 36), (19, 32), (21, 24),
-    (27, 38), (33, 34),
-]
-
 
 def test_sparse_graph_solves_by_its_components():
     # searched whole, this 780-vertex token graph exceeds 200 000 nodes; the

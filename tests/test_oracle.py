@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from token_alpha import graphs
 from token_alpha.graphs import Graph, generate
 from token_alpha.mis import is_independent, max_independent_set
-from token_alpha.tokens import build_f2
+from token_alpha.tokens import TokenGraph, build_f2
 
-from reference import EXHAUSTIVE_CAP, max_independent_set_exhaustive
+from reference import EXHAUSTIVE_CAP, max_independent_set_exhaustive, planted_sides
 
 nx = pytest.importorskip("networkx")
 
@@ -26,18 +26,24 @@ def networkx_alpha(g: Graph) -> int:
     return len(clique)
 
 
-def check_against_networkx(g: Graph):
+def check_against_networkx(g):
+    """Solve g, a plain graph or a token graph (whose ``.graph`` is solved,
+    pruned by its base graph's symmetries), and check it against networkx."""
     res = max_independent_set(g)
-    assert res.size == networkx_alpha(g)
-    assert is_independent(g, res.witness)
+    plain = g.graph if isinstance(g, TokenGraph) else g
+    assert res.size == networkx_alpha(plain)
+    assert is_independent(plain, res.witness)
     assert res.witness.bit_count() == res.size
 
 
-@pytest.mark.parametrize("spec", [graphs.fan(3, 8), graphs.wheel(4, 9), graphs.split(4, 11)],
+@pytest.mark.parametrize("spec", [graphs.fan(3, 8), graphs.wheel(4, 9), graphs.split(4, 11),
+                                  graphs.cycle(13), graphs.wheel(2, 9)],
                          ids=lambda spec: spec.label())
 def test_family_token_graphs_match_networkx(spec):
+    # on both routes: pruned by the base graph's symmetries, and plain
     tg = build_f2(generate(spec))
     assert tg.graph.order > EXHAUSTIVE_CAP
+    check_against_networkx(tg)
     check_against_networkx(tg.graph)
 
 
@@ -53,6 +59,16 @@ def base_graphs(draw, lo=7, hi=12):
 @settings(max_examples=40, deadline=None)
 def test_random_token_graphs_match_networkx(base):
     check_against_networkx(build_f2(base).graph)
+
+
+@given(planted_sides(7, 2, 2))
+@settings(max_examples=30, deadline=None)
+def test_planted_cycle_and_path_sides_match_networkx(case):
+    # token graphs of up to 55 vertices that the search prunes by the
+    # side's rotations and reflections as well as by the twins
+    _, base, _ = case
+    assert graphs.cycle_or_path_generators(base)
+    check_against_networkx(build_f2(base))
 
 
 def test_every_atlas_graph_of_order_2_to_7_matches_the_oracle():
@@ -98,8 +114,8 @@ def check_against_milp(tg):
 # spec, alpha, and the solver's node count on the token route: these are
 # the deepest family search trees tier-1 solves, so the counts pin them
 MILP_FAMILY_ROWS = [
-    (graphs.cycle(41), 410, 3447), (graphs.wheel(1, 27), 175, 3227),
-    (graphs.fan(6, 14), 64, 15), (graphs.split(5, 14), 17, 6), (graphs.complete(20), 10, 9),
+    (graphs.cycle(41), 410, 960), (graphs.wheel(1, 27), 175, 773),
+    (graphs.fan(6, 14), 64, 13), (graphs.split(5, 14), 17, 6), (graphs.complete(20), 10, 9),
 ]
 
 
