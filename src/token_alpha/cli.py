@@ -16,12 +16,13 @@ import os
 import sys
 
 from .errors import ParameterError, ParseError
-from .fileio import parse_graph, read_text, render_graph
+from .fileio import declared_order, parse_graph, read_text, render_graph
 from .graphs import FamilySpec
 from . import graphs
 from .harness import (
     METHODS,
     VerdictTally,
+    base_graph_for,
     evaluate_graph_row,
     evaluate_row,
     run_lemma_trials,
@@ -110,8 +111,9 @@ def _cmd_alpha(args) -> tuple[str, int]:
         for flag in ("n", "m", "parts", "methods"):
             if getattr(args, flag) is not None:
                 raise ParameterError(f"--input does not take --{flag}")
-        base = parse_graph(read_text(args.input))
-        row = evaluate_graph_row(f"file:{os.path.basename(args.input)}", base,
+        text = read_text(args.input)
+        check_token_cap(declared_order(text))   # before a mask per vertex is built
+        row = evaluate_graph_row(f"file:{os.path.basename(args.input)}", parse_graph(text),
                                  node_budget=_budget(args))
     else:
         spec = _family_spec(args)
@@ -153,8 +155,7 @@ def _cmd_export(args) -> tuple[str, int]:
     spec = _family_spec(args)
     if not args.token:
         return render_graph(graphs.generate(spec), comments=[spec.label()]), 0
-    check_token_cap(spec.order)   # before K_m's C(m, 2) edges are built
-    return render_token_graph(build_f2(graphs.generate(spec))), 0
+    return render_token_graph(build_f2(base_graph_for(spec))), 0
 
 
 def _cmd_import(args) -> tuple[str, int]:

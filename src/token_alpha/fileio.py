@@ -20,58 +20,73 @@ def render_graph(g: Graph, comments: list[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse a native edge-list or DIMACS graph; raises ParseError with line numbers."""
-    order = None
-    declared_edges = None
-    base = 0  # the number of the first vertex: 1 in DIMACS files
-    edges = []
-    p_seen_at = None
-
+def _lines(text: str):
+    """(line number, stripped line, its fields) for each line of text that
+    is neither blank nor a comment, in file order."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if p_seen_at is not None:
-                raise ParseError("duplicate p line", lineno)
-            if len(fields) == 4 and fields[1] in ("edge", "edges", "col"):
-                base = 1
-                fields = ["p", fields[2], fields[3]]
-            if len(fields) != 3:
-                raise ParseError(f"malformed p line: {line!r}", lineno)
-            try:
-                order, declared_edges = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(f"non-integer counts in p line: {line!r}", lineno) from None
-            if order < 0 or declared_edges < 0:
-                raise ParseError("negative counts in p line", lineno)
-            p_seen_at = lineno
-        elif fields[0] == "e":
-            if p_seen_at is None:
-                raise ParseError("e line before p line", lineno)
-            if len(fields) != 3:
-                raise ParseError(f"malformed e line: {line!r}", lineno)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(f"non-integer endpoints: {line!r}", lineno) from None
-            if u == v:
-                raise ParseError(f"self-loop {u}", lineno)
-            if not (base <= u < order + base and base <= v < order + base):
-                raise ParseError(f"endpoint out of range {base}..{order - 1 + base}", lineno)
-            edges.append((u - base, v - base))
-        else:
-            raise ParseError(f"unrecognized line: {line!r}", lineno)
+        if line and not line.startswith("c"):
+            yield lineno, line, line.split()
 
-    if p_seen_at is None:
+
+def _p_line(first: tuple[int, str, list[str]] | None) -> tuple[int, int, int, int]:
+    """The line number, order, edge count and first vertex number (1 in
+    DIMACS files, else 0) of a file's p line, which must be the first of
+    its ``_lines``, given that first one (None for a file without one)."""
+    if first is None:
         raise ParseError("missing p line", 1)
+    lineno, line, fields = first
+    if fields[0] == "e":
+        raise ParseError("e line before p line", lineno)
+    if fields[0] != "p":
+        raise ParseError(f"unrecognized line: {line!r}", lineno)
+    dimacs = len(fields) == 4 and fields[1] in ("edge", "edges", "col")
+    if len(fields) != 3 + dimacs:
+        raise ParseError(f"malformed p line: {line!r}", lineno)
+    try:
+        order, declared_edges = map(int, fields[1 + dimacs:])
+    except ValueError:
+        raise ParseError(f"non-integer counts in p line: {line!r}", lineno) from None
+    if order < 0 or declared_edges < 0:
+        raise ParseError("negative counts in p line", lineno)
+    return lineno, order, declared_edges, int(dimacs)
+
+
+def declared_order(text: str) -> int:
+    """The order a graph file's p line declares, read without building the
+    graph, so that a caller can refuse a huge order before ``parse_graph``
+    allocates a mask per vertex.  A file whose p line is missing or
+    malformed raises the ParseError that ``parse_graph`` raises for it."""
+    return _p_line(next(_lines(text), None))[1]
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse a native edge-list or DIMACS graph; raises ParseError with line numbers."""
+    lines = _lines(text)
+    p_lineno, order, declared_edges, base = _p_line(next(lines, None))
+    edges = []
+    for lineno, line, fields in lines:
+        if fields[0] == "p":
+            raise ParseError("duplicate p line", lineno)
+        if fields[0] != "e":
+            raise ParseError(f"unrecognized line: {line!r}", lineno)
+        if len(fields) != 3:
+            raise ParseError(f"malformed e line: {line!r}", lineno)
+        try:
+            u, v = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise ParseError(f"non-integer endpoints: {line!r}", lineno) from None
+        if u == v:
+            raise ParseError(f"self-loop {u}", lineno)
+        if not (base <= u < order + base and base <= v < order + base):
+            raise ParseError(f"endpoint out of range {base}..{order - 1 + base}", lineno)
+        edges.append((u - base, v - base))
+
     g = Graph.build(order, edges)
     if g.edge_count != declared_edges:
         raise ParseError(
             f"p line declares {declared_edges} edges but file defines {g.edge_count}",
-            p_seen_at)
+            p_lineno)
     return g
 
 

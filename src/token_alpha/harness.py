@@ -10,14 +10,14 @@ check it independently and the node budget caps the solver alone; from
 ``mis`` they take only the greedy maximal independent set, as the S2 of
 a join family's cross candidate.  Their witnesses are always re-checked
 for independence before their size is trusted.  The solver runs only
-for a row's solver cell (``_solve``).  A row generates its graph once:
-the construction reads it, and a join's H is read off it.  Every
-construction route, the one-graph kinds, both join candidates and the
-lemma trials, takes its maximum set of an F2(H - S2) from one recipe,
-``_max_ind_rows_of_f2``, which reads the shape of H - S2 off H's
-adjacency bitsets (paths, a clique or a whole cycle), not from a family
-name.  S1, S2 and the recipe's removed set are bitmasks, as the
-adjacency bitsets are.  Constructions, lemma-trial sets and solver
+for a row's solver cell (``_solve``).  A row generates its graph once,
+and a formula-only row not at all: the construction reads it, and a
+join's H is read off it.  Every construction route, the one-graph kinds,
+both join candidates and the lemma trials, takes its maximum set of an
+F2(H - S2) from one recipe, ``_max_ind_rows_of_f2``, which reads the
+shape of H - S2 off H's adjacency bitsets (paths, a clique or a whole
+cycle), not from a family name.  S1, S2 and the recipe's removed set are
+bitmasks, as the adjacency bitsets are.  Constructions, lemma-trial sets and solver
 witnesses are token masks, and a row keeps them so: it carries its token
 graph's pair table, which ``report`` reads to write a JSON witness.
 
@@ -131,7 +131,10 @@ def construction_pairs(spec: FamilySpec, base: Graph) -> int:
 
 
 def base_graph_for(spec: FamilySpec) -> Graph:
-    """Graph whose token graph the harness verifies: the one ``generate`` builds."""
+    """Graph whose token graph the harness verifies: the one ``generate``
+    builds.  It is refused from the spec's order, before it is built, when
+    that token graph would exceed the cap."""
+    check_token_cap(spec.order)
     return generate(spec)
 
 
@@ -233,14 +236,14 @@ def _checked_methods(methods) -> tuple[str, ...]:
     return methods
 
 
-def _row(label: str, spec: FamilySpec | None, base: Graph, methods: tuple[str, ...],
-         node_budget: int | None) -> RowResult:
+def _row(label: str, order: int, spec: FamilySpec | None, base: Graph | None,
+         methods: tuple[str, ...], node_budget: int | None) -> RowResult:
     """The one row body: checked methods on base, spec's graph or a file's
-    (no spec).  Below order 2 there is no token graph, so the row is rejected."""
-    if base.order < 2:
-        raise ParameterError(
-            f"{label} has order {base.order}; no token graph exists below order 2")
-    tg = build_f2(base) if "solver" in methods or "construction" in methods else None
+    (no spec), of this order; a formula-only row has no base.  Below order
+    2 there is no token graph, so the row is rejected."""
+    if order < 2:
+        raise ParameterError(f"{label} has order {order}; no token graph exists below order 2")
+    tg = build_f2(base) if base is not None else None
 
     formula = alpha_closed_form(spec) if "formula" in methods else None
 
@@ -256,18 +259,17 @@ def _row(label: str, spec: FamilySpec | None, base: Graph, methods: tuple[str, .
 
 def evaluate_row(spec: FamilySpec, methods=METHODS,
                  node_budget: int | None = None) -> RowResult:
-    """Run the requested methods on one family instance and compare.  A
-    row that needs a token graph is refused from the spec's order, before
-    the base graph is built, when that graph would exceed the cap."""
+    """Run the requested methods on one family instance and compare.  The
+    base graph is built only for the construction or the solver: a
+    formula-only row needs none, whatever the spec's order."""
     methods = _checked_methods(methods)
-    if "solver" in methods or "construction" in methods:
-        check_token_cap(spec.order)
-    return _row(spec.label(), spec, base_graph_for(spec), methods, node_budget)
+    base = base_graph_for(spec) if "solver" in methods or "construction" in methods else None
+    return _row(spec.label(), spec.order, spec, base, methods, node_budget)
 
 
 def evaluate_graph_row(label: str, base: Graph, node_budget: int | None = None) -> RowResult:
     """Solver row, the only method it has, for an imported base graph."""
-    return _row(label, None, base, ("solver",), node_budget)
+    return _row(label, base.order, None, base, ("solver",), node_budget)
 
 
 # ---------------------------------------------------------------------------

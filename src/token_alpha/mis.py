@@ -11,7 +11,10 @@ with greedy cliques, numbered 1..K in the order they are built.  An
 independent set meets each clique at most once, so the candidates in
 cliques 1..k hold at most k of its vertices.  The node branches on the
 vertices of the highest-numbered cliques first, and stops as soon as the
-clique number k of the next vertex can no longer beat the incumbent.
+clique number k of the next vertex can no longer beat the incumbent.  The
+search keeps its open nodes on a list, each a generator paused at the
+child it last yielded, so it never recurses and no depth limit of the
+interpreter applies.
 
 Before the cover, a node folds forced vertices (degree 0 or 1 among the
 candidates) into the chosen set, always the lowest forced vertex first.
@@ -60,10 +63,10 @@ on the twin classes, each restricted to the base vertices that no chosen
 pair touches, joined by the side's generators while no chosen pair
 touches a vertex they move; the root's forced pairs count as chosen.
 Each generator then fixes every touched base vertex, so the group fixes
-every chosen pair.  Once the child that includes v has returned, the
-node drops v's whole orbit under its group from the candidates: a set of
-the node that holds an image of v is the image of one that holds v,
-which the child has searched.  The invariant that makes this sound is
+every chosen pair.  Once the search below the child that includes v has
+ended, the node drops v's whole orbit under its group from the
+candidates: a set of the node that holds an image of v is the image of
+one that holds v, which the child has searched.  The invariant that makes this sound is
 that a node's candidates are invariant under its group.  Every removal
 is either N[p] for a chosen pair p, which an automorphism fixing p's
 endpoints preserves, or a whole orbit under an ancestor's group, which
@@ -78,7 +81,6 @@ dihedral group of C_41 takes cycle(41) from 3 447 nodes to 960.
 
 from __future__ import annotations
 
-import sys
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, ParameterError
@@ -356,10 +358,10 @@ def max_independent_set(g: Graph | TokenGraph,
     otherwise builds a greedy clique cover of its candidates.  Walking the
     cover from its highest-numbered clique down, it returns once the
     chosen size plus the current clique number cannot beat the incumbent;
-    otherwise it recurses on including the vertex and drops the vertex
-    from the candidates.  Excluding a vertex is that drop, not a
-    recursive call, so every level of recursion adds a vertex to the
-    chosen set.
+    otherwise it opens a child that includes the vertex and, once that
+    child's search has ended, drops the vertex from the candidates.
+    Excluding a vertex is that drop, not a child, so every child adds a
+    vertex to the chosen set.
 
     The root folds every forced vertex of g in g's own labels.  In those
     labels it then takes a greedy maximal independent set of the vertices
@@ -367,7 +369,7 @@ def max_independent_set(g: Graph | TokenGraph,
     are exact and the cover's clique count bounds alpha of what they
     leave, so when the count equals the set's size, the forced vertices
     plus that set are a maximum set: the solve ends at node 1, with no
-    renumbering, orbit table, components or recursion limit.
+    renumbering, orbit table or components.
 
     Otherwise the vertices left are renumbered by ascending degree among
     themselves (ties to the lower label), and the search runs on their
@@ -412,10 +414,10 @@ def max_independent_set(g: Graph | TokenGraph,
     folded or branched in the node's component.  While no such pair
     touches a base vertex that the rotations and reflections of the base
     graph's cycle or path side move, the group holds those too.  After the
-    child that includes v returns, the loop drops v's whole orbit under
-    that group within the component, skips the loop vertices the drop
-    removed, and adds the neighbours of every dropped vertex to gone,
-    which keeps the folds' dirty mask exact.
+    search below the child that includes v ends, the loop drops v's whole
+    orbit under that group within the component, skips the loop vertices
+    the drop removed, and adds the neighbours of every dropped vertex to
+    gone, which keeps the folds' dirty mask exact.
     The orbit of {a,b} is the closure of {a,b} under the twin orbits, which
     replace each endpoint that lies in a class and is untouched by any
     untouched member of that class, and under the side's generators when
@@ -438,14 +440,14 @@ def max_independent_set(g: Graph | TokenGraph,
 
     nodes_explored counts search nodes over all components.  Node 1 is
     the root: its folds, its certificate, and the start of each component's
-    search, a node with no chosen vertex that adds no count.  Each child
-    is counted by the branch loop that creates it, which raises
+    search, a node with no chosen vertex that adds no count.  The search
+    does not recurse: each node is a generator that yields its children's
+    arguments, and one driver loop keeps the open nodes of a component's
+    search on a list, its start and then one per chosen vertex.  The
+    driver counts each child as its parent yields it and raises
     BudgetExceededError once the count would exceed node_budget.  Every
-    node folds, bounds and covers on entry.  The search takes one frame
-    per level, a component's start and then one per chosen vertex, so its
-    depth is at most alpha + 2; for the solve the interpreter's recursion
-    limit is raised by one frame per renumbered vertex, and restored
-    however the solve ends.
+    node folds, bounds and covers on entry.  The search's depth is bounded
+    by memory, not by the interpreter's recursion limit.
     """
     token = None
     if isinstance(g, TokenGraph):
@@ -467,20 +469,21 @@ def max_independent_set(g: Graph | TokenGraph,
     orbits = None if token is None else _Orbits(token, forced, order)
     cand = (1 << len(order)) - 1
     greedy = greedy_independent_set(adj, cand)
-    best_size = best_bits = 0
     nodes = 1
 
     def branch(cand: int, chosen: int, dirty: int):
         # One search node: fold, bound, leaf, cover, then branch in the
-        # reverse of the cover's order.  The candidates left when a vertex of
-        # clique k comes up lie in cliques 1..k.  A child's vertex has a lower
-        # degree than here only if it neighbours a candidate of N(v) or a
-        # vertex this loop has dropped (gone).  With orbits, dropping v drops
-        # v's orbit under the node's group (free, found at the node's first
+        # reverse of the cover's order, yielding each child's arguments to
+        # the driver below.  The candidates left when a vertex of clique k
+        # comes up lie in cliques 1..k.  A child's vertex has a lower degree
+        # than here only if it neighbours a candidate of N(v) or a vertex
+        # this loop has dropped (gone).  With orbits, dropping v drops v's
+        # orbit under the node's group (free, found at the node's first
         # orbit drop) and the cliques lose what it removed.  Once size + k
         # cannot beat the incumbent the node branches no more, so no orbit is
-        # worth dropping.
-        nonlocal best_size, best_bits, nodes
+        # worth dropping.  The incumbent is read afresh after every child,
+        # which may have raised it.
+        nonlocal best_size, best_bits
         cand, chosen = _fold(adj, cand, dirty, chosen)
         size = chosen.bit_count()
         # `<=`, not `<`: with `<` an equal-size leaf replaces the incumbent's
@@ -502,11 +505,8 @@ def max_independent_set(g: Graph | TokenGraph,
                 v = clique.bit_length() - 1
                 bit = 1 << v
                 clique ^= bit
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    raise BudgetExceededError(nodes)
                 child = cand & ~(adj[v] | bit)
-                branch(child, chosen | bit, child & (gone | _union(adj, adj[v] & cand)))
+                yield child, chosen | bit, child & (gone | _union(adj, adj[v] & cand))
                 cand ^= bit
                 gone |= adj[v]
                 if orbits is None or size + k <= best_size or not orbits.moves(v):
@@ -519,24 +519,24 @@ def max_independent_set(g: Graph | TokenGraph,
                     clique &= cand
                     gone |= _union(adj, twins)
 
-    # each level of the search below a component's start is one frame and
-    # adds a vertex to the chosen set, so a dive may need len(order) frames
-    # above the caller's, past the default limit of 1 000 on the deepest dives
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + len(order) + 50)
+    # the driver: the open nodes of a component's search, root first, each
+    # a generator paused at its latest child, against the component's own
+    # incumbent (best_size, best_bits).  It counts every child against the
+    # budget and searches it to the end before its parent goes on
     found = 0
-    try:
-        for part in sorted(_components(adj, cand), key=int.bit_count):
-            best_bits = greedy & part
-            best_size = best_bits.bit_count()
-            branch(part, 0, 0)
-            found |= best_bits
-    finally:
-        sys.setrecursionlimit(limit)
-        # branch reaches itself through its closure; breaking that cycle
-        # frees the search's state, and the token graph held for the
-        # orbits, as soon as the solve ends rather than at a later garbage
-        # collection
-        branch = None
+    for part in sorted(_components(adj, cand), key=int.bit_count):
+        best_bits = greedy & part
+        best_size = best_bits.bit_count()
+        stack = [branch(part, 0, 0)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+                continue
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise BudgetExceededError(nodes)
+            stack.append(branch(*child))
+        found |= best_bits
     witness = forced | sum(1 << order[i] for i in members(found))
     return MisResult(witness.bit_count(), witness, nodes)

@@ -121,10 +121,10 @@ def test_alpha_from_file(capsys, tmp_path):
 
 
 def test_a_deep_search_on_a_file_is_an_aborted_row(capsys, tmp_path):
-    # GP(50,2), whose search dives ~600 levels within 600 nodes, one frame
-    # a level: run under a limit 300 frames above this one, the budget
-    # ends it, as an ABORTED row and exit 3, only if the solve raises the
-    # limit
+    # GP(50,2), whose search dives ~600 levels within 600 nodes: run under
+    # a limit 300 frames above this one, the budget ends it, as an ABORTED
+    # row and exit 3, because the search keeps its open nodes on a list
+    # and does not recurse
     edges = [e for i in range(50)
              for e in ((i, (i + 1) % 50), (i, 50 + i), (50 + i, 50 + (i + 2) % 50))]
     target = tmp_path / "gp.txt"
@@ -165,19 +165,36 @@ TOO_WIDE = ("error: token graph of base order {} would have {} vertices, "
             "above the cap of 1000000\n")
 
 
+def alpha_in_1gb(path) -> subprocess.CompletedProcess:
+    """``alpha --input path`` in a child process whose address space is
+    capped at 1 GB."""
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from token_alpha.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-c", script, "alpha", "--input", str(path)],
+                          env=env, capture_output=True, text=True, timeout=30)
+
+
 def test_a_tiny_file_of_a_huge_order_exits_2_at_once(tmp_path):
     # "p 100000 0" asks for ~5e9 token vertices, ~680 GB of pair tables; it
     # is refused before any is built, so the run fits an address space of
     # 1 GB and ends well within the timeout
     wide = tmp_path / "wide.txt"
     wide.write_text("p 100000 0\n")
-    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-              "from token_alpha.cli import main; sys.exit(main(sys.argv[1:]))")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", script, "alpha", "--input", str(wide)],
-                          env=env, capture_output=True, text=True, timeout=30)
+    proc = alpha_in_1gb(wide)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == TOO_WIDE.format(100_000, 4_999_950_000)
+
+
+def test_a_file_whose_order_alone_overflows_memory_exits_2(tmp_path):
+    # "p 1000000000 0": one adjacency mask per vertex is ~8 GB before any
+    # token graph, so the file is refused from its p line's order, as one
+    # error line and exit 2, not a MemoryError's traceback and exit 1
+    wide = tmp_path / "wider.txt"
+    wide.write_text("p 1000000000 0\n")
+    proc = alpha_in_1gb(wide)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == TOO_WIDE.format(1_000_000_000, 499_999_999_500_000_000)
 
 
 def test_a_family_row_of_a_huge_order_exits_2(capsys):
@@ -200,6 +217,20 @@ def test_a_huge_family_spec_is_refused_before_its_graph_is_built(capsys, argv, o
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == TOO_WIDE.format(order, order * (order - 1) // 2)
+
+
+def test_a_formula_only_row_builds_no_graph(capsys):
+    # K_20000 alone has ~2e8 edges; its closed form needs none of them
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "alpha", "--family", "complete", "--m", "20000",
+                           "--methods", "formula")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[1].split("\t")[4] == "10000"
+    code, out, err = run_cli(capsys, "alpha", "--family", "complete", "--m", "1",
+                             "--methods", "formula")
+    assert (code, out) == (2, "")
+    assert err == "error: complete(m=1) has order 1; no token graph exists below order 2\n"
 
 
 def test_an_edgeless_file_below_the_cap_still_solves(capsys, tmp_path):

@@ -134,8 +134,9 @@ def test_budget_abort_is_distinct():
 def test_a_deep_search_ends_on_its_budget_not_the_recursion_limit():
     # the generalized Petersen graph GP(50,2): outer cycle, spokes, inner
     # edges i to i+2.  Its token graph's search dives ~600 levels within
-    # 600 nodes, one frame a level; run under a limit 300 frames above
-    # this one, it ends on its budget only if the solve raises the limit
+    # 600 nodes; run under a limit 300 frames above this one, it ends on
+    # its budget, with the limit left as it was, because the search keeps
+    # its open nodes on a list and does not recurse
     edges = [e for i in range(50)
              for e in ((i, (i + 1) % 50), (i, 50 + i), (50 + i, 50 + (i + 2) % 50))]
     tg = build_f2(Graph.build(100, edges))
@@ -150,6 +151,27 @@ def test_a_deep_search_ends_on_its_budget_not_the_recursion_limit():
         assert sys.getrecursionlimit() == limit
     finally:
         sys.setrecursionlimit(saved)
+
+
+def test_a_deep_search_never_sets_the_recursion_limit(monkeypatch):
+    # GP(50,2)'s ~600-level dive, under a limit 40 frames above this one
+    # that the solve cannot raise: the search's depth is its list of open
+    # nodes, not the interpreter's stack
+    edges = [e for i in range(50)
+             for e in ((i, (i + 1) % 50), (i, 50 + i), (50 + i, 50 + (i + 2) % 50))]
+    tg = build_f2(Graph.build(100, edges))
+
+    def refuse(limit):
+        raise AssertionError(f"the solve set the recursion limit to {limit}")
+
+    set_limit, saved = sys.setrecursionlimit, sys.getrecursionlimit()
+    set_limit(len(inspect.stack(0)) + 40)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    try:
+        with pytest.raises(BudgetExceededError):
+            max_independent_set(tg, node_budget=600)
+    finally:
+        set_limit(saved)
 
 
 def test_budget_edge_is_the_node_count():
