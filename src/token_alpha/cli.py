@@ -29,7 +29,7 @@ from .harness import (
     run_sweep,
 )
 from .report import render_json, render_tsv
-from .tokens import build_f2, check_token_cap, render_token_graph
+from .tokens import TOKEN_VERTEX_CAP, build_f2, check_token_cap, render_token_graph
 
 _LEMMA_H_FAMILIES = tuple(sorted(graphs.JOIN_H_KIND.values()))
 
@@ -151,15 +151,26 @@ def _cmd_lemma_check(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", tally.exit_code
 
 
+def _check_order(order: int) -> None:
+    """Refuse a graph above ``TOKEN_VERTEX_CAP`` vertices, more than any
+    graph the program writes, before a mask per vertex is allocated."""
+    if order > TOKEN_VERTEX_CAP:
+        raise ParameterError(f"graph of order {order} is above the cap of "
+                             f"{TOKEN_VERTEX_CAP} vertices")
+
+
 def _cmd_export(args) -> tuple[str, int]:
     spec = _family_spec(args)
     if not args.token:
+        _check_order(spec.order)
         return render_graph(graphs.generate(spec), comments=[spec.label()]), 0
     return render_token_graph(build_f2(base_graph_for(spec))), 0
 
 
 def _cmd_import(args) -> tuple[str, int]:
-    return render_graph(parse_graph(read_text(args.path))), 0
+    text = read_text(args.path)
+    _check_order(declared_order(text))
+    return render_graph(parse_graph(text)), 0
 
 
 def _add_row_flags(sub):

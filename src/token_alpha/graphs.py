@@ -60,21 +60,24 @@ class Graph(NamedTuple):
                 for v in members(mask >> u + 1 << u + 1)]
 
 
-def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The twin classes of g: each holds 2 or more vertices with equal open
-    neighbourhoods (false twins, pairwise non-adjacent) or equal closed
-    neighbourhoods (true twins, pairwise adjacent), and is maximal.
+def twin_class_of(g: Graph) -> tuple[int, ...]:
+    """Each vertex's twin class in g, as a mask: the vertices whose open
+    neighbourhood equals its own (false twins, pairwise non-adjacent) or
+    whose closed neighbourhood equals its own (true twins, pairwise
+    adjacent), or the vertex's own bit when it has no twin.
 
     Any permutation inside one class is an automorphism of g.  The classes
     are disjoint: were u a false twin of v and a true twin of w, then w in
-    N(u) = N(v) would put v in N[w] = N[u], so v in N(u) = N(v).  Each
-    class is sorted and the classes are ordered by their smallest member.
+    N(u) = N(v) would put v in N[w] = N[u], so v in N(u) = N(v).  So at
+    most one of a vertex's two neighbourhoods is shared, and its class is
+    the larger of the two.
     """
-    by_hood: dict[tuple[bool, int], list[int]] = {}
+    by_hood: dict[tuple[bool, int], int] = {}
     for v, mask in enumerate(g.masks):
-        by_hood.setdefault((False, mask), []).append(v)
-        by_hood.setdefault((True, mask | 1 << v), []).append(v)
-    return tuple(sorted(tuple(c) for c in by_hood.values() if len(c) > 1))
+        for key in ((False, mask), (True, mask | 1 << v)):
+            by_hood[key] = by_hood.get(key, 0) | 1 << v
+    return tuple(max(by_hood[False, mask], by_hood[True, mask | 1 << v], key=int.bit_count)
+                 for v, mask in enumerate(g.masks))
 
 
 def cycle_or_path_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -95,14 +98,9 @@ def cycle_or_path_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     is checked as an automorphism of g before it is returned.
     """
     everything = (1 << g.order) - 1
-    class_of = [1 << v for v in range(g.order)]
-    for twins in twin_classes(g):
-        mask = sum(1 << x for x in twins)
-        for x in twins:
-            class_of[x] = mask
     side = 0
-    for v, mask in enumerate(g.masks):
-        if everything & ~(mask | class_of[v]):
+    for v, (mask, twins) in enumerate(zip(g.masks, twin_class_of(g))):
+        if everything & ~(mask | twins):
             side |= 1 << v
     if not side:
         return ()

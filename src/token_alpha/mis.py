@@ -84,7 +84,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, ParameterError
-from .graphs import Graph, cycle_or_path_generators, members, twin_classes
+from .graphs import Graph, cycle_or_path_generators, members, twin_class_of
 from .tokens import TokenGraph
 
 
@@ -190,67 +190,48 @@ class _Orbits:
     base vertices it moves: the untouched members of every such class
     keeping two or more, and the whole side while it is untouched.
     ``orbit(v, free)`` is v's orbit under that group: the closure of v under
-    the twin orbits and the side's generators.  The tables are built on the
-    first call to ``moves``: each base vertex's class, or the vertex alone
-    outside one, and the renumbered vertices on it (``inc``), and each
-    renumbered vertex's two endpoints as one mask (``ends``), from which
-    ``free`` reads the base vertices a chosen set touches.  The generators'
-    maps of the renumbered vertices wait for the first orbit that uses them.
+    the twin orbits and the side's generators.  Every table is built here:
+    each base vertex's class (``graphs.twin_class_of``) and the renumbered
+    vertices on it (``inc``), each renumbered vertex's two endpoints, also
+    as one mask from which ``free`` reads the base vertices a chosen set
+    touches, and each generator's map of the renumbered vertices.
     """
 
     def __init__(self, token: TokenGraph, forced: int, order: list[int]):
-        self._token = token
-        self._forced = forced
-        self._order = order
-        self._moved = None
-
-    def _build(self) -> None:
-        base, pairs = self._token.base, self._token.pairs
+        base, pairs, through = token.base, token.pairs, token.through
         fixed = 0  # base vertices on the root's forced pairs
-        for t in members(self._forced):
+        for t in members(forced):
             a, b = pairs[t]
             fixed |= 1 << a | 1 << b
         self._fixed = fixed
-        self._class_of = class_of = [1 << x for x in range(base.order)]
-        self._classes = []
-        moved = 0
-        for twins in twin_classes(base):
-            mask = sum(1 << x for x in twins)
-            left = mask & ~fixed
-            if left & (left - 1):
-                self._classes.append(mask)
-                moved |= mask
-                for x in twins:
-                    class_of[x] = mask
+        self._class_of = twin_class_of(base)
+        self._classes = {c for c in self._class_of if (left := c & ~fixed) & (left - 1)}
         gens = cycle_or_path_generators(base)
         side = 0  # the base vertices the generators move: the side, bar an odd path's middle
         for p in gens:
             side |= sum(1 << x for x, y in enumerate(p) if x != y)
         if side & fixed:
             gens, side = (), 0
-        self._gens, self._side, self._maps = gens, side, None
-        self._moved = moved | side
+        self._side = side
+        self._moved = sum(self._classes) | side   # the classes are disjoint
+        self._ends = ends = [pairs[t] for t in order]   # each renumbered vertex's endpoints
+        self._end_bits = [1 << a | 1 << b for a, b in ends]   # the same, as one mask
         self._inc = inc = [0] * base.order  # renumbered vertices on each base vertex
-        self._ends = ends = []  # each renumbered vertex's endpoints, as one mask
-        if self._moved:
-            for i, t in enumerate(self._order):
-                a, b = pairs[t]
-                inc[a] |= 1 << i
-                inc[b] |= 1 << i
-                ends.append(1 << a | 1 << b)
+        for i, (a, b) in enumerate(ends):
+            inc[a] |= 1 << i
+            inc[b] |= 1 << i
+        at = dict(zip(order, range(len(order))))
+        self._maps = [[at[through[p[a]][p[b]]] for a, b in ends] for p in gens]
 
     def moves(self, v: int) -> int:
         """Nonzero iff an endpoint of renumbered vertex v is a base vertex
         that the root's group moves."""
-        if self._moved is None:
-            self._build()
-        a, b = self._token.pairs[self._order[v]]
-        return (self._moved >> a | self._moved >> b) & 1
+        return self._end_bits[v] & self._moved
 
     def free(self, chosen: int) -> int:
         """The base vertices that the group of a node with this chosen set
         (renumbered) may move, as a bitmask; 0 when the group is trivial."""
-        touched = self._fixed | _union(self._ends, chosen)
+        touched = self._fixed | _union(self._end_bits, chosen)
         free = 0
         for mask in self._classes:
             left = mask & ~touched
@@ -264,7 +245,7 @@ class _Orbits:
         """The orbit of renumbered vertex v under the twin classes' part of
         the group that moves free: each endpoint of v in free ranges over
         the free members of its class."""
-        a, b = self._token.pairs[self._order[v]]
+        a, b = self._ends[v]
         ra = self._class_of[a] & free if free >> a & 1 else 1 << a
         rb = self._class_of[b] & free if free >> b & 1 else 1 << b
         inc = self._inc
@@ -289,11 +270,6 @@ class _Orbits:
         side = self._side
         if not side or side & ~free:
             return out
-        if self._maps is None:
-            pairs, through = self._token.pairs, self._token.through
-            at = dict(zip(self._order, range(len(self._order))))
-            ends = [pairs[t] for t in self._order]
-            self._maps = [[at[through[p[a]][p[b]]] for a, b in ends] for p in self._gens]
         todo = out
         while todo:
             x = todo.bit_length() - 1
@@ -421,10 +397,9 @@ def max_independent_set(g: Graph | TokenGraph,
     The orbit of {a,b} is the closure of {a,b} under the twin orbits, which
     replace each endpoint that lies in a class and is untouched by any
     untouched member of that class, and under the side's generators when
-    they are in the group.  The set-up waits for the first drop after which
-    the loop goes on branching, so a solve that never gets there builds
-    nothing, and the generators' maps wait for the first orbit that uses
-    them.
+    they are in the group.  Every orbit table, the generators' maps among
+    them, is built in one go at the search's first drop after which the
+    loop goes on branching, so a solve that never gets there builds none.
 
     Splitting keeps this sound, though the group fixes no pair chosen in
     another component.  The group fixes the root's forced pairs, so it
@@ -466,7 +441,7 @@ def max_independent_set(g: Graph | TokenGraph,
         witness = forced | greedy
         return MisResult(witness.bit_count(), witness, 1)
     order, adj = _renumber(masks, rest)
-    orbits = None if token is None else _Orbits(token, forced, order)
+    orbits = None   # made at the search's first orbit drop
     cand = (1 << len(order)) - 1
     greedy = greedy_independent_set(adj, cand)
     nodes = 1
@@ -483,7 +458,7 @@ def max_independent_set(g: Graph | TokenGraph,
         # cannot beat the incumbent the node branches no more, so no orbit is
         # worth dropping.  The incumbent is read afresh after every child,
         # which may have raised it.
-        nonlocal best_size, best_bits
+        nonlocal best_size, best_bits, orbits
         cand, chosen = _fold(adj, cand, dirty, chosen)
         size = chosen.bit_count()
         # `<=`, not `<`: with `<` an equal-size leaf replaces the incumbent's
@@ -509,7 +484,11 @@ def max_independent_set(g: Graph | TokenGraph,
                 yield child, chosen | bit, child & (gone | _union(adj, adj[v] & cand))
                 cand ^= bit
                 gone |= adj[v]
-                if orbits is None or size + k <= best_size or not orbits.moves(v):
+                if token is None or size + k <= best_size:
+                    continue
+                if orbits is None:
+                    orbits = _Orbits(token, forced, order)
+                if not orbits.moves(v):
                     continue
                 if free is None:
                     free = orbits.free(chosen)

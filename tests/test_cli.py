@@ -165,14 +165,20 @@ TOO_WIDE = ("error: token graph of base order {} would have {} vertices, "
             "above the cap of 1000000\n")
 
 
-def alpha_in_1gb(path) -> subprocess.CompletedProcess:
-    """``alpha --input path`` in a child process whose address space is
+def main_in_1gb(*argv) -> subprocess.CompletedProcess:
+    """The command line argv in a child process whose address space is
     capped at 1 GB."""
     script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
               "from token_alpha.cli import main; sys.exit(main(sys.argv[1:]))")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    return subprocess.run([sys.executable, "-c", script, "alpha", "--input", str(path)],
+    return subprocess.run([sys.executable, "-c", script, *argv],
                           env=env, capture_output=True, text=True, timeout=30)
+
+
+def alpha_in_1gb(path) -> subprocess.CompletedProcess:
+    """``alpha --input path`` in a child process whose address space is
+    capped at 1 GB."""
+    return main_in_1gb("alpha", "--input", str(path))
 
 
 def test_a_tiny_file_of_a_huge_order_exits_2_at_once(tmp_path):
@@ -195,6 +201,25 @@ def test_a_file_whose_order_alone_overflows_memory_exits_2(tmp_path):
     proc = alpha_in_1gb(wide)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == TOO_WIDE.format(1_000_000_000, 499_999_999_500_000_000)
+
+
+TOO_MANY = "error: graph of order {} is above the cap of 1000000 vertices\n"
+
+
+def test_import_refuses_a_file_whose_order_alone_overflows_memory(tmp_path):
+    # import's limit is the vertex count no graph the program writes
+    # exceeds, read from the p line before a mask per vertex is allocated
+    wide = tmp_path / "wider.txt"
+    wide.write_text("p 1000000000 0\n")
+    proc = main_in_1gb("import", str(wide))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == TOO_MANY.format(1_000_000_000)
+
+
+def test_export_refuses_a_family_whose_order_alone_overflows_memory():
+    proc = main_in_1gb("export", "--family", "empty", "--m", "1000000000")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == TOO_MANY.format(1_000_000_000)
 
 
 def test_a_family_row_of_a_huge_order_exits_2(capsys):

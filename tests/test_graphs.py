@@ -1,4 +1,3 @@
-import itertools
 import re
 
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from token_alpha import graphs, harness
 from token_alpha.errors import ParameterError
 from token_alpha.graphs import (FamilySpec, Graph, cycle_or_path_generators, generate, join,
-                                members, twin_classes)
+                                members, twin_class_of)
 from token_alpha.tokens import build_f2
 
 from reference import SPARSE_EDGES, SPARSE_ORDER, components, delete_vertices, planted_sides
@@ -341,40 +340,43 @@ def test_a_join_equals_its_rebuild_from_its_edge_list(g1, g2):
 def test_twin_classes_of_true_and_false_twins():
     # E_2 + P_3: the E_2 side (0, 1) are false twins, as are the path's
     # ends (2, 4); the middle 3 has no twin
-    assert twin_classes(generate(graphs.fan(2, 3))) == ((0, 1), (2, 4))
+    assert twin_class_of(generate(graphs.fan(2, 3))) == (0b11, 0b11, 0b10100, 0b1000, 0b10100)
     # K_4 is one class of true twins; E_3 + K_2 has a false and a true class
-    assert twin_classes(generate(graphs.complete(4))) == ((0, 1, 2, 3),)
-    assert twin_classes(generate(graphs.split(3, 2))) == ((0, 1, 2), (3, 4))
+    assert twin_class_of(generate(graphs.complete(4))) == (0b1111,) * 4
+    assert twin_class_of(generate(graphs.split(3, 2))) == (0b111,) * 3 + (0b11000,) * 2
 
 
 def test_twin_classes_of_isolated_vertices_and_graphs_without_twins():
     # isolated vertices are false twins of each other, whatever else the graph holds
     g = Graph.build(5, [(0, 1), (1, 2)])
-    assert twin_classes(g) == ((0, 2), (3, 4))
-    assert twin_classes(Graph.build(1, [])) == ()
-    assert twin_classes(generate(graphs.path(4))) == ()
-    assert twin_classes(generate(graphs.cycle(5))) == ()
+    assert twin_class_of(g) == (0b101, 0b10, 0b101, 0b11000, 0b11000)
+    assert twin_class_of(Graph.build(1, [])) == (1,)
+    assert twin_class_of(generate(graphs.path(4))) == (1, 2, 4, 8)
+    assert twin_class_of(generate(graphs.cycle(5))) == (1, 2, 4, 8, 16)
 
 
 @given(random_graphs(max_order=9))
 def test_twin_classes_are_disjoint_and_every_transposition_is_an_automorphism(g):
-    classes = twin_classes(g)
-    members = [v for c in classes for v in c]
-    assert len(members) == len(set(members))
-    assert list(classes) == sorted(classes)
+    class_of = twin_class_of(g)
+    assert len(class_of) == g.order
     masks = g.masks
-    for c in classes:
-        assert len(c) >= 2 and list(c) == sorted(c)
-        for u, v in itertools.combinations(c, 2):
+    for v, c in enumerate(class_of):
+        # every vertex lies in its own class, and the classes are disjoint:
+        # each member's class is the same mask
+        assert c >> v & 1
+        assert all(class_of[u] == c for u in members(c))
+        for u in members(c):
+            if u <= v:
+                continue
             assert (masks[u] | 1 << u == masks[v] | 1 << v) or masks[u] == masks[v]
             swap = {u: v, v: u}
             image = {tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in g.sorted_edges()}
             assert image == set(g.sorted_edges())
-    # maximal: no vertex outside the classes twins any other vertex
+    # maximal: no vertex outside a class twins any vertex in it
     for u in range(g.order):
         for v in range(u + 1, g.order):
             twins = masks[u] == masks[v] or masks[u] | 1 << u == masks[v] | 1 << v
-            assert twins == any(u in c and v in c for c in classes)
+            assert twins == bool(class_of[u] >> v & 1)
 
 
 # ---------------------------------------------------------------------------

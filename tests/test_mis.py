@@ -495,7 +495,8 @@ def test_orbits_without_twins_leave_the_search_tree_alone():
     # path union closes at it
     for base in (cycle_union(5, 7), generate(graphs.path_union((4, 5)))):
         tg = build_f2(base)
-        assert graphs.twin_classes(base) == () == graphs.cycle_or_path_generators(base)
+        assert graphs.twin_class_of(base) == tuple(1 << v for v in range(base.order))
+        assert graphs.cycle_or_path_generators(base) == ()
         plain = max_independent_set(tg.graph)
         pruned = max_independent_set(tg)
         assert (pruned.size, pruned.nodes_explored, pruned.witness) == (
@@ -509,7 +510,7 @@ def test_a_cycle_side_shrinks_the_search_tree_but_not_alpha(spec, plain_nodes, n
     # none of these bases has a twin class, so every orbit drop comes from
     # the cycle's rotations and reflections
     tg = build_f2(generate(spec))
-    assert graphs.twin_classes(tg.base) == ()
+    assert graphs.twin_class_of(tg.base) == tuple(1 << v for v in range(tg.base.order))
     assert len(graphs.cycle_or_path_generators(tg.base)) == 2
     plain = max_independent_set(tg.graph)
     pruned = max_independent_set(tg)
@@ -522,14 +523,36 @@ def test_a_cycle_side_shrinks_the_search_tree_but_not_alpha(spec, plain_nodes, n
 def test_a_side_that_a_forced_pair_touches_leaves_the_group():
     # F2(P_8)'s root folds {0,1}, a vertex of degree 1; a group that moved
     # the path would not fix that pair, so the reversal must stay out of it
+    # (with nothing forced, every token vertex is left to renumber)
     tg = build_f2(generate(graphs.path(8)))
     forced = 1 << tg.through[0][1]
     order = [t for t in range(tg.graph.order) if not forced >> t & 1]
     side = (1 << 8) - 1
-    for fixed, free in ((0, side), (forced, 0)):
-        orbits = mis._Orbits(tg, fixed, order)
-        assert any(orbits.moves(i) for i in range(len(order))) == bool(free)
+    for fixed, left, free in ((0, list(range(tg.graph.order)), side), (forced, order, 0)):
+        orbits = mis._Orbits(tg, fixed, left)
+        assert any(orbits.moves(i) for i in range(len(left))) == bool(free)
         assert orbits.free(0) == free
+
+
+def test_orbit_tables_wait_for_the_first_orbit_drop(monkeypatch):
+    # a solve makes its _Orbits where its branch loop first drops an orbit
+    # and goes on branching: fan(1,4) and fan(1,5) renumber and search
+    # without one, a path union closes at its root, and wheel(4,11) and
+    # cycle(9) drop orbits and make exactly one
+    made = []
+
+    class Counting(mis._Orbits):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(mis, "_Orbits", Counting)
+    for spec, nodes, count in ((graphs.fan(1, 4), 1, 0), (graphs.fan(1, 5), 2, 0),
+                               (graphs.path_union((3, 4)), 1, 0),
+                               (graphs.wheel(4, 11), 41, 1), (graphs.cycle(9), 2, 1)):
+        made.clear()
+        res = max_independent_set(build_f2(generate(spec)))
+        assert (res.nodes_explored, len(made)) == (nodes, count), spec.label()
 
 
 def networkx_alpha(g):
