@@ -3,9 +3,9 @@
 Subcommands: alpha (one verification row), sweep (parameter grids),
 lemma-check (random improvement-lemma trials), export and import (graph
 files).  Exit codes, from ``harness.VerdictTally``: 0 all rows agree, 1
-any disagreement or failed lemma trial, 2 usage or IO error, 3
-node-budget aborts only.  A file row (``alpha --input``) has the solver
-only, so it takes no --methods.
+any disagreement or failed lemma trial, 2 usage or IO error or out of
+memory, 3 node-budget aborts only.  A file row (``alpha --input``) has
+the solver only, so it takes no --methods.
 """
 
 from __future__ import annotations
@@ -255,6 +255,11 @@ def main(argv=None) -> int:
         return code
     except (ParameterError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # a row too big for memory is no verdict: exit 1 would read as a
+        # DISAGREE
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -80,9 +80,10 @@ def twin_class_of(g: Graph) -> tuple[int, ...]:
                  for v, mask in enumerate(g.masks))
 
 
-def cycle_or_path_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
+def cycle_or_path_generators(g: Graph, class_of: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Generators of the rotations and reflections of g's cycle or path
-    side, each a permutation p of g's vertices (v goes to p[v]).
+    side, each a permutation p of g's vertices (v goes to p[v]); class_of
+    is g's ``twin_class_of``.
 
     The side is what is left once every vertex adjacent to all vertices
     outside its own twin class is removed: the C_m of a wheel E_n + C_m,
@@ -99,7 +100,7 @@ def cycle_or_path_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """
     everything = (1 << g.order) - 1
     side = 0
-    for v, (mask, twins) in enumerate(zip(g.masks, twin_class_of(g))):
+    for v, (mask, twins) in enumerate(zip(g.masks, class_of)):
         if everything & ~(mask | twins):
             side |= 1 << v
     if not side:

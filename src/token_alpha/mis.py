@@ -4,48 +4,76 @@ bitmask of the graph's vertices (``MisResult.witness``), the form
 ``is_independent`` checks and the search itself works in.  The tests hold
 a subset-enumeration oracle for small graphs that it must agree with.
 
-The branch-and-bound solver is the independent-set form of the colour-
-ordered maximum-clique search (Tomita et al., MCS, WALCOM 2010; San Segundo
-et al., BBMC, Optim. Lett. 2013).  At every node it covers the candidates
-with greedy cliques, numbered 1..K in the order they are built.  An
-independent set meets each clique at most once, so the candidates in
-cliques 1..k hold at most k of its vertices.  The node branches on the
-vertices of the highest-numbered cliques first, and stops as soon as the
-clique number k of the next vertex can no longer beat the incumbent.  The
-search keeps its open nodes on a list, each a generator paused at the
-child it last yielded, so it never recurses and no depth limit of the
-interpreter applies.
+The search is the independent-set form of the colour-ordered
+maximum-clique search (Tomita et al., MCS, WALCOM 2010; San Segundo et
+al., BBMC, Optim. Lett. 2013).  A node first folds forced vertices
+(degree 0 or 1 among the candidates) into its chosen set.  It returns when
+its chosen size plus its candidate count cannot beat the incumbent, and
+takes its chosen set as the new incumbent when no candidate is left.
+Otherwise it covers the candidates with greedy cliques, numbered 1..K in
+the order they are built.  An independent set meets each clique at most
+once, so the candidates in cliques 1..k hold at most k of its vertices.
+Walking the cover from its highest-numbered clique down, the node returns
+once its chosen size plus the current clique number cannot beat the
+incumbent; otherwise it opens a child that includes the vertex and, once
+that child's search has ended, drops the vertex from the candidates.
+Excluding a vertex is that drop, not a child, so every child adds a
+vertex to the chosen set.  The search does not recurse: each node is a
+generator paused at the child it last yielded, and one driver loop keeps
+the open nodes on a list, so the search's depth is bounded by memory, not
+by the interpreter's recursion limit.
 
-Before the cover, a node folds forced vertices (degree 0 or 1 among the
-candidates) into the chosen set, always the lowest forced vertex first.
-It finds them from a worklist, as reduction-based solvers do (Akiba and
-Iwata, TCS 2016): only a vertex whose degree may have dropped since it was
-last seen at degree >= 2 is checked again, so a node does not rescan every
-candidate after each fold.
+The folds always take the lowest forced vertex first, and find it from a
+worklist, as reduction-based solvers do (Akiba and Iwata, TCS 2016): a
+dirty mask, outside which every candidate is known to have degree >= 2.
+A candidate loses degree only through removed candidates, so a degree-1
+fold adds the neighbours of the neighbour it removes, and a child starts
+from its vertices next to a candidate its parent removed: a candidate
+neighbour of the branch vertex, or a vertex the parent's loop already
+dropped.  The lowest dirty vertex of degree <= 1 is then the one a full
+rescan after every fold would find, and a node with an empty dirty mask
+folds nothing.
 
-The root folds in the input's own labels and then tries to prove its
-answer there, with a greedy independent set and a greedy clique cover of
-the vertices left, both built in label order.  An independent set meets
-each clique at most once, so when the cover has as many cliques as the set
-has members, that set is maximum and the solve ends at node 1 with nothing
-renumbered.  The lexicographic labels of a token graph often carry such a
-proof: those of every path union of total order 2..14 do.
+The root folds in the input's own labels, every vertex dirty, and then
+tries to prove its answer there, with a greedy independent set and a
+greedy clique cover of the vertices left, both built in label order.  The
+folds are exact and the cover's clique count bounds alpha of what they
+leave, so when the count equals the set's size, the forced vertices plus
+that set are a maximum set: the solve ends at node 1 with nothing
+renumbered, and with no orbit table or components.  The lexicographic labels of a token
+graph often carry such a proof: those of every path union of total order
+2..14 do.
 
-Otherwise the search runs in ascending-degree order, as colour-ordered
-clique solvers set their initial order once before the search: the
-vertices left are renumbered by degree among themselves and the rest of
-the search runs on that copy, so the witness is mapped back to the input's
-labels.
+Otherwise the vertices left are renumbered by ascending degree among
+themselves, ties to the lower label, as colour-ordered clique solvers set
+their initial order once before the search.  The rest of the search runs
+on that copy, where the incumbent is a greedy maximal independent set
+taken in vertex order, the cover grows its cliques from low-degree
+vertices and the node branches on high-degree ones first; the witness is
+mapped back to the input's labels.  No vertex left has degree <= 1, so
+the search starts from an empty dirty mask.
 
-A root that branches searches each connected component of what its folds
-leave on its own, as branch-and-reduce solvers do (Akiba and Iwata, TCS
-2016): every node below then covers and branches over one component, not
-all of them.  The token graph of a disconnected base graph is
+The renumbered vertices are split into the connected components of their
+induced subgraph, and each is searched on its own, as branch-and-reduce
+solvers do (Akiba and Iwata): every node then covers, bounds and branches
+over its component's candidates only, against that component's share of
+the greedy incumbent.  The token graph of a disconnected base graph is
 disconnected, its parts being the F2 of each component and the products
 of pairs of them (Fabila-Monroy et al., Token graphs, Graphs Combin.
-2012), and the root's folds split more.  On the token graph of a sparse
-base graph of order 40 with 30 edges, the whole search exceeds 200 000
-nodes; split, it finishes in 6 706.
+2012), and the root's folds split more: the token graph of the sparse
+base graph of order 40 with 30 edges solves in 6 706 nodes.  A maximum
+set of a disconnected graph is the union of a maximum set of each
+component.  No clique of a cover of the whole rest spans two components
+and the greedy set never blocks across one, so a component's search is
+the one it would get alone; a connected rest is one component, whose
+search tree is the one an unsplit search makes.  Each component starts as
+a node with no chosen vertex that adds no count; one whose cover has no
+more cliques than its incumbent has members yields no child, so a root
+whose degree-order cover proves its greedy set still ends at node 1.  The
+components are searched smallest first (ties to the lower vertex); the
+order changes neither the node total nor the witness, only where a budget
+too small for the whole search runs out: on the cheapest nodes, having
+finished the most components.
 
 Given the token graph it solves, the search also prunes by isomorphism
 (Margot, Pruning by isomorphism in branch-and-cut, Math. Program. 2002;
@@ -61,22 +89,35 @@ cycle_or_path_generators`` returns the side's generators, each checked as
 an automorphism).  A node's group is the product of the symmetric groups
 on the twin classes, each restricted to the base vertices that no chosen
 pair touches, joined by the side's generators while no chosen pair
-touches a vertex they move; the root's forced pairs count as chosen.
-Each generator then fixes every touched base vertex, so the group fixes
-every chosen pair.  Once the search below the child that includes v has
-ended, the node drops v's whole orbit under its group from the
-candidates: a set of the node that holds an image of v is the image of
-one that holds v, which the child has searched.  The invariant that makes this sound is
-that a node's candidates are invariant under its group.  Every removal
-is either N[p] for a chosen pair p, which an automorphism fixing p's
-endpoints preserves, or a whole orbit under an ancestor's group, which
-contains the node's: the touched vertices only grow down the tree, so a
-class's free members only shrink and the side's generators, once they
-leave the group, never rejoin it.  Below a split root, the orbit is met
-with the node's component (``max_independent_set`` shows why that is
-sound).  The join families E_n + H have E_n as a twin class, and K_m is
-one too, so split(5,14) solves in 6 nodes instead of 16 612; the
-dihedral group of C_41 takes cycle(41) from 3 447 nodes to 960.
+touches a vertex they move.  The chosen pairs are the root's forced ones
+and those folded or branched in the node's component.  Each generator
+then fixes every touched base vertex, so the group fixes every chosen
+pair.  Once the search below the child that includes v has ended, the
+node drops v's whole orbit under its group, met with its component, from
+the candidates: a set of the node that holds an image of v is the image
+of one that holds v, which the child has searched.  The orbit tables are
+built at the search's first orbit drop after which the loop goes on
+branching, so a solve that never gets there builds none.  The join
+families E_n + H have E_n as a twin class, and K_m is one too, so
+split(5,14) solves in 6 nodes; cycle(41), whose group is the dihedral
+group of C_41, solves in 960.
+
+The invariant that makes this sound is that a node's candidates are
+invariant under its group.  Every removal is either N[p] for a chosen
+pair p, which an automorphism fixing p's endpoints preserves, or a whole
+orbit under an ancestor's group, which contains the node's: the touched
+vertices only grow down the tree, so a class's free members only shrink
+and the side's generators, once they leave the group, never rejoin it.
+Splitting keeps this sound, though the group fixes no pair chosen in
+another component.  The group fixes the root's forced pairs, so it maps
+the vertices the root's folds leave onto themselves, and each of their
+components onto a component.  If an element of the group takes v to a
+vertex of v's component C, it therefore maps C onto C: v's orbit met with
+C is v's orbit under the stabiliser of C.  That stabiliser fixes the
+node's chosen pairs and maps the node's candidates, which lie in C, onto
+themselves: each removal was N[p] for a chosen p, or an orbit met with C
+under the stabiliser of C in an ancestor's group, which contains the
+node's.
 """
 
 from __future__ import annotations
@@ -169,32 +210,29 @@ def _renumber(adj: tuple[int, ...], cand: int) -> tuple[list[int], tuple[int, ..
     bit = [0] * len(adj)
     for i, v in enumerate(order):
         bit[v] = 1 << i
-    # a list, not a generator: tuple() of a generator raised the traced heap
-    # peak of a path-union sweep by ~0.2 MB (CPython 3.11)
     return order, tuple([_union(bit, adj[v] & cand) for v in order])
 
 
 class _Orbits:
-    """Orbits of the search's renumbered vertices, pairs {a,b} of a base
-    graph, under a node's group.  The group permutes, inside each twin
-    class, the members that no chosen pair touches, and it rotates and
-    reflects the base graph's cycle or path side
-    (``graphs.cycle_or_path_generators``) while no chosen pair touches a
-    vertex those generators move, the side of this class.  The root's
-    forced pairs count as chosen at every node.
+    """A node's group and the orbits under it of the search's renumbered
+    vertices, pairs {a,b} of a base graph.
 
-    ``moves(v)`` tells whether an endpoint of v is a base vertex the root's
-    group moves: a member of a class of which the forced pairs leave two or
-    more untouched, or of a side they leave untouched.  Only then can v's
-    orbit be more than v.  ``free(chosen)`` gives a node's group as the
-    base vertices it moves: the untouched members of every such class
-    keeping two or more, and the whole side while it is untouched.
-    ``orbit(v, free)`` is v's orbit under that group: the closure of v under
-    the twin orbits and the side's generators.  Every table is built here:
-    each base vertex's class (``graphs.twin_class_of``) and the renumbered
-    vertices on it (``inc``), each renumbered vertex's two endpoints, also
-    as one mask from which ``free`` reads the base vertices a chosen set
-    touches, and each generator's map of the renumbered vertices.
+    ``free(chosen)`` gives the group of a node with that chosen set
+    (renumbered) as the base vertices it moves: the members of each twin
+    class that no chosen pair touches, where two or more are left, and the
+    whole cycle or path side (``graphs.cycle_or_path_generators``) while no
+    chosen pair touches it.  The root's forced pairs count as chosen at
+    every node; they are taken out once, here, so ``free`` reads only the
+    node's own chosen set: each class is kept less its forced members, and
+    a side they touch never joins the group.  ``orbit(v, free)`` is v's orbit under that group: the
+    closure of v under the twin orbits, which replace each endpoint in free
+    by any free member of its class, and under the side's generators when
+    free holds the side.  A vertex that the group does not move is its own
+    orbit.  Every table is built here: each base vertex's class
+    (``graphs.twin_class_of``, read once) and the renumbered vertices on it
+    (``inc``), each renumbered vertex's two endpoints, also as one mask
+    from which ``free`` reads the base vertices a chosen set touches, and
+    each generator's map of the renumbered vertices.
     """
 
     def __init__(self, token: TokenGraph, forced: int, order: list[int]):
@@ -203,17 +241,19 @@ class _Orbits:
         for t in members(forced):
             a, b = pairs[t]
             fixed |= 1 << a | 1 << b
-        self._fixed = fixed
-        self._class_of = twin_class_of(base)
-        self._classes = {c for c in self._class_of if (left := c & ~fixed) & (left - 1)}
-        gens = cycle_or_path_generators(base)
+        self._class_of = class_of = twin_class_of(base)
+        # each class less its forced members, kept while two or more are left
+        self._classes = {left for c in class_of if (left := c & ~fixed) & (left - 1)}
+        gens = cycle_or_path_generators(base, class_of)
         side = 0  # the base vertices the generators move: the side, bar an odd path's middle
         for p in gens:
             side |= sum(1 << x for x, y in enumerate(p) if x != y)
         if side & fixed:
+            # a generator that moves a forced pair maps some renumbered
+            # vertex onto it, which has no number: such a side never joins
+            # the group
             gens, side = (), 0
         self._side = side
-        self._moved = sum(self._classes) | side   # the classes are disjoint
         self._ends = ends = [pairs[t] for t in order]   # each renumbered vertex's endpoints
         self._end_bits = [1 << a | 1 << b for a, b in ends]   # the same, as one mask
         self._inc = inc = [0] * base.order  # renumbered vertices on each base vertex
@@ -223,15 +263,14 @@ class _Orbits:
         at = dict(zip(order, range(len(order))))
         self._maps = [[at[through[p[a]][p[b]]] for a, b in ends] for p in gens]
 
-    def moves(self, v: int) -> int:
-        """Nonzero iff an endpoint of renumbered vertex v is a base vertex
-        that the root's group moves."""
-        return self._end_bits[v] & self._moved
-
     def free(self, chosen: int) -> int:
         """The base vertices that the group of a node with this chosen set
         (renumbered) may move, as a bitmask; 0 when the group is trivial."""
-        touched = self._fixed | _union(self._end_bits, chosen)
+        if not self._classes and not self._side:
+            # so no node pays the union below on a base whose twins the
+            # forced pairs all touch, such as the benchmark's sparse graph
+            return 0
+        touched = _union(self._end_bits, chosen)
         free = 0
         for mask in self._classes:
             left = mask & ~touched
@@ -322,107 +361,17 @@ def _components(adj: tuple[int, ...], cand: int) -> list[int]:
 
 def max_independent_set(g: Graph | TokenGraph,
                         node_budget: int | None = None) -> MisResult:
-    """Exact colour-ordered branch and bound over adjacency bitsets.
+    """Exact maximum independent set of g, by the branch and bound the
+    module describes, raising BudgetExceededError once the count of search
+    nodes would exceed node_budget.
 
     g is a plain graph or a token graph, whose ``.graph`` is then the g
-    solved below, pruned by the orbits of its ``.base``'s twin classes and
-    cycle or path side.
-
-    Each search node first folds in degree-0/1 vertices, returns when its
-    chosen size plus its candidate count cannot beat the incumbent, takes
-    its chosen set as the new incumbent when no candidate is left, and
-    otherwise builds a greedy clique cover of its candidates.  Walking the
-    cover from its highest-numbered clique down, it returns once the
-    chosen size plus the current clique number cannot beat the incumbent;
-    otherwise it opens a child that includes the vertex and, once that
-    child's search has ended, drops the vertex from the candidates.
-    Excluding a vertex is that drop, not a child, so every child adds a
-    vertex to the chosen set.
-
-    The root folds every forced vertex of g in g's own labels.  In those
-    labels it then takes a greedy maximal independent set of the vertices
-    left, in label order, and a greedy clique cover of them.  The folds
-    are exact and the cover's clique count bounds alpha of what they
-    leave, so when the count equals the set's size, the forced vertices
-    plus that set are a maximum set: the solve ends at node 1, with no
-    renumbering, orbit table or components.
-
-    Otherwise the vertices left are renumbered by ascending degree among
-    themselves (ties to the lower label), and the search runs on their
-    induced subgraph in that numbering, where the incumbent is a greedy
-    maximal independent set taken in vertex order.  The cover then grows
-    its cliques from low-degree vertices and branches on high-degree ones
-    first.  The root splits the vertices left into the connected
-    components of their induced subgraph and branches within each
-    component on its own, from the greedy incumbent restricted to it.  A
-    maximum set of a disconnected graph is the union of a maximum set of
-    each component, so every node below covers, bounds and branches over
-    its component's candidates only, against that component's incumbent.
-    No clique of a cover of the whole rest spans two components and the
-    greedy set never blocks across one, so a component's search is the
-    one it would get alone; a connected rest is one component, whose
-    search tree is the one an unsplit search makes.  A component whose
-    cover has no more cliques than its incumbent has members returns
-    without counting a node, so a root whose degree-order cover proves
-    its greedy set still ends at node 1, with that set.  The components
-    share the root's numbering, and each is searched as an ordinary node
-    with no chosen vertex.  They are searched smallest first (ties to the
-    lower vertex); the order changes neither the node total nor the
-    witness, only where a budget too small for the whole search runs out:
-    on the cheapest nodes, having finished the most components.  The
-    witness is the root's forced vertices plus each component's best set,
-    mapped back to g's labels.
-
-    The folds read their candidates from a dirty mask; every candidate
-    outside it is known to have degree >= 2.  At the root the mask is
-    every vertex, and after the root's folds no vertex has degree <= 1,
-    so each component's search starts from an empty mask.  A degree-1
-    fold adds the neighbours of the neighbour it removes.  A child starts
-    from its vertices next to a candidate its parent removed: a candidate
-    neighbour of the branch vertex, or a vertex the parent's branch loop
-    already dropped.  A candidate loses degree only through removed candidates,
-    so the lowest dirty vertex of degree <= 1 is the lowest forced vertex
-    of the candidates, the one a full rescan after every fold would find,
-    and a node with an empty dirty mask folds nothing.
-
-    For a token graph, a node's group permutes, inside each twin class of
-    the base graph, the members that no chosen pair touches: root-forced,
-    folded or branched in the node's component.  While no such pair
-    touches a base vertex that the rotations and reflections of the base
-    graph's cycle or path side move, the group holds those too.  After the
-    search below the child that includes v ends, the loop drops v's whole
-    orbit under that group within the component, skips the loop vertices
-    the drop removed, and adds the neighbours of every dropped vertex to
-    gone, which keeps the folds' dirty mask exact.
-    The orbit of {a,b} is the closure of {a,b} under the twin orbits, which
-    replace each endpoint that lies in a class and is untouched by any
-    untouched member of that class, and under the side's generators when
-    they are in the group.  Every orbit table, the generators' maps among
-    them, is built in one go at the search's first drop after which the
-    loop goes on branching, so a solve that never gets there builds none.
-
-    Splitting keeps this sound, though the group fixes no pair chosen in
-    another component.  The group fixes the root's forced pairs, so it
-    maps the vertices the root's folds leave onto themselves, and each of
-    their components onto a component.  If an element of the group takes
-    v to a vertex of v's component C, it therefore maps C onto C: v's
-    orbit met with C is v's orbit under the stabiliser of C.  That
-    stabiliser fixes the node's chosen pairs and maps the node's
-    candidates, which lie in C, onto themselves: each was removed as N[p]
-    for a chosen p, or as an orbit met with C under the stabiliser of C
-    in an ancestor's group, which contains the node's.  So a set of the
-    node that holds an image of v is the image of one that holds v.
-
-    nodes_explored counts search nodes over all components.  Node 1 is
-    the root: its folds, its certificate, and the start of each component's
-    search, a node with no chosen vertex that adds no count.  The search
-    does not recurse: each node is a generator that yields its children's
-    arguments, and one driver loop keeps the open nodes of a component's
-    search on a list, its start and then one per chosen vertex.  The
-    driver counts each child as its parent yields it and raises
-    BudgetExceededError once the count would exceed node_budget.  Every
-    node folds, bounds and covers on entry.  The search's depth is bounded
-    by memory, not by the interpreter's recursion limit.
+    solved, pruned by the orbits of its ``.base``'s twin classes and cycle
+    or path side; the witness is in g's labels.  nodes_explored counts
+    search nodes over all components.  Node 1 is the root: its folds, its
+    certificate and the start of each component's search.  The driver
+    counts each child as its parent yields it, and every node folds,
+    bounds and covers on entry.
     """
     token = None
     if isinstance(g, TokenGraph):
@@ -488,8 +437,6 @@ def max_independent_set(g: Graph | TokenGraph,
                     continue
                 if orbits is None:
                     orbits = _Orbits(token, forced, order)
-                if not orbits.moves(v):
-                    continue
                 if free is None:
                     free = orbits.free(chosen)
                 twins = orbits.orbit(v, free) & cand if free else 0

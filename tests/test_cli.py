@@ -203,6 +203,20 @@ def test_a_file_whose_order_alone_overflows_memory_exits_2(tmp_path):
     assert proc.stderr == TOO_WIDE.format(1_000_000_000, 499_999_999_500_000_000)
 
 
+@pytest.mark.parametrize("argv", [
+    ("alpha", "--family", "path", "--m", "700"),
+    ("sweep", "--family", "path", "--m-range", "690..700"),
+], ids=["alpha", "sweep"])
+def test_a_row_that_runs_out_of_memory_exits_2(argv):
+    # F2(P_700) has 244 650 vertices and passes the token cap, but its
+    # adjacency bitsets overflow 1 GB; that is no verdict, so it is one
+    # error line and exit 2, not a MemoryError's traceback and exit 1,
+    # the code of a DISAGREE
+    proc = main_in_1gb(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: out of memory\n"
+
+
 TOO_MANY = "error: graph of order {} is above the cap of 1000000 vertices\n"
 
 

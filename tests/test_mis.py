@@ -496,7 +496,7 @@ def test_orbits_without_twins_leave_the_search_tree_alone():
     for base in (cycle_union(5, 7), generate(graphs.path_union((4, 5)))):
         tg = build_f2(base)
         assert graphs.twin_class_of(base) == tuple(1 << v for v in range(base.order))
-        assert graphs.cycle_or_path_generators(base) == ()
+        assert graphs.cycle_or_path_generators(base, graphs.twin_class_of(base)) == ()
         plain = max_independent_set(tg.graph)
         pruned = max_independent_set(tg)
         assert (pruned.size, pruned.nodes_explored, pruned.witness) == (
@@ -511,7 +511,7 @@ def test_a_cycle_side_shrinks_the_search_tree_but_not_alpha(spec, plain_nodes, n
     # the cycle's rotations and reflections
     tg = build_f2(generate(spec))
     assert graphs.twin_class_of(tg.base) == tuple(1 << v for v in range(tg.base.order))
-    assert len(graphs.cycle_or_path_generators(tg.base)) == 2
+    assert len(graphs.cycle_or_path_generators(tg.base, graphs.twin_class_of(tg.base))) == 2
     plain = max_independent_set(tg.graph)
     pruned = max_independent_set(tg)
     assert (plain.nodes_explored, pruned.nodes_explored) == (plain_nodes, nodes)
@@ -529,30 +529,65 @@ def test_a_side_that_a_forced_pair_touches_leaves_the_group():
     order = [t for t in range(tg.graph.order) if not forced >> t & 1]
     side = (1 << 8) - 1
     for fixed, left, free in ((0, list(range(tg.graph.order)), side), (forced, order, 0)):
-        orbits = mis._Orbits(tg, fixed, left)
-        assert any(orbits.moves(i) for i in range(len(left))) == bool(free)
-        assert orbits.free(0) == free
+        assert mis._Orbits(tg, fixed, left).free(0) == free
+
+
+def test_no_node_group_moves_a_forced_base_vertex(monkeypatch):
+    # _Orbits takes the root's forced pairs out of its class table once, and
+    # free reads only the node's chosen set; a group that moved a forced
+    # pair's base vertex would not fix that pair.  The sparse graph's four
+    # twin classes all meet the forced pairs, so only the node pin saw that
+    seen = []
+
+    class Checked(mis._Orbits):
+        def __init__(self, token, forced, order):
+            super().__init__(token, forced, order)
+            self.fixed = 0
+            for t in members(forced):
+                a, b = token.pairs[t]
+                self.fixed |= 1 << a | 1 << b
+
+        def free(self, chosen):
+            out = super().free(chosen)
+            assert not out & self.fixed
+            seen.append(out)
+            return out
+
+    monkeypatch.setattr(mis, "_Orbits", Checked)
+    for base in (Graph.build(SPARSE_ORDER, SPARSE_EDGES), generate(graphs.wheel(4, 11)),
+                 generate(graphs.split(5, 14)), generate(graphs.fan(10, 19))):
+        max_independent_set(build_f2(base))
+    assert any(seen)
 
 
 def test_orbit_tables_wait_for_the_first_orbit_drop(monkeypatch):
     # a solve makes its _Orbits where its branch loop first drops an orbit
     # and goes on branching: fan(1,4) and fan(1,5) renumber and search
     # without one, a path union closes at its root, and wheel(4,11) and
-    # cycle(9) drop orbits and make exactly one
-    made = []
+    # cycle(9) drop orbits and make exactly one, which reads the base
+    # graph's twin classes once: the side's generators take its table
+    made, classes = [], []
+    real = graphs.twin_class_of
 
     class Counting(mis._Orbits):
         def __init__(self, *args):
             made.append(args)
             super().__init__(*args)
 
+    def counted(g):
+        classes.append(g)
+        return real(g)
+
     monkeypatch.setattr(mis, "_Orbits", Counting)
+    monkeypatch.setattr(mis, "twin_class_of", counted)
+    monkeypatch.setattr(graphs, "twin_class_of", counted)
     for spec, nodes, count in ((graphs.fan(1, 4), 1, 0), (graphs.fan(1, 5), 2, 0),
                                (graphs.path_union((3, 4)), 1, 0),
                                (graphs.wheel(4, 11), 41, 1), (graphs.cycle(9), 2, 1)):
         made.clear()
+        classes.clear()
         res = max_independent_set(build_f2(generate(spec)))
-        assert (res.nodes_explored, len(made)) == (nodes, count), spec.label()
+        assert (res.nodes_explored, len(made), len(classes)) == (nodes, count, count), spec.label()
 
 
 def networkx_alpha(g):

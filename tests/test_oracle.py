@@ -67,7 +67,7 @@ def test_planted_cycle_and_path_sides_match_networkx(case):
     # token graphs of up to 55 vertices that the search prunes by the
     # side's rotations and reflections as well as by the twins
     _, base, _ = case
-    assert graphs.cycle_or_path_generators(base)
+    assert graphs.cycle_or_path_generators(base, graphs.twin_class_of(base))
     check_against_networkx(build_f2(base))
 
 
