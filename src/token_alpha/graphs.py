@@ -6,8 +6,11 @@ Vertices are always 0..order-1.  A graph is stored as its adjacency
 bitsets, one int per vertex, which is the form every reader of a graph
 uses; edge lists are read from them on demand.  A vertex set is a
 bitmask in the same form, bit v set iff v is a member, and ``members``
-lists a mask's members in ascending order.  All values are immutable
-after construction and safe to share.
+lists a mask's members in ascending order.  ``path_walks`` is the one
+reader of the paths a vertex set induces: the constructions take the
+paths of H - S2 from it, and ``cycle_or_path_generators`` the cycle or
+path side it reflects.  All values are immutable after construction and
+safe to share.
 """
 
 from __future__ import annotations
@@ -80,6 +83,41 @@ def twin_class_of(g: Graph) -> tuple[int, ...]:
                  for v, mask in enumerate(g.masks))
 
 
+def path_walks(g: Graph, vertices: int) -> tuple[list[list[int]], int]:
+    """The paths of g induced on the vertex bitmask ``vertices``, each as a
+    walk of its vertices, and the mask of the vertices walked.
+
+    Vertices are visited in ascending order; a walk starts at each vertex
+    not yet walked that has at most one neighbour in ``vertices``, and
+    steps on while exactly one unwalked neighbour is left.  So each path
+    is walked from its lower-labelled end (an isolated vertex is a walk of
+    one), and the walks come in ascending order of their first vertex.
+    The parity set of an even-length walk depends on its direction, so
+    starting low keeps the witnesses built on these walks fixed, and it is
+    what fixes the reflection ``cycle_or_path_generators`` returns.
+
+    When the induced subgraph is a union of paths, the walks are exactly
+    its components and the walked mask is all of ``vertices``.  A vertex
+    of degree 3 or more beside a path end can end a walk and be walked
+    itself, so ``walked == vertices`` does not prove the converse: the
+    star K_{1,3} also reads as fully walked, as [[1, 0], [2], [3]] with 0
+    its centre.  A component that is a cycle has no vertex to start from,
+    so it is not walked.
+    """
+    adj = g.masks
+    walks, walked = [], 0
+    for v in range(g.order):
+        if not (vertices ^ walked) >> v & 1 or (adj[v] & vertices).bit_count() > 1:
+            continue
+        walk, step = [], 1 << v
+        while step and not step & (step - 1):   # exactly one way on
+            walk.append(step.bit_length() - 1)
+            walked |= step
+            step = adj[walk[-1]] & vertices & ~walked
+        walks.append(walk)
+    return walks, walked
+
+
 def cycle_or_path_generators(g: Graph, class_of: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Generators of the rotations and reflections of g's cycle or path
     side, each a permutation p of g's vertices (v goes to p[v]); class_of
@@ -90,38 +128,34 @@ def cycle_or_path_generators(g: Graph, class_of: tuple[int, ...]) -> tuple[tuple
     the P_m of a fan E_n + P_m, all of a cycle or a path.  A removed vertex
     is adjacent to the whole side, and twins are removed together, so any
     automorphism of the side, fixing every removed vertex, is one of g.
-    When the side is one cycle c_0 .. c_{k-1}, walked from its lowest
-    vertex towards the lower of that vertex's neighbours, the generators
-    are the rotation c_i -> c_{i+1} and the reflection c_i -> c_{-i}
-    (indices mod k), which generate its dihedral group; when it is one
-    path, walked from its lower end, the one generator is its reversal.
-    Any other side, none included, gives no generator.  Every permutation
-    is checked as an automorphism of g before it is returned.
+    A side whose every vertex has two side neighbours is read as a cycle
+    and cut at its lowest vertex c_0; the rest is walked by ``path_walks``
+    (from the lower of c_0's neighbours), and when that is one path the
+    cycle c_0 .. c_{k-1} gives the rotation c_i -> c_{i+1} and the
+    reflection c_i -> c_{-i} (indices mod k), which generate its dihedral
+    group.  A side that is no cycle and that ``path_walks`` reads as one
+    path, walked from its lower end, gives its reversal.  Every other
+    side, none included, gives no generator: one walk covers the side
+    only if it has no chord and no vertex of degree 3 or more.  Every
+    permutation is checked as an automorphism of g before it is returned.
     """
     everything = (1 << g.order) - 1
     side = 0
     for v, (mask, twins) in enumerate(zip(g.masks, class_of)):
         if everything & ~(mask | twins):
             side |= 1 << v
-    if not side:
+    cyclic = all((g.masks[v] & side).bit_count() == 2 for v in members(side))
+    cut = side & -side if cyclic else 0
+    walks, walked = path_walks(g, side ^ cut)
+    if len(walks) != 1 or walked != side ^ cut:
         return ()
-    degree = {v: (g.masks[v] & side).bit_count() for v in members(side)}
-    ends = [v for v, d in degree.items() if d < 2]
-    if max(degree.values()) > 2 or len(ends) not in (0, 2):
-        return ()
-    walk = [ends[0] if ends else min(degree)]
-    left = side ^ 1 << walk[0]
-    while step := g.masks[walk[-1]] & left:
-        walk.append((step & -step).bit_length() - 1)
-        left ^= 1 << walk[-1]
-    if left:
-        return ()   # the side is not connected
+    walk = members(cut) + walks[0]
     k = len(walk)
-    if ends:
-        moves = [dict(zip(walk, reversed(walk)))]
-    else:
+    if cut:
         moves = [{walk[i]: walk[(i + 1) % k] for i in range(k)},
                  {walk[i]: walk[-i] for i in range(k)}]
+    else:
+        moves = [dict(zip(walk, reversed(walk)))]
     out = []
     for move in moves:
         p = tuple(move.get(v, v) for v in range(g.order))
@@ -279,8 +313,8 @@ def generate(spec: FamilySpec) -> Graph:
     union numbers its parts consecutively in the order given, each part's
     edges joining consecutive labels.  E_n + H places the E_n side at
     0..n-1 and H, in its own labelling, after it.  No walk or part list is
-    kept beside the graph: the constructions read the paths and cycles off
-    its adjacency bitsets.
+    kept beside the graph: the constructions read the paths off its
+    adjacency bitsets through ``path_walks``.
     """
     kind = spec.kind
     if kind == "path_union":

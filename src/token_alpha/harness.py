@@ -15,9 +15,10 @@ and a formula-only row not at all: the construction reads it, and a
 join's H is read off it.  Every construction route, the one-graph kinds,
 both join candidates and the lemma trials, takes its maximum set of an
 F2(H - S2) from one recipe, ``_max_ind_rows_of_f2``, which reads the
-shape of H - S2 off H's adjacency bitsets (paths, a clique or a whole
-cycle), not from a family name.  S1, S2 and the recipe's removed set are
-bitmasks, as the adjacency bitsets are.  Constructions, lemma-trial sets and solver
+shape of H - S2 off H's adjacency bitsets (paths, through
+``graphs.path_walks``, a clique or a whole cycle), not from a family
+name.  S1, S2 and the recipe's removed set are bitmasks, as the
+adjacency bitsets are.  Constructions, lemma-trial sets and solver
 witnesses are token masks, and a row keeps them so: it carries its token
 graph's pair table, which ``report`` reads to write a JSON witness.
 
@@ -46,7 +47,7 @@ from .constructions import (
 )
 from .errors import BudgetExceededError, ParameterError
 from .formulas import AlphaFormulaResult, alpha_closed_form
-from .graphs import FAMILIES, FamilySpec, Graph, generate, join, members
+from .graphs import FAMILIES, FamilySpec, Graph, generate, join, members, path_walks
 from .mis import MisResult, greedy_independent_set, is_independent, max_independent_set
 from .tokens import (TokenGraph, TokenPair, build_f2, check_token_cap, join_partition,
                      partner_rows_mask)
@@ -66,30 +67,20 @@ def _max_ind_rows_of_f2(g: Graph, removed: int) -> list[int]:
     is a bitmask of g's vertices.  The one-graph constructions, both join
     candidates and the lemma trials all take it.
 
-    Each path of g - removed is walked from its lower-labelled end (an
-    isolated vertex is a walk of one, and K2 is a path); if that walks
-    every survivor, the parity construction on the walks is maximum.  The
-    parity set of an even-length walk depends on its direction, so
-    starting low keeps witnesses fixed.  Otherwise a clique is covered by
-    a matching, and anything else gets the cycle construction, which is
-    maximum only for a whole cycle numbered 0..m-1 around itself as
-    ``generate`` builds it: the only other shape a family leaves.  Any
-    other shape, such as a vertex of degree 3 or more beside a path end,
-    may get a wrong set; a row's ``is_independent`` check and solver cell,
-    or a trial's size check, are what judge it.
+    The paths of g - removed come from ``graphs.path_walks``, each walked
+    from its lower-labelled end for the reason given there (an isolated
+    vertex is a walk of one, and K2 is a path); if they cover every
+    survivor, the parity construction on the walks is maximum.  Otherwise
+    a clique is covered by a matching, and anything else gets the cycle
+    construction, which is maximum only for a whole cycle numbered
+    0..m-1 around itself as ``generate`` builds it: the only other shape a
+    family leaves.  Any other shape, such as a vertex of degree 3 or more
+    beside a path end, may get a wrong set; a row's ``is_independent``
+    check and solver cell, or a trial's size check, are what judge it.
     """
     adj = g.masks
     left = (1 << g.order) - 1 & ~removed
-    walks, walked = [], 0
-    for v in range(g.order):
-        if not (left ^ walked) >> v & 1 or (adj[v] & left).bit_count() > 1:
-            continue
-        walk, step = [], 1 << v
-        while step and not step & (step - 1):   # exactly one way on
-            walk.append(step.bit_length() - 1)
-            walked |= step
-            step = adj[walk[-1]] & left & ~walked
-        walks.append(walk)
+    walks, walked = path_walks(g, left)
     if walked == left:
         return path_union_independent_set(walks, g.order)
     survivors = members(left)

@@ -456,6 +456,32 @@ def test_every_generator_of_an_atlas_graph_is_an_automorphism():
     assert tally == [1_232, 14, 7]
 
 
+def test_path_walks_read_every_linear_forest_of_an_atlas_graph():
+    # every graph of order <= 6 against every vertex subset: wherever the
+    # subset induces a union of paths, the walks are its paths, each from
+    # its lower end, in ascending order of their first vertex
+    nx = pytest.importorskip("networkx")
+    cases = forests = 0
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() > 6:
+            break
+        g = Graph.build(h.number_of_nodes(), h.edges())
+        for vertices in range(1 << g.order):
+            cases += 1
+            sub = h.subgraph(members(vertices))
+            if sub and not (nx.is_forest(sub) and max(d for _, d in sub.degree()) <= 2):
+                continue
+            forests += 1
+            walks, walked = graphs.path_walks(g, vertices)
+            assert walked == vertices, (sorted(h.edges()), vertices)
+            assert sorted(map(sorted, walks)) == sorted(map(sorted, nx.connected_components(sub)))
+            for walk in walks:
+                assert walk[0] <= walk[-1], (sorted(h.edges()), vertices, walks)
+                assert all(h.has_edge(u, v) for u, v in zip(walk, walk[1:])), walks
+            assert [walk[0] for walk in walks] == sorted(walk[0] for walk in walks)
+    assert (cases, forests) == (11_291, 8_556)
+
+
 @given(planted_sides(9, 3, 3))
 @settings(max_examples=80, deadline=None)
 def test_a_planted_side_gives_exactly_its_rotations_and_reflections(case):

@@ -1,10 +1,11 @@
+import collections
 import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from token_alpha import cli, graphs, harness
+from token_alpha import cli, graphs, harness, mis
 from token_alpha.errors import ParameterError
 from token_alpha.formulas import AlphaFormulaResult, alpha_closed_form
 from token_alpha.graphs import Graph, generate, members
@@ -378,6 +379,32 @@ def test_recipe_walks_start_at_their_lower_end(h_spec, removed, walks):
     h = generate(h_spec)
     rows = harness._max_ind_rows_of_f2(h, sum(1 << v for v in removed))
     assert rows == harness.path_union_independent_set(walks, h.order)
+
+
+def test_one_path_walker_serves_the_recipe_and_the_side_generators(monkeypatch):
+    # the recipe and the side's generators read their paths through
+    # graphs.path_walks, once per call: neither keeps a walk of its own.
+    # Each row's solve drops an orbit, so it reads its side once
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    walker = counted("path_walks", graphs.path_walks)
+    monkeypatch.setattr(graphs, "path_walks", walker)
+    monkeypatch.setattr(harness, "path_walks", walker)
+    monkeypatch.setattr(harness, "_max_ind_rows_of_f2",
+                        counted("recipe", harness._max_ind_rows_of_f2))
+    monkeypatch.setattr(mis, "cycle_or_path_generators",
+                        counted("side", graphs.cycle_or_path_generators))
+    for spec in (graphs.wheel(4, 11), graphs.fan(3, 6), graphs.cycle(9)):
+        calls.clear()
+        assert evaluate_row(spec).verdict == "AGREE"
+        recipes = 2 if spec.n else 1   # a join's side and cross candidates
+        assert calls == {"recipe": recipes, "side": 1, "path_walks": recipes + 1}, spec.label()
 
 
 @pytest.mark.parametrize("kind, first, alpha", [
