@@ -139,15 +139,18 @@ def _cmd_lemma_check(args) -> tuple[str, int]:
         raise ParameterError(
             f"lemma-check H family must be one of {', '.join(_LEMMA_H_FAMILIES)}")
     h_spec = FamilySpec(args.family, m=args.m)
-    report = run_lemma_trials(args.n, h_spec, args.trials, args.seed)
-    tally = VerdictTally(report.trials)
-    lines = [f"FAIL trial={index} seed={args.seed} start={trial.start_size} "
-             f"improved={trial.improved_size} independent={trial.independent} "
-             f"seed_pair={{{trial.seed_pair[0]},{trial.seed_pair[1]}}}"
-             for index, trial in enumerate(tally) if trial.verdict == "DISAGREE"]
+    tally = VerdictTally(run_lemma_trials(args.n, h_spec, args.trials, args.seed))
+    # one pass: each trial leaves its margin, and a FAIL line if it failed
+    lines, margins = [], []
+    for index, trial in enumerate(tally):
+        margins.append(trial.improved_size - trial.start_size)
+        if trial.verdict == "DISAGREE":
+            lines.append(f"FAIL trial={index} seed={args.seed} start={trial.start_size} "
+                         f"improved={trial.improved_size} independent={trial.independent} "
+                         f"seed_pair={{{trial.seed_pair[0]},{trial.seed_pair[1]}}}")
     lines.append(f"lemma-check n={args.n} H={args.family}(m={args.m}) "
-                 f"trials={len(report.trials)} ok={tally.counts['AGREE']} "
-                 f"min_margin={report.min_margin} mean_margin={report.mean_margin:.3f}")
+                 f"trials={len(margins)} ok={tally.counts['AGREE']} min_margin={min(margins)} "
+                 f"mean_margin={sum(margins) / len(margins):.3f}")
     return "\n".join(lines) + "\n", tally.exit_code
 
 

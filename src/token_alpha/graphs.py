@@ -96,13 +96,13 @@ def path_walks(g: Graph, vertices: int) -> tuple[list[list[int]], int]:
     starting low keeps the witnesses built on these walks fixed, and it is
     what fixes the reflection ``cycle_or_path_generators`` returns.
 
-    When the induced subgraph is a union of paths, the walks are exactly
-    its components and the walked mask is all of ``vertices``.  A vertex
-    of degree 3 or more beside a path end can end a walk and be walked
-    itself, so ``walked == vertices`` does not prove the converse: the
-    star K_{1,3} also reads as fully walked, as [[1, 0], [2], [3]] with 0
-    its centre.  A component that is a cycle has no vertex to start from,
-    so it is not walked.
+    A walk ends before it would step into a vertex with three or more
+    neighbours in ``vertices``, so no such vertex is ever walked, and a
+    component that is a cycle has no vertex to start from.  So
+    ``walked == vertices`` holds exactly when the induced subgraph is a
+    union of paths, and then the walks are exactly its components: the
+    star K_{1,3} leaves its centre unwalked, as [[1], [2], [3]] with 0 its
+    centre.
     """
     adj = g.masks
     walks, walked = [], 0
@@ -111,9 +111,12 @@ def path_walks(g: Graph, vertices: int) -> tuple[list[list[int]], int]:
             continue
         walk, step = [], 1 << v
         while step and not step & (step - 1):   # exactly one way on
-            walk.append(step.bit_length() - 1)
+            u = step.bit_length() - 1
+            if (adj[u] & vertices).bit_count() > 2:
+                break
+            walk.append(u)
             walked |= step
-            step = adj[walk[-1]] & vertices & ~walked
+            step = adj[u] & vertices & ~walked
         walks.append(walk)
     return walks, walked
 

@@ -25,9 +25,10 @@ graph's pair table, which ``report`` reads to write a JSON witness.
 A family row (``evaluate_row``) and a file row (``evaluate_graph_row``,
 the solver only) share one body, ``_row``.  A sweep is one pass:
 ``run_sweep(family, n_range, m_range, methods, node_budget)`` yields each
-row as soon as it is evaluated, and ``VerdictTally`` counts the verdicts
-of rows, or of lemma trials, as they go by, so a report needs no row once
-it has rendered it.
+row as soon as it is evaluated, and ``run_lemma_trials`` each trial as
+soon as it is drawn.  ``VerdictTally`` counts the verdicts of rows, or of
+trials, as they go by, so a report needs no row, and lemma-check no
+trial, once it has been read.
 """
 
 from __future__ import annotations
@@ -69,14 +70,15 @@ def _max_ind_rows_of_f2(g: Graph, removed: int) -> list[int]:
 
     The paths of g - removed come from ``graphs.path_walks``, each walked
     from its lower-labelled end for the reason given there (an isolated
-    vertex is a walk of one, and K2 is a path); if they cover every
-    survivor, the parity construction on the walks is maximum.  Otherwise
-    a clique is covered by a matching, and anything else gets the cycle
-    construction, which is maximum only for a whole cycle numbered
-    0..m-1 around itself as ``generate`` builds it: the only other shape a
-    family leaves.  Any other shape, such as a vertex of degree 3 or more
-    beside a path end, may get a wrong set; a row's ``is_independent``
-    check and solver cell, or a trial's size check, are what judge it.
+    vertex is a walk of one, and K2 is a path); they cover every survivor
+    exactly when g - removed is a union of paths, and then the parity
+    construction on the walks is maximum.  Otherwise a clique is covered
+    by a matching, and anything else gets the cycle construction, which
+    is maximum only for a whole cycle numbered 0..m-1 around itself as
+    ``generate`` builds it: the only other shape a family leaves.  For any
+    other shape, such as a star, that is a guess, which may be a wrong
+    set; a row's ``is_independent`` check and solver cell, or a trial's
+    size check, are what judge it.
     """
     adj = g.masks
     left = (1 << g.order) - 1 & ~removed
@@ -332,22 +334,6 @@ class LemmaTrial(NamedTuple):
         return "AGREE" if ok else "DISAGREE"
 
 
-class LemmaReport(NamedTuple):
-    trials: tuple[LemmaTrial, ...]
-
-    @property
-    def failures(self) -> list[int]:
-        return [i for i, t in enumerate(self.trials) if t.verdict != "AGREE"]
-
-    @property
-    def min_margin(self) -> int:
-        return min(t.improved_size - t.start_size for t in self.trials)
-
-    @property
-    def mean_margin(self) -> float:
-        return sum(t.improved_size - t.start_size for t in self.trials) / len(self.trials)
-
-
 class DrawTables(NamedTuple):
     """What ``random_independent_set_with_cross`` reads of one graph, built
     once per graph by ``draw_tables``: each vertex's closed neighbourhood
@@ -408,12 +394,18 @@ def random_independent_set_with_cross(tables: DrawTables, cross: list[int],
     return seed, chosen
 
 
-def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> LemmaReport:
+def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int,
+                     seed: int) -> Iterator[LemmaTrial]:
     """Check the improvement property on random independent sets of
     F2(E_n + H): the associated set built from the extracted (S1, S2) must
     be independent and at least as large.  F2(H - S2)'s maximum set comes
     from the construction, not the solver; were it ever short of maximum,
-    the improved set would shrink and the trial would fail."""
+    the improved set would shrink and the trial would fail.
+
+    n and trials are checked, and F2(E_n + H) built, when this is called;
+    the trials then stream, as a sweep's rows do: each is drawn when it is
+    asked for, and nothing here keeps one after yielding it, so a caller
+    tallies them as they go by."""
     if n < 1:
         raise ParameterError(f"lemma-check requires n >= 1, got {n}")
     if trials < 1:
@@ -421,18 +413,21 @@ def run_lemma_trials(n: int, h_spec: FamilySpec, trials: int, seed: int) -> Lemm
     check_token_cap(n + h_spec.order)
     h = generate(h_spec)
     tg = build_f2(join(Graph.build(n, []), h))
+    return _lemma_trials(n, h, tg, trials, random.Random(seed))
+
+
+def _lemma_trials(n: int, h: Graph, tg: TokenGraph, trials: int,
+                  rng: random.Random) -> Iterator[LemmaTrial]:
+    """``run_lemma_trials``' trials, drawn one at a time from rng."""
     order = tg.base.order
     cross = members(join_partition(tg, n).r)
     tables = draw_tables(tg.graph)
-    rng = random.Random(seed)
-    results = []
     for _ in range(trials):
         seed_vertex, chosen = random_independent_set_with_cross(tables, cross, rng)
         s1, s2 = extract_s1_s2(chosen, n, order)
         improved = associated_independent_set(AssociatedSetInput(
             n=n, s1=s1, s2=s2, mis_h_minus_s2=_max_ind_rows_of_f2(h, s2)))
-        results.append(LemmaTrial(
+        yield LemmaTrial(
             start_size=chosen.bit_count(), improved_size=improved.bit_count(),
             independent=is_independent(tg.graph, improved),
-            seed_pair=tg.pairs[seed_vertex]))
-    return LemmaReport(trials=tuple(results))
+            seed_pair=tg.pairs[seed_vertex])

@@ -572,7 +572,7 @@ def test_lemma_check_stdout_is_pinned(capsys, argv, stdout):
     assert out == stdout
 
 
-def test_a_faulty_associated_set_fails_lemma_check(capsys, construction_fault):
+def test_a_faulty_associated_set_fails_lemma_check(capsys, request, construction_fault):
     code, out, err = run_cli(capsys, "lemma-check", "--n", "3", "--family", "path",
                              "--m", "8", "--trials", "20", "--seed", "1")
     assert code == 1 and err == ""
@@ -580,6 +580,9 @@ def test_a_faulty_associated_set_fails_lemma_check(capsys, construction_fault):
     assert fails and all(line.startswith("FAIL ") and "independent=False" in line
                          for line in fails)
     assert f"trials=20 ok={20 - len(fails)} " in summary
+    # every FAIL line (trial, sizes, seed pair) and the failing margins
+    pinned = PINNED / f"lemma_check_{request.node.callspec.id}.txt"
+    assert out == pinned.read_text(encoding="utf-8")
 
 
 def test_lemma_check_has_no_budget_flag(capsys):

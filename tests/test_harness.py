@@ -241,25 +241,47 @@ def test_tally_reads_its_rows_once_and_counts_what_a_renderer_reads():
 
 
 def test_lemma_trials_report():
-    report = run_lemma_trials(3, graphs.path(4), trials=25, seed=3)
-    assert len(report.trials) == 25
-    assert not report.failures
-    assert report.min_margin >= 0
-    assert report.mean_margin >= 0.0
+    trials = list(run_lemma_trials(3, graphs.path(4), trials=25, seed=3))
+    assert len(trials) == 25
+    assert all(t.verdict == "AGREE" for t in trials)
+    margins = [t.improved_size - t.start_size for t in trials]
+    assert min(margins) >= 0
+    assert sum(margins) / len(margins) >= 0.0
+
+
+def test_lemma_trials_are_drawn_when_asked_for(monkeypatch):
+    draws = []
+    real = harness.random_independent_set_with_cross
+
+    def counting_draw(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "random_independent_set_with_cross", counting_draw)
+    trials = run_lemma_trials(3, graphs.path(8), trials=20, seed=1)
+    assert draws == []
+    next(trials)
+    assert len(draws) == 1
+    # the arguments are checked by the call itself, before any trial is asked for
+    for n, count in ((3, 0), (0, 20)):
+        with pytest.raises(ParameterError):
+            run_lemma_trials(n, graphs.path(8), trials=count, seed=1)
+    assert len(draws) == 1
 
 
 def test_lemma_trials_report_the_pair_each_trial_was_seeded_with():
     # replay the draws of random_independent_set_with_cross: one choice of a
     # cross vertex, then one shuffle of every token vertex, per trial
     n, h_spec, seed = 6, graphs.path(14), 5
-    report = run_lemma_trials(n, h_spec, trials=300, seed=seed)
     tg = build_f2(generate(graphs.fan(n, h_spec.m)))
     cross = members(join_partition(tg, n).r)
     rng = random.Random(seed)
-    for trial in report.trials:
+    count = 0
+    for count, trial in enumerate(run_lemma_trials(n, h_spec, trials=300, seed=seed), 1):
         drawn = rng.choice(cross)
         rng.shuffle(list(range(tg.graph.order)))
         assert trial.seed_pair == tg.pairs[drawn]
+    assert count == 300
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 45, 190])
@@ -306,15 +328,16 @@ def test_lemma_trials_never_call_the_solver(monkeypatch):
     monkeypatch.setattr(harness, "build_f2", counting_build_f2)
     for h_spec in (graphs.path(6), graphs.cycle(7), graphs.complete(4), graphs.empty(5)):
         built.clear()
-        report = run_lemma_trials(3, h_spec, trials=40, seed=2)
-        assert not report.failures
+        trials = run_lemma_trials(3, h_spec, trials=40, seed=2)
+        assert all(t.verdict == "AGREE" for t in trials)
         assert built == [3 + h_spec.m]   # F2(E_n + H), once
 
 
 def test_a_faulty_associated_set_fails_its_lemma_trials(construction_fault):
-    report = run_lemma_trials(3, graphs.path(8), trials=20, seed=1)
-    assert report.failures
-    assert not any(report.trials[i].independent for i in report.failures)
+    failures = [t for t in run_lemma_trials(3, graphs.path(8), trials=20, seed=1)
+                if t.verdict != "AGREE"]
+    assert failures
+    assert not any(t.independent for t in failures)
 
 
 def _check_f2_minus_s2(h, s2):
@@ -511,7 +534,8 @@ def test_lemma_check_exits_1_under_each_fault(capsys, construction_fault):
     # the exit code is the trials' tally's, as a report's is its rows'
     assert cli.main(["lemma-check", "--n", "3", "--family", "path", "--m", "8",
                      "--trials", "20", "--seed", "1"]) == 1
-    report = run_lemma_trials(3, graphs.path(8), trials=20, seed=1)
-    tally = VerdictTally(report.trials)
-    assert [i for i, t in enumerate(tally) if t.verdict == "DISAGREE"] == report.failures
+    trials = list(run_lemma_trials(3, graphs.path(8), trials=20, seed=1))
+    failures = [i for i, t in enumerate(trials) if t.verdict != "AGREE"]
+    tally = VerdictTally(trials)
+    assert [i for i, t in enumerate(tally) if t.verdict == "DISAGREE"] == failures
     assert tally.exit_code == 1
