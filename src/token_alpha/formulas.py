@@ -49,11 +49,6 @@ def alpha_complete(m: int) -> int:
     return m // 2
 
 
-def alpha_star(m: int) -> int:
-    """Star K_{m,1} with m leaves: m for m in {1, 2}, C(m, 2) for m >= 3."""
-    return m if m <= 2 else comb(m, 2)
-
-
 def alpha_path_union(parts) -> int:
     """(m^2 + t^2 - 2t)/4 for a disjoint union of paths with t odd parts."""
     parts = tuple(parts)
@@ -68,12 +63,13 @@ def alpha_path_union(parts) -> int:
 def alpha_fan(n: int, m: int) -> AlphaFormulaResult:
     """Fan E_n + P_m.
 
-    m = 1 collapses to the star on n leaves.  For m >= 2 the value is
+    m = 1 collapses to the star K_{n,1} on n leaves, whose value is
+    ``alpha_complete_bipartite(n, 1)``.  For m >= 2 the value is
     floor(m^2/4) + C(n, 2) except when 2n is m+1 or m+3 (possible only for
     odd m), where cross pairs win and the value is n*ceil(m/2) + C(floor(m/2), 2).
     """
     if m == 1:
-        return AlphaFormulaResult(alpha_star(n), False, "fan.star")
+        return AlphaFormulaResult(alpha_complete_bipartite(n, 1), False, "fan.star")
     if 2 * n == m + 1 or 2 * n == m + 3:
         value = n * ((m + 1) // 2) + comb(m // 2, 2)
         return AlphaFormulaResult(value, True, "fan.exceptional")

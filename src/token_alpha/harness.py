@@ -17,7 +17,10 @@ both join candidates and the lemma trials, takes its maximum set of an
 F2(H - S2) from one recipe, ``_max_ind_rows_of_f2``, which reads the
 shape of H - S2 off H's adjacency bitsets (paths, through
 ``graphs.path_walks``, a clique or a whole cycle), not from a family
-name.  S1, S2 and the recipe's removed set are bitmasks, as the
+name.  Every associated set I_R ∪ I_B of E_n + H, a join's side and
+cross candidates and each lemma trial's improved set, comes from one
+helper, ``_associated_set``, which takes F2(H - S2)'s set from that
+recipe.  S1, S2 and the recipe's removed set are bitmasks, as the
 adjacency bitsets are.  Constructions, lemma-trial sets and solver
 witnesses are token masks, and a row keeps them so: it carries its token
 graph's pair table, which ``report`` reads to write a JSON witness.
@@ -26,9 +29,11 @@ A family row (``evaluate_row``) and a file row (``evaluate_graph_row``,
 the solver only) share one body, ``_row``.  A sweep is one pass:
 ``run_sweep(family, n_range, m_range, methods, node_budget)`` yields each
 row as soon as it is evaluated, and ``run_lemma_trials`` each trial as
-soon as it is drawn.  ``VerdictTally`` counts the verdicts of rows, or of
-trials, as they go by, so a report needs no row, and lemma-check no
-trial, once it has been read.
+soon as it is drawn.  A row decides its verdict when it is made, in
+``RowResult.__init__``, and every reader reads that one field.
+``VerdictTally`` counts the verdicts of rows, or of trials, as they go
+by, so a report needs no row, and lemma-check no trial, once it has been
+read.
 """
 
 from __future__ import annotations
@@ -94,6 +99,14 @@ def _max_ind_rows_of_f2(g: Graph, removed: int) -> list[int]:
     return cycle_independent_set(g.order)
 
 
+def _associated_set(n: int, h: Graph, s1: int, s2: int) -> int:
+    """The associated set I_R ∪ I_B of E_n + h built from s1 and s2, with
+    F2(h - s2)'s maximum set from ``_max_ind_rows_of_f2``: a join's side
+    and cross candidates and each lemma trial's improved set."""
+    return associated_independent_set(AssociatedSetInput(
+        n=n, s1=s1, s2=s2, mis_h_minus_s2=_max_ind_rows_of_f2(h, s2)))
+
+
 def construction_pairs(spec: FamilySpec, base: Graph) -> int:
     """Explicit independent set for the family instance, as the token mask
     of F2(base), built without the exact solver from base, the graph
@@ -115,12 +128,10 @@ def construction_pairs(spec: FamilySpec, base: Graph) -> int:
         return partner_rows_mask(_max_ind_rows_of_f2(base, 0))
 
     h = Graph(tuple(mask >> n for mask in base.masks[n:]))
-    side = associated_independent_set(AssociatedSetInput(
-        n=n, s1=0, s2=0, mis_h_minus_s2=_max_ind_rows_of_f2(h, 0)))
     s2 = greedy_independent_set(h.masks, (1 << h.order) - 1)
-    cross = associated_independent_set(AssociatedSetInput(
-        n=n, s1=(1 << n) - 1, s2=s2, mis_h_minus_s2=_max_ind_rows_of_f2(h, s2)))
-    return cross if cross.bit_count() > side.bit_count() else side
+    # max keeps the first of equals, so the side set wins a tie
+    return max(_associated_set(n, h, 0, 0), _associated_set(n, h, (1 << n) - 1, s2),
+               key=int.bit_count)
 
 
 def base_graph_for(spec: FamilySpec) -> Graph:
@@ -138,10 +149,15 @@ def base_graph_for(spec: FamilySpec) -> Graph:
 class RowResult:
     """One row's method results.  The construction and the solver's witness
     are token masks over ``token_pairs``, the token graph's pair table.  A
-    slot class, not a tuple: memory tests weakly reference rows."""
+    row is not changed after it is made, so it decides its verdict then,
+    once, for every reader: ABORTED when a node budget ran out; DISAGREE
+    when the construction is not independent or the methods' values
+    differ; else AGREE.  A slot class, not a tuple: memory tests weakly
+    reference rows."""
 
     __slots__ = ("label", "spec", "formula", "construction", "construction_valid",
-                 "solver", "token_pairs", "solver_millis", "aborted", "__weakref__")
+                 "solver", "token_pairs", "solver_millis", "aborted", "verdict",
+                 "__weakref__")
 
     def __init__(self, label: str, spec: FamilySpec | None = None,
                  formula: AlphaFormulaResult | None = None, construction: int | None = None,
@@ -152,6 +168,9 @@ class RowResult:
         self.construction, self.construction_valid = construction, construction_valid
         self.solver, self.token_pairs = solver, token_pairs
         self.solver_millis, self.aborted = solver_millis, aborted
+        self.verdict = ("ABORTED" if aborted
+                        else "DISAGREE" if construction_valid is False or len(set(self.values)) > 1
+                        else "AGREE")
 
     @property
     def construction_size(self) -> int | None:
@@ -167,16 +186,6 @@ class RowResult:
         if self.solver is not None:
             out.append(self.solver.size)
         return out
-
-    @property
-    def verdict(self) -> str:
-        """ABORTED when a node budget ran out; DISAGREE when the construction
-        is not independent or the methods' values differ; else AGREE."""
-        if self.aborted:
-            return "ABORTED"
-        if self.construction_valid is False or len(set(self.values)) > 1:
-            return "DISAGREE"
-        return "AGREE"
 
 
 class VerdictTally:
@@ -425,8 +434,7 @@ def _lemma_trials(n: int, h: Graph, tg: TokenGraph, trials: int,
     for _ in range(trials):
         seed_vertex, chosen = random_independent_set_with_cross(tables, cross, rng)
         s1, s2 = extract_s1_s2(chosen, n, order)
-        improved = associated_independent_set(AssociatedSetInput(
-            n=n, s1=s1, s2=s2, mis_h_minus_s2=_max_ind_rows_of_f2(h, s2)))
+        improved = _associated_set(n, h, s1, s2)
         yield LemmaTrial(
             start_size=chosen.bit_count(), improved_size=improved.bit_count(),
             independent=is_independent(tg.graph, improved),

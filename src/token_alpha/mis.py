@@ -34,9 +34,14 @@ dropped.  The lowest dirty vertex of degree <= 1 is then the one a full
 rescan after every fold would find, and a node with an empty dirty mask
 folds nothing.
 
-The root folds in the input's own labels, every vertex dirty, and then
-tries to prove its answer there, with a greedy independent set and a
-greedy clique cover of the vertices left, both built in label order.  The
+The root folds in the input's own labels.  It reads the vertices that
+have a neighbour as one mask, from one byte string, and its isolated
+vertices, the rest, join the chosen set at once, not peeled one by one,
+each peel copying a |V|-bit mask: an isolated vertex has no neighbour,
+so folding it first changes no degree and no later fold.  Every other
+vertex starts dirty.  The root then tries to prove its answer there,
+with a greedy independent set and a greedy clique cover of the vertices
+left, both built in label order.  The
 folds are exact and the cover's clique count bounds alpha of what they
 leave, so when the count equals the set's size, the forced vertices plus
 that set are a maximum set: the solve ends at node 1 with nothing
@@ -383,8 +388,10 @@ def max_independent_set(g: Graph | TokenGraph,
         raise BudgetExceededError(1)
 
     masks = g.masks
-    everything = (1 << n) - 1
-    rest, forced = _fold(masks, everything, everything, 0)
+    # the vertices with a neighbour, as one mask read from one string of
+    # binary digits, highest vertex first; the isolated rest join at once
+    rest = int(bytes(map(bool, reversed(masks))).translate(bytes.maketrans(b"\0\1", b"01")), 2)
+    rest, forced = _fold(masks, rest, rest, (1 << n) - 1 ^ rest)
     greedy = greedy_independent_set(masks, rest)
     if _cover(masks, rest, n)[0] == greedy.bit_count():
         witness = forced | greedy

@@ -15,12 +15,13 @@ output.
 
 ``hashlib`` is imported inside ``witness_digest``, not here: it maps
 OpenSSL's libcrypto (~3.4 MB of resident memory), which only reports that
-print a digest should pay for.
+print a digest should pay for.  ``json`` is imported inside
+``witness_digest`` and ``render_json`` for the same reason: a TSV
+``sweep`` or ``alpha``, and every ``lemma-check``, ``export`` and
+``import``, never load it, which saves ~2 ms of start-up.
 """
 
 from __future__ import annotations
-
-import json
 
 from .graphs import members
 from .harness import RowResult, VerdictTally
@@ -39,6 +40,7 @@ def witness_strings(pairs, mask: int) -> list[str]:
 def witness_digest(strings: list[str]) -> str:
     """The first 12 hex digits of the SHA-256 of a witness list's JSON."""
     import hashlib
+    import json
 
     return hashlib.sha256(json.dumps(strings).encode()).hexdigest()[:12]
 
@@ -122,6 +124,8 @@ def render_json(rows, extra: dict | None = None) -> str:
     """``json.dumps(doc, indent=2)`` and a newline, doc holding the rows'
     records, summary and extra; each record is made text as its row goes
     by, indented to its place (a JSON string holds no raw newline)."""
+    import json
+
     tally = VerdictTally(rows)
     texts = ["    " + json.dumps(row_record(r), indent=2).replace("\n", "\n    ")
              for r in tally]

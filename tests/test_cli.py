@@ -281,6 +281,19 @@ def test_an_edgeless_file_below_the_cap_still_solves(capsys, tmp_path):
     assert out.splitlines()[1].split("\t")[7:9] == ["124750", "1"]
 
 
+def test_an_edgeless_file_of_order_1000_solves_in_one_step(capsys, tmp_path):
+    # 499 500 isolated token vertices join the root's set as one mask; folded
+    # one at a time, each copying a 499 500-bit candidate mask, they took ~19 s
+    wide = tmp_path / "e1000.txt"
+    wide.write_text("p 1000 0\n")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "alpha", "--input", str(wide))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    cells = out.splitlines()[1].split("\t")
+    assert (cells[7], cells[8], cells[-1]) == ("499500", "1", "AGREE")
+
+
 @pytest.mark.parametrize("command", ["alpha --input", "import"])
 def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, command):
     # a malformed file, not a disagreement: exit 2 with the line of the byte

@@ -12,7 +12,6 @@ from token_alpha.formulas import (
     alpha_path,
     alpha_path_union,
     alpha_split,
-    alpha_star,
     alpha_wheel,
 )
 
@@ -30,10 +29,7 @@ def test_alpha_cycle(m, expected):
 def test_alpha_empty_complete_star():
     assert alpha_empty(4) == 6
     assert alpha_complete(5) == 2
-    assert alpha_star(1) == 1
-    assert alpha_star(2) == 2
-    assert alpha_star(3) == 3
-    assert alpha_star(4) == 6
+    assert [alpha_fan(n, 1).value for n in (1, 2, 3, 4)] == [1, 2, 3, 6]
 
 
 @pytest.mark.parametrize("parts,expected", [
@@ -102,11 +98,6 @@ def test_alpha_complete_bipartite():
             value = alpha_complete_bipartite(n, m)
             assert value >= n * m
             assert value >= n * (n - 1) // 2 + m * (m - 1) // 2
-
-
-def test_complete_bipartite_matches_star_for_m_1():
-    for n in range(1, 9):
-        assert alpha_complete_bipartite(n, 1) == alpha_star(n)
 
 
 @pytest.mark.parametrize("func,arg", [

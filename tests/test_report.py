@@ -157,13 +157,14 @@ from token_alpha import cli
 with redirect_stdout(io.StringIO()):
     code = cli.main(["sweep", "--family", "wheel", "--n-range", "1..3", "--m-range", "3..8"])
 assert code == 0, code
-print(" ".join(sorted({"dataclasses", "inspect", "ast", "dis"} & set(sys.modules))))
+print(" ".join(sorted({"dataclasses", "inspect", "ast", "dis", "json"} & set(sys.modules))))
 """
 
 
 def test_a_tsv_sweep_loads_no_dataclasses_stack():
     # the package's records are tuples or slot classes, so no run pays for
-    # dataclasses and the inspect, ast and dis modules it imports
+    # dataclasses and the inspect, ast and dis modules it imports; and
+    # only a JSON report loads json
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-S", "-c", _RECORD_IMPORT_SCRIPT],
